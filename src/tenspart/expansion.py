@@ -107,10 +107,6 @@ class DeflatedOperator:
             out -= np.einsum("k,pq->kpq", w, U.T @ (B @ V))
         return out
 
-    def multi(self, X: np.ndarray, Y: np.ndarray, Z: np.ndarray) -> np.ndarray:
-        C12 = self.contract_modes12(X, Y)
-        return np.einsum("kpq,kr->pqr", C12, Z)
-
     # norms ------------------------------------------------------------------
 
     def norm_squared(self) -> float:

@@ -18,11 +18,10 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg
 
 from .sparse_tensor import SparseTensor3, is_12_symmetric, symmetric_embed
 
@@ -50,7 +49,6 @@ class SolverConfig:
     rel_tol: float = 1e-8
     seed: int = 0
     num_restarts: int = 1
-    symmetric: bool = False
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -65,9 +63,11 @@ class SolverConfig:
 class RankApproximation:
     """Factors, core and convergence record of one approximation.
 
-    U, V, W have orthonormal columns; core = A . (U, V, W); the objective
-    history (||core|| per iteration) is nondecreasing.  For (1,2)-symmetric
-    problems V is U.
+    U, V, W have orthonormal columns; core = A . (U, V, W).  The objective
+    history holds ||core|| per iteration; it is nondecreasing for
+    :func:`hooi`, but not yet for the shared-factor solver (see the xfail
+    ``test_shared_factor_history_monotone`` in ``tests/test_lowrank.py``).
+    For (1,2)-symmetric problems V is U.
     """
 
     U: np.ndarray
@@ -161,18 +161,29 @@ def _core_from_c12(C12: np.ndarray, W: np.ndarray) -> np.ndarray:
     return np.einsum("kpq,kr->pqr", C12, W)
 
 
-def _hooi_sweeps(T, U, V, W, ranks, cfg: SolverConfig):
-    """Alternating HOOI updates from given starting factors."""
+def _sweeps(T, U, V, W, ranks, cfg: SolverConfig, shared: bool) -> RankApproximation:
+    """Alternating HOOI updates from given starting factors.
+
+    With ``shared`` the mode-1 and mode-2 factors are one matrix U = V,
+    updated from the stacked mode-1/mode-2 contractions, so the starting V
+    is not read.
+    """
     r1, r2, r3 = ranks
     history: list[float] = []
     converged = False
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", RuntimeWarning)
         for _ in range(cfg.max_iters):
-            C = T.contract_modes23(V, W)  # (l, r2, r3)
-            U = dominant_subspace(C.reshape(C.shape[0], -1), r1)
-            C = T.contract_modes13(U, W)  # (m, r1, r3)
-            V = dominant_subspace(C.reshape(C.shape[0], -1), r2)
+            if shared:
+                C1 = T.contract_modes23(U, W)  # (l, r1, r3)
+                C2 = T.contract_modes13(U, W)  # (l, r1, r3)
+                stacked = np.hstack((C1.reshape(C1.shape[0], -1), C2.reshape(C2.shape[0], -1)))
+                U = V = dominant_subspace(stacked, r1)
+            else:
+                C = T.contract_modes23(V, W)  # (l, r2, r3)
+                U = dominant_subspace(C.reshape(C.shape[0], -1), r1)
+                C = T.contract_modes13(U, W)  # (m, r1, r3)
+                V = dominant_subspace(C.reshape(C.shape[0], -1), r2)
             C12 = T.contract_modes12(U, V)  # (n, r1, r2)
             W = dominant_subspace(C12.reshape(C12.shape[0], -1), r3)
             core = _core_from_c12(C12, W)
@@ -183,18 +194,16 @@ def _hooi_sweeps(T, U, V, W, ranks, cfg: SolverConfig):
                 break
             history.append(obj)
     deficient = any(issubclass(w.category, RuntimeWarning) for w in caught)
-    return U, V, W, core, history, converged, deficient
+    return RankApproximation(U, V, W, core, history, converged, deficient)
 
 
-def hooi(T, ranks: tuple[int, int, int], cfg: SolverConfig | None = None) -> RankApproximation:
-    """Best rank-(r1, r2, r3) approximation by alternating subspace updates.
+def _solve(T, ranks, cfg: SolverConfig, shared: bool) -> RankApproximation:
+    """Best of ``cfg.num_restarts`` sweep runs.
 
-    Starts from the truncated HOSVD; with ``cfg.num_restarts > 1`` the
-    solve is repeated from seeded random orthonormal factors and the run
-    with the largest objective is returned.  Non-convergence is flagged on
-    the result, not fatal.
+    The first run starts from the truncated HOSVD when ``T`` is a sparse
+    tensor; the others (and every run on an implicit operator) start from
+    seeded random orthonormal factors.
     """
-    cfg = cfg or SolverConfig()
     if isinstance(T, SparseTensor3) and T.nnz == 0:
         raise ValueError("cannot approximate an empty tensor")
     l, m, n = T.dims
@@ -209,15 +218,49 @@ def hooi(T, ranks: tuple[int, int, int], cfg: SolverConfig | None = None) -> Ran
             U, V, W = hosvd_init(T, ranks)
         else:
             U = _random_orthonormal(rng, l, ranks[0])
-            V = _random_orthonormal(rng, m, ranks[1])
+            V = U if shared else _random_orthonormal(rng, m, ranks[1])
             W = _random_orthonormal(rng, n, ranks[2])
-        U, V, W, core, history, converged, deficient = _hooi_sweeps(T, U, V, W, ranks, cfg)
-        cand = RankApproximation(U, V, W, core, history, converged, deficient)
+        cand = _sweeps(T, U, V, W, ranks, cfg, shared)
         if best is None or cand.objective > best.objective:
             best = cand
     if not best.converged:
         warnings.warn("HOOI did not converge within max_iters", RuntimeWarning)
     return best
+
+
+def hooi(T, ranks: tuple[int, int, int], cfg: SolverConfig | None = None) -> RankApproximation:
+    """Best rank-(r1, r2, r3) approximation by alternating subspace updates.
+
+    Starts from the truncated HOSVD; with ``cfg.num_restarts > 1`` the
+    solve is repeated from seeded random orthonormal factors and the run
+    with the largest objective is returned.  Non-convergence is flagged on
+    the result, not fatal.
+    """
+    return _solve(T, ranks, cfg or SolverConfig(), shared=False)
+
+
+def _fix_rotation_221(T, ap: RankApproximation) -> RankApproximation:
+    """Fix the rotational freedom of a shared rank-(2, 2, 1) factor.
+
+    The shared factor is rotated onto the eigenvectors of the 2x2 core
+    slice (mixed at 45 degrees when the eigenvalues have opposite signs),
+    column and temporal signs are fixed, and the core is recomputed in the
+    new basis.  The objective history is unchanged.
+    """
+    G = 0.5 * (ap.core[:, :, 0] + ap.core[:, :, 0].T)
+    evals, P = np.linalg.eigh(G)
+    order = np.argsort(evals)[::-1]
+    P = _fix_column_signs(P[:, order])
+    evals = evals[order]
+    if evals[0] * evals[1] < 0:
+        mix = np.array([[1.0, -1.0], [1.0, 1.0]]) / math.sqrt(2.0)
+        R = P @ mix.T
+    else:
+        R = P
+    U = _fix_column_signs(ap.U @ R)
+    W = -ap.W if ap.W[np.argmax(np.abs(ap.W[:, 0])), 0] < 0 else ap.W
+    core = _core_from_c12(T.contract_modes12(U, U), W)
+    return replace(ap, U=U, V=U, W=W, core=core)
 
 
 def hooi_symmetric(T, ranks: tuple[int, int, int], cfg: SolverConfig | None = None) -> RankApproximation:
@@ -228,75 +271,16 @@ def hooi_symmetric(T, ranks: tuple[int, int, int], cfg: SolverConfig | None = No
     ranks (2, 2, 1) the rotational freedom of the shared factor is fixed
     deterministically from the eigendecomposition of the 2x2 core slice.
     """
-    cfg = cfg or SolverConfig()
-    l, m, n = T.dims
+    l, m, _ = T.dims
     if l != m:
         raise ValueError("symmetric solver needs equal mode-1/2 extents")
     if isinstance(T, SparseTensor3) and not is_12_symmetric(T, tol=1e-12):
         raise ValueError("tensor is not (1,2)-symmetric")
-    r1, r2, r3 = ranks
-    if r1 != r2:
+    if ranks[0] != ranks[1]:
         raise ValueError("symmetric solver needs r1 == r2")
-
-    rng = np.random.default_rng(cfg.seed)
-    best: RankApproximation | None = None
-    for restart in range(cfg.num_restarts):
-        if restart == 0 and isinstance(T, SparseTensor3):
-            U, _, W = hosvd_init(T, ranks)
-        elif restart == 0:
-            # implicit operator: start from contractions against random probes
-            U = _random_orthonormal(rng, l, r1)
-            W = _random_orthonormal(rng, n, r3)
-        else:
-            U = _random_orthonormal(rng, l, r1)
-            W = _random_orthonormal(rng, n, r3)
-
-        history: list[float] = []
-        converged = False
-        deficient = False
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", RuntimeWarning)
-            for _ in range(cfg.max_iters):
-                C1 = T.contract_modes23(U, W)  # (l, r, r3)
-                C2 = T.contract_modes13(U, W)  # (l, r, r3)
-                stacked = np.hstack(
-                    (C1.reshape(l, -1), C2.reshape(l, -1))
-                )
-                U = dominant_subspace(stacked, r1)
-                C12 = T.contract_modes12(U, U)  # (n, r, r)
-                W = dominant_subspace(C12.reshape(n, -1), r3)
-                core = _core_from_c12(C12, W)
-                obj = math.sqrt(float(np.sum(core * core)))
-                if history and abs(obj - history[-1]) <= cfg.rel_tol * max(obj, 1e-300):
-                    history.append(obj)
-                    converged = True
-                    break
-                history.append(obj)
-            deficient = any(issubclass(w.category, RuntimeWarning) for w in caught)
-
-        if ranks[:2] == (2, 2) and r3 == 1:
-            G = 0.5 * (core[:, :, 0] + core[:, :, 0].T)
-            evals, P = np.linalg.eigh(G)
-            order = np.argsort(evals)[::-1]
-            P = _fix_column_signs(P[:, order])
-            evals = evals[order]
-            if evals[0] * evals[1] < 0:
-                mix = np.array([[1.0, -1.0], [1.0, 1.0]]) / math.sqrt(2.0)
-                R = P @ mix.T
-            else:
-                R = P
-            U = _fix_column_signs(U @ R)
-            # fix the temporal sign, then recompute the core in the new basis
-            if W[np.argmax(np.abs(W[:, 0])), 0] < 0:
-                W = -W
-            C12 = T.contract_modes12(U, U)
-            core = _core_from_c12(C12, W)
-
-        cand = RankApproximation(U, U, W, core, history, converged, deficient)
-        if best is None or cand.objective > best.objective:
-            best = cand
-    if not best.converged:
-        warnings.warn("symmetric HOOI did not converge within max_iters", RuntimeWarning)
+    best = _solve(T, ranks, cfg or SolverConfig(), shared=True)
+    if tuple(ranks) == (2, 2, 1):
+        best = _fix_rotation_221(T, best)
     return best
 
 
@@ -323,8 +307,7 @@ def approx_nonsymmetric_via_embedding(
     W = dominant_subspace(C12.reshape(n, -1), r3, warn_deficient=False)
 
     # polish to a stationary point of the direct problem
-    U, V, W, core, history, converged, deficient = _hooi_sweeps(T, U, V, W, ranks, cfg)
-    return RankApproximation(U, V, W, core, history, converged, deficient)
+    return _sweeps(T, U, V, W, ranks, cfg, shared=False)
 
 
 def reconstruct(approx: RankApproximation) -> np.ndarray:

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .sparse_tensor import SparseTensor3, is_12_symmetric, symmetric_embed, subtensor
+from .sparse_tensor import SparseTensor3, is_12_symmetric
 
 __all__ = [
     "LabelTable",
@@ -180,21 +180,13 @@ def normalize_slices_adjacency(T: SparseTensor3, sym_tol: float = 1e-12) -> Spar
 
     Degrees are d = A e per slice; rows/columns with zero degree stay zero.
     The normalized slice of a connected graph has largest eigenvalue 1.
-    Requires a (1,2)-symmetric tensor with nonnegative values.
+    Requires a (1,2)-symmetric tensor with nonnegative values; on such a
+    tensor row and column degrees coincide, so this is
+    :func:`nonsymmetric_normalize` behind a symmetry check.
     """
-    _check_nonnegative(T)
     if not is_12_symmetric(T, tol=sym_tol):
         raise ValueError("tensor is not (1,2)-symmetric; use nonsymmetric_normalize")
-    l, m, _ = T.dims
-    vals = T.vals.copy()
-    for _, run in T.slice_runs():
-        deg = np.zeros(l)
-        np.add.at(deg, T.i[run], T.vals[run])
-        inv_sqrt = np.zeros(l)
-        nz = deg > 0
-        inv_sqrt[nz] = 1.0 / np.sqrt(deg[nz])
-        vals[run] = T.vals[run] * inv_sqrt[T.i[run]] * inv_sqrt[T.j[run]]
-    return SparseTensor3(T.dims, T.i, T.j, T.k, vals)
+    return nonsymmetric_normalize(T)
 
 
 def normalize_slices_frobenius(T: SparseTensor3, skip_empty: bool = False) -> SparseTensor3:

@@ -212,9 +212,6 @@ class SparseTensor3:
         tmp = mode_multiply(self, U.T, 1)  # (r1, m, n)
         return np.einsum("pjk,jq->kpq", tmp, V)
 
-    def multi(self, X: np.ndarray, Y: np.ndarray, Z: np.ndarray) -> np.ndarray:
-        return multi_multiply(self, X, Y, Z)
-
     def norm_squared(self) -> float:
         return math.fsum(self.vals * self.vals)
 

@@ -92,6 +92,19 @@ class TestAdjacencyNormalization:
         top = np.linalg.eigvalsh(N.to_dense()[:, :, 0]).max()
         assert abs(top - 1.0) <= 1e-10
 
+    def test_matches_dense_degree_oracle(self, rng):
+        T = random_symmetric(rng, 9, 4, density=0.4)
+        T = SparseTensor3(T.dims, T.i, T.j, T.k, np.abs(T.vals))
+        dense = T.to_dense()
+        expect = np.zeros_like(dense)
+        for k in range(dense.shape[2]):
+            deg = dense[:, :, k].sum(axis=1)
+            inv = np.zeros_like(deg)
+            inv[deg > 0] = 1.0 / np.sqrt(deg[deg > 0])
+            expect[:, :, k] = inv[:, None] * dense[:, :, k] * inv[None, :]
+        N = normalize_slices_adjacency(T)
+        assert np.abs(N.to_dense() - expect).max() <= 1e-14
+
     def test_random_connected_slice_top_eigenvalue(self, rng):
         m = 7
         A = np.abs(rng.standard_normal((m, m)))
