@@ -5,11 +5,11 @@ objective ||A . (X, Y, Z)|| over matrices with orthonormal columns; the
 core tensor of a solution (U, V, W) is F = A . (U, V, W) and the implied
 best approximation is B = (U, V, W) . F.
 
-The solver here is HOOI with deterministic truncated-HOSVD initialization
-and optional seeded random restarts.  The solver interface only touches
-the data through mode contractions against matrices with few columns, so
+The solver here is HOOI with a deterministic sketched truncated-HOSVD
+start and optional seeded random restarts.  Solver and start touch the
+data only through mode contractions against matrices with few columns, so
 an implicit operator (see :mod:`tenspart.expansion`) can stand in for a
-sparse tensor.
+sparse tensor and gets the same start.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.sparse as sp
 
 from .sparse_tensor import SparseTensor3, is_12_symmetric, symmetric_embed
 
@@ -37,8 +36,8 @@ __all__ = [
     "save_approximation",
 ]
 
-# unfoldings at most this many elements are handled by dense SVD
-_DENSE_SVD_LIMIT = 200_000
+# extra columns per mode in the hosvd_init sketch
+_OVERSAMPLE = 8
 
 
 @dataclass
@@ -112,9 +111,9 @@ def dominant_subspace(M: np.ndarray, r: int, warn_deficient: bool = True) -> np.
         raise ValueError("M contains non-finite values")
     if not 1 <= r <= min(M.shape):
         raise ValueError(f"r={r} out of range for shape {M.shape}")
-    U, s, _ = np.linalg.svd(M, full_matrices=True)
-    cutoff = max(M.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
-    if warn_deficient and (s.size < r or s[r - 1] <= cutoff):
+    U, s, _ = np.linalg.svd(M, full_matrices=False)
+    cutoff = max(M.shape) * np.finfo(float).eps * s[0]
+    if warn_deficient and s[r - 1] <= cutoff:
         warnings.warn(
             f"matrix has numerical rank below {r}; subspace padded with an "
             "orthonormal complement",
@@ -122,33 +121,6 @@ def dominant_subspace(M: np.ndarray, r: int, warn_deficient: bool = True) -> np.
             stacklevel=2,
         )
     return _fix_column_signs(U[:, :r])
-
-
-def _dominant_subspace_sparse(M: sp.spmatrix, r: int) -> np.ndarray:
-    """Leading left singular subspace of a large sparse unfolding.
-
-    Uses the Gram matrix when the short side is small, which is accurate
-    enough for an initial guess and avoids densifying the unfolding.
-    """
-    gram = np.asarray((M @ M.T).todense())
-    w, V = np.linalg.eigh(gram)
-    order = np.argsort(w)[::-1][:r]
-    return _fix_column_signs(V[:, order])
-
-
-def hosvd_init(T: SparseTensor3, ranks: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Truncated-HOSVD starting factors: per-mode dominant unfolding subspaces."""
-    for r, extent in zip(ranks, T.dims):
-        if not 1 <= r <= extent:
-            raise ValueError(f"rank {r} exceeds extent {extent}")
-    factors = []
-    for mode, r in zip((1, 2, 3), ranks):
-        unfold = T.unfolding(mode)
-        if unfold.shape[0] * unfold.shape[1] <= _DENSE_SVD_LIMIT:
-            factors.append(dominant_subspace(unfold.toarray(), r, warn_deficient=False))
-        else:
-            factors.append(_dominant_subspace_sparse(unfold, r))
-    return tuple(factors)
 
 
 def _random_orthonormal(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -165,8 +137,8 @@ def _sweeps(T, U, V, W, ranks, cfg: SolverConfig, shared: bool) -> RankApproxima
     """Alternating HOOI updates from given starting factors.
 
     With ``shared`` the mode-1 and mode-2 factors are one matrix U = V,
-    updated from the stacked mode-1/mode-2 contractions, so the starting V
-    is not read.
+    updated from the mode-1 contraction (equal to the mode-2 one on a
+    (1,2)-symmetric operator), so the starting V is not read.
     """
     r1, r2, r3 = ranks
     history: list[float] = []
@@ -175,10 +147,8 @@ def _sweeps(T, U, V, W, ranks, cfg: SolverConfig, shared: bool) -> RankApproxima
         warnings.simplefilter("always", RuntimeWarning)
         for _ in range(cfg.max_iters):
             if shared:
-                C1 = T.contract_modes23(U, W)  # (l, r1, r3)
-                C2 = T.contract_modes13(U, W)  # (l, r1, r3)
-                stacked = np.hstack((C1.reshape(C1.shape[0], -1), C2.reshape(C2.shape[0], -1)))
-                U = V = dominant_subspace(stacked, r1)
+                C = T.contract_modes23(U, W)  # (l, r1, r3)
+                U = V = dominant_subspace(C.reshape(C.shape[0], -1), r1)
             else:
                 C = T.contract_modes23(V, W)  # (l, r2, r3)
                 U = dominant_subspace(C.reshape(C.shape[0], -1), r1)
@@ -197,24 +167,47 @@ def _sweeps(T, U, V, W, ranks, cfg: SolverConfig, shared: bool) -> RankApproxima
     return RankApproximation(U, V, W, core, history, converged, deficient)
 
 
+def hosvd_init(T, ranks: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sketched truncated-HOSVD starting factors.
+
+    Two HOOI sweeps at oversampled ranks p_i = min(d_i, r_i + 8, d_j d_k)
+    from fixed-seed random orthonormal factors give three thin bases (a
+    randomized range finder); the truncated HOSVD of the small projected
+    core, lifted back through those bases, is the start.  ``T`` is read
+    only through its contractions, so sparse tensors and implicit
+    operators get the same deterministic start.  The result is the exact
+    truncated HOSVD when every p_i equals d_i or d_j d_k.
+    """
+    dims = T.dims
+    for r, extent in zip(ranks, dims):
+        if not 1 <= r <= extent:
+            raise ValueError(f"rank {r} exceeds extent {extent}")
+    size = math.prod(dims)
+    p = tuple(min(d, r + _OVERSAMPLE, size // d) for d, r in zip(dims, ranks))
+    rng = np.random.default_rng(0)
+    U, V, W = (_random_orthonormal(rng, d, pi) for d, pi in zip(dims, p))
+    sketch = _sweeps(T, U, V, W, p, SolverConfig(max_iters=2), shared=False)
+    factors = []
+    for mode, (Q, r) in enumerate(zip((sketch.U, sketch.V, sketch.W), ranks)):
+        unfold = np.moveaxis(sketch.core, mode, 0).reshape(p[mode], -1)
+        factors.append(_fix_column_signs(Q @ dominant_subspace(unfold, r, warn_deficient=False)))
+    return tuple(factors)
+
+
 def _solve(T, ranks, cfg: SolverConfig, shared: bool) -> RankApproximation:
     """Best of ``cfg.num_restarts`` sweep runs.
 
-    The first run starts from the truncated HOSVD when ``T`` is a sparse
-    tensor; the others (and every run on an implicit operator) start from
-    seeded random orthonormal factors.
+    The first run starts from :func:`hosvd_init` on every operator, sparse
+    tensor or implicit; the others start from orthonormal factors drawn
+    from ``cfg.seed``.
     """
     if isinstance(T, SparseTensor3) and T.nnz == 0:
         raise ValueError("cannot approximate an empty tensor")
     l, m, n = T.dims
-    for r, extent in zip(ranks, (l, m, n)):
-        if not 1 <= r <= extent:
-            raise ValueError(f"rank {r} exceeds extent {extent}")
-
     rng = np.random.default_rng(cfg.seed)
     best: RankApproximation | None = None
     for restart in range(cfg.num_restarts):
-        if restart == 0 and isinstance(T, SparseTensor3):
+        if restart == 0:
             U, V, W = hosvd_init(T, ranks)
         else:
             U = _random_orthonormal(rng, l, ranks[0])
@@ -231,7 +224,7 @@ def _solve(T, ranks, cfg: SolverConfig, shared: bool) -> RankApproximation:
 def hooi(T, ranks: tuple[int, int, int], cfg: SolverConfig | None = None) -> RankApproximation:
     """Best rank-(r1, r2, r3) approximation by alternating subspace updates.
 
-    Starts from the truncated HOSVD; with ``cfg.num_restarts > 1`` the
+    Starts from :func:`hosvd_init`; with ``cfg.num_restarts > 1`` the
     solve is repeated from seeded random orthonormal factors and the run
     with the largest objective is returned.  Non-convergence is flagged on
     the result, not fatal.
@@ -266,10 +259,11 @@ def _fix_rotation_221(T, ap: RankApproximation) -> RankApproximation:
 def hooi_symmetric(T, ranks: tuple[int, int, int], cfg: SolverConfig | None = None) -> RankApproximation:
     """Symmetric HOOI: one shared factor for modes 1 and 2.
 
-    The shared factor is updated from the stacked mode-1/mode-2
-    contractions.  The core of a converged run is (1,2)-symmetric.  For
-    ranks (2, 2, 1) the rotational freedom of the shared factor is fixed
-    deterministically from the eigendecomposition of the 2x2 core slice.
+    The shared factor is updated from the mode-1 contraction, which equals
+    the mode-2 one on a (1,2)-symmetric operator.  The core of a converged
+    run is (1,2)-symmetric.  For ranks (2, 2, 1) the rotational freedom of
+    the shared factor is fixed deterministically from the
+    eigendecomposition of the 2x2 core slice.
     """
     l, m, _ = T.dims
     if l != m:

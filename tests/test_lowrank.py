@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from tenspart import (
+    DeflatedOperator,
     SolverConfig,
     SparseTensor3,
     approx_nonsymmetric_via_embedding,
+    deflate,
     dominant_subspace,
     frobenius_norm,
     hooi,
@@ -74,12 +77,53 @@ class TestHosvdInit:
         obj = frobenius_norm(multi_multiply(T, U, V, W))
         assert obj == pytest.approx(frobenius_norm(T), rel=1e-12)
 
-    def test_matches_unfolding_svd_oracle(self, rng):
-        T = random_sparse(rng, (6, 5, 4), density=0.5)
-        U, V, W = hosvd_init(T, (2, 2, 2))
-        for mode, Q in ((1, U), (2, V), (3, W)):
-            dense = T.unfolding(mode).toarray()
-            ref = np.linalg.svd(dense)[0][:, :2]
+    @staticmethod
+    def unfolding_svd_oracle(T, ranks):
+        """Leading left singular subspaces of the dense unfoldings."""
+        return [
+            np.linalg.svd(T.unfolding(mode).toarray(), full_matrices=False)[0][:, :r]
+            for mode, r in zip((1, 2, 3), ranks)
+        ]
+
+    # the sketch is exact when each oversampled rank reaches the extent or
+    # the product of the other two extents; the thin shapes hit the latter
+    @pytest.mark.parametrize(
+        "dims, ranks",
+        [
+            pytest.param((6, 5, 4), (2, 2, 2), id="6x5x4-r222"),
+            pytest.param((100, 1, 5), (1, 1, 1), id="100x1x5-r111"),
+            pytest.param((10, 1, 1), (1, 1, 1), id="10x1x1-r111"),
+            pytest.param((100, 2, 3), (2, 2, 1), id="100x2x3-r221"),
+        ],
+    )
+    def test_matches_unfolding_svd_oracle(self, rng, dims, ranks):
+        T = random_sparse(rng, dims, density=0.5)
+        factors = hosvd_init(T, ranks)
+        for Q, ref in zip(factors, self.unfolding_svd_oracle(T, ranks)):
+            assert subspace_distance(Q, ref) <= 1e-10
+
+    def test_planted_with_noise_close_to_oracle(self, rng):
+        # 200x150x30 is far above r + 8 in every mode, so the sketch is not
+        # exact; the planted core's unfoldings have singular values ~10-30
+        # against a noise spectral norm of ~0.4-0.8
+        dims = (200, 150, 30)
+        G = 10.0 * rng.standard_normal((2, 2, 2))
+        A, B, C = (np.linalg.qr(rng.standard_normal((d, 2)))[0] for d in dims)
+        noise = 0.01 * rng.standard_normal(dims)
+        noise[rng.random(dims) > 0.2] = 0.0
+        T = SparseTensor3.from_dense(np.einsum("pqr,ip,jq,kr->ijk", G, A, B, C) + noise)
+        factors = hosvd_init(T, (2, 2, 2))
+        for Q, ref in zip(factors, self.unfolding_svd_oracle(T, (2, 2, 2))):
+            assert subspace_distance(Q, ref) <= 1e-2
+
+    def test_deflated_operator_matches_materialized(self, rng):
+        T = random_symmetric(rng, 8, 5, density=0.5)
+        upper = np.triu(rng.random((8, 8)))
+        B = sp.csr_matrix(upper + np.triu(upper, 1).T)
+        R = deflate(DeflatedOperator(T), rng.random(5), B)
+        implicit = hosvd_init(R, (2, 2, 1))
+        dense = hosvd_init(SparseTensor3.from_dense(R.to_dense()), (2, 2, 1))
+        for Q, ref in zip(implicit, dense):
             assert subspace_distance(Q, ref) <= 1e-10
 
     def test_rank_exceeds_extent(self, rng):
