@@ -13,6 +13,7 @@ from .sparse_tensor import (
     mode_multiply,
     multi_multiply,
     permute_mode,
+    permute_modes,
     subtensor,
     symmetric_embed,
 )

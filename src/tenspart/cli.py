@@ -150,6 +150,7 @@ def cmd_partition(args) -> int:
         )
         partition.save_partition_report(nested, outdir, prefix="partition_nested")
     partition.save_partition_report(report, outdir)
+    lowrank.save_approximation(approx, outdir)
     _write_run_config(args, outdir, [str(args.input)])
     print(f"splits {report.split_points}  total norm {report.total_norm:.6g}")
     return EXIT_OK if approx.converged else EXIT_NONCONVERGED

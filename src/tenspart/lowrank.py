@@ -167,6 +167,24 @@ def _sweeps(T, U, V, W, ranks, cfg: SolverConfig, shared: bool) -> RankApproxima
     return RankApproximation(U, V, W, core, history, converged, deficient)
 
 
+def _check_ranks(ranks, dims) -> None:
+    """Ranks a sweep can reach: 1 <= r_i <= d_i and r_i <= r_j*r_k.
+
+    A mode-i update takes r_i leading left singular vectors of a
+    d_i x (r_j r_k) contraction, so r_i cannot exceed r_j r_k either.
+    """
+    for r, extent in zip(ranks, dims):
+        if not 1 <= r <= extent:
+            raise ValueError(f"rank {r} exceeds extent {extent}")
+    r = tuple(ranks)
+    for a, b, c in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
+        if r[a] > r[b] * r[c]:
+            raise ValueError(
+                f"ranks {r} need r_i <= r_j*r_k in every mode: "
+                f"r{a + 1}={r[a]} > r{b + 1}*r{c + 1}={r[b] * r[c]}"
+            )
+
+
 def hosvd_init(T, ranks: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sketched truncated-HOSVD starting factors.
 
@@ -179,9 +197,7 @@ def hosvd_init(T, ranks: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray, 
     truncated HOSVD when every p_i equals d_i or d_j d_k.
     """
     dims = T.dims
-    for r, extent in zip(ranks, dims):
-        if not 1 <= r <= extent:
-            raise ValueError(f"rank {r} exceeds extent {extent}")
+    _check_ranks(ranks, dims)
     size = math.prod(dims)
     p = tuple(min(d, r + _OVERSAMPLE, size // d) for d, r in zip(dims, ranks))
     rng = np.random.default_rng(0)
@@ -290,6 +306,7 @@ def approx_nonsymmetric_via_embedding(
     """
     cfg = cfg or SolverConfig()
     l, m, n = T.dims
+    _check_ranks(ranks, T.dims)
     r1, r2, r3 = ranks
     emb = symmetric_embed(T)
     sym = hooi_symmetric(emb, (r1 + r2, r1 + r2, r3), cfg)

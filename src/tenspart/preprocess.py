@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -83,8 +84,128 @@ def load_coordinate_file(path) -> SparseTensor3:
 
     Duplicate triples are summed; explicit zeros are dropped.  Extents come
     from an optional ``dims l m n`` header, else from the largest index
-    seen per mode.
+    seen per mode.  Plain files are parsed over the whole buffer at once;
+    anything else (comments, odd bytes, a malformed or invalid line) goes
+    through the line-by-line reader, whose errors name the line.
     """
+    with open(path, "rb") as fh:
+        parsed = _parse_plain_coordinates(fh.read())
+    if parsed is None:
+        return _load_coordinate_lines(path)
+    dims, i, j, k, v = parsed
+    if dims is None:
+        dims = (int(i.max()), int(j.max()), int(k.max()))
+    return SparseTensor3(dims, i - 1, j - 1, k - 1, v)
+
+
+# byte classes of a plain coordinate body; 0 marks a byte the line reader must judge
+_SPACE, _NEWLINE, _DIGIT, _NUMBER = 1, 2, 3, 4
+_BYTE_CLASS = np.zeros(256, dtype=np.int8)
+_BYTE_CLASS[[ord(" "), ord("\t")]] = _SPACE
+_BYTE_CLASS[ord("\n")] = _NEWLINE
+_BYTE_CLASS[ord("0") : ord("9") + 1] = _DIGIT
+_BYTE_CLASS[list(b"+-.eE")] = _NUMBER
+_LEADING_BLANKS = re.compile(rb"[ \t\n]*")
+_DIMS_HEADER = re.compile(rb"dims[ \t]+(\d+)[ \t]+(\d+)[ \t]+(\d+)[ \t]*")
+_MAX_INDEX_DIGITS = 15  # parsed exactly in int64
+# The body is parsed in pieces of about this many bytes (whole lines), so the
+# temporaries, some 16 bytes per input byte, stay small for any file size.
+_CHUNK_BYTES = 1 << 20
+
+
+def _parse_plain_coordinates(data: bytes):
+    """(dims or None, i, j, k, v) with 1-based indices, or None.
+
+    Accepts only files the line reader reads to the same tensor: an
+    optional ``dims`` header of plain digits on the first non-blank line,
+    then lines of exactly four fields separated by spaces or tabs, ending
+    in ``\\n`` or ``\\r\\n``, whose three indices are plain digit strings >= 1
+    and whose value ``float`` parses to a finite number.  Returns None for
+    everything else, including a file without entries, so the line reader
+    decides and names the offending line.
+    """
+    data = data.replace(b"\r\n", b"\n")
+    start = _LEADING_BLANKS.match(data).end()
+    dims = None
+    if data.startswith(b"dims", start):
+        eol = data.find(b"\n", start)
+        header = _DIMS_HEADER.fullmatch(data, start, len(data) if eol < 0 else eol)
+        if header is None:
+            return None
+        dims = tuple(int(g) for g in header.groups())
+        start = len(data) if eol < 0 else eol + 1
+    raw = np.frombuffer(data, dtype=np.uint8)
+    pieces = []
+    while start < len(data):
+        stop = data.find(b"\n", start + _CHUNK_BYTES) + 1 or len(data)
+        piece = _parse_entry_lines(raw[start:stop])
+        if piece is None:
+            return None
+        pieces.append(piece)
+        start = stop
+    if not pieces:
+        return None
+    i, j, k, v = (np.concatenate(column) for column in zip(*pieces))
+    if v.size == 0:
+        return None
+    return dims, i, j, k, v
+
+
+def _parse_entry_lines(raw: np.ndarray):
+    """(i, j, k, v) of whole ``i j k v`` lines in ``raw``, or None (see above)."""
+    cls = _BYTE_CLASS[raw]
+    if not cls.all():
+        return None
+    # token boundaries, and exactly four tokens on every non-blank line
+    in_token = np.zeros(raw.size + 2, dtype=bool)
+    in_token[1:-1] = cls >= _DIGIT
+    edges = np.flatnonzero(in_token[1:] != in_token[:-1])
+    starts, ends = edges[0::2], edges[1::2]
+    per_line = np.diff(np.searchsorted(starts, np.flatnonzero(cls == _NEWLINE)),
+                       prepend=0, append=starts.size)
+    if np.any((per_line != 0) & (per_line != 4)):
+        return None
+    # signs, points and exponents only in the value column
+    token = np.searchsorted(starts, np.flatnonzero(cls == _NUMBER), side="right") - 1
+    if np.any(token % 4 != 3):
+        return None
+    n = starts.size // 4
+    starts, ends = starts.reshape(n, 4), ends.reshape(n, 4)
+
+    # indices: plain digit strings, read right to left; positions left of a
+    # token's start are masked out
+    index = []
+    for c in range(3):
+        length = ends[:, c] - starts[:, c]
+        width = int(length.max(initial=0))
+        if width > _MAX_INDEX_DIGITS:
+            return None
+        value = np.zeros(n, dtype=np.int64)
+        for w in range(width):
+            digit = raw[ends[:, c] - 1 - w].astype(np.int64) - ord("0")
+            value += np.where(w < length, digit, 0) * 10**w
+        if n and value.min() < 1:
+            return None
+        index.append(value)
+
+    # values: the tokens as a NUL-padded fixed-width byte array, which numpy
+    # parses to the same doubles as float() and rejects what float() rejects
+    length = ends[:, 3] - starts[:, 3]
+    width = max(int(length.max(initial=0)), 1)
+    chars = np.zeros((n, width), dtype=np.uint8)
+    for w in range(width):
+        chars[:, w] = np.where(w < length, raw[np.minimum(starts[:, 3] + w, raw.size - 1)], 0)
+    try:
+        v = chars.view(f"S{width}").ravel().astype(float)
+    except ValueError:
+        return None
+    if not np.all(np.isfinite(v)):
+        return None
+    return index[0], index[1], index[2], v
+
+
+def _load_coordinate_lines(path) -> SparseTensor3:
+    """Line-by-line reader; the reference semantics of :func:`load_coordinate_file`."""
     i, j, k, v = [], [], [], []
     dims = None
     with open(path, "r", encoding="utf-8") as fh:
@@ -193,17 +314,25 @@ def normalize_slices_frobenius(T: SparseTensor3, skip_empty: bool = False) -> Sp
     """Scale every 3-slice to Frobenius norm 1.
 
     All-zero slices raise unless ``skip_empty`` is set (then left zero).
+    Only values change, so the result keeps the input's index arrays.
     """
     nonempty = np.zeros(T.dims[2], dtype=bool)
     vals = T.vals.copy()
+    sq = T.vals * T.vals
     for kk, run in T.slice_runs():
         nonempty[kk] = True
-        norm = math.sqrt(math.fsum(T.vals[run] * T.vals[run]))
-        vals[run] = T.vals[run] / norm
+        vals[run] /= math.sqrt(math.fsum(sq[run]))
     if not skip_empty and not nonempty.all():
         empty = np.flatnonzero(~nonempty)
         raise ValueError(f"all-zero 3-slices at k={empty.tolist()} (pass skip_empty=True)")
-    return SparseTensor3(T.dims, T.i, T.j, T.k, vals)
+    return SparseTensor3._canonical(T.dims, T.i, T.j, T.k, vals)
+
+
+def _inv_sqrt(d: np.ndarray) -> np.ndarray:
+    out = np.zeros_like(d)
+    pos = d > 0
+    out[pos] = 1.0 / np.sqrt(d[pos])
+    return out
 
 
 def nonsymmetric_normalize(T: SparseTensor3) -> SparseTensor3:
@@ -211,22 +340,19 @@ def nonsymmetric_normalize(T: SparseTensor3) -> SparseTensor3:
 
     Equivalent to symmetric adjacency normalization of the symmetric block
     embedding [[0, T], [T', 0]] restricted to its (1,2) block.  Zero rows
-    and columns stay zero.
+    and columns stay zero.  The degrees of all slices come from one
+    ``bincount`` per side over the codes k*l + i and k*m + j, which adds
+    each degree's terms in entry order; only values change, so the result
+    keeps the input's index arrays.
     """
     _check_nonnegative(T)
-    l, m, _ = T.dims
-    vals = T.vals.copy()
-    for _, run in T.slice_runs():
-        dr = np.zeros(l)
-        dc = np.zeros(m)
-        np.add.at(dr, T.i[run], T.vals[run])
-        np.add.at(dc, T.j[run], T.vals[run])
-        ir = np.zeros(l)
-        ic = np.zeros(m)
-        ir[dr > 0] = 1.0 / np.sqrt(dr[dr > 0])
-        ic[dc > 0] = 1.0 / np.sqrt(dc[dc > 0])
-        vals[run] = T.vals[run] * ir[T.i[run]] * ic[T.j[run]]
-    return SparseTensor3(T.dims, T.i, T.j, T.k, vals)
+    l, m, n = T.dims
+    row = T.k * l + T.i
+    col = T.k * m + T.j
+    ir = _inv_sqrt(np.bincount(row, weights=T.vals, minlength=n * l))
+    ic = _inv_sqrt(np.bincount(col, weights=T.vals, minlength=n * m))
+    vals = T.vals * ir[row] * ic[col]
+    return SparseTensor3._canonical(T.dims, T.i, T.j, T.k, vals)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,21 @@ The central object is :class:`SparseTensor3`, a real tensor of order three
 stored as coordinate (COO) triples.  Entries are kept in canonical
 lexicographic order by (slice, row, column), i.e. by (k, i, j), so that the
 3-slices are contiguous runs; all slice-wise workloads (normalization,
-per-slice adjacency) iterate over these runs.  Tensors are immutable after
-construction: every operation returns a new tensor or a dense array.
+per-slice adjacency) iterate over these runs.
+
+Canonical order is established once.  ``SparseTensor3(...)`` is the only
+validating constructor: it checks extents, indices and values, sums
+duplicates, drops explicit zeros and sorts.  Operations whose result is
+canonical by construction (value-only normalizations, permutations that
+sort their own codes) go through the private trusted constructor
+``SparseTensor3._canonical``, which only drops explicit zeros and may share
+index arrays with its source.
+
+Tensors are immutable after construction: the ``i``, ``j``, ``k`` and
+``vals`` arrays are read-only (``writeable=False``), and every operation
+returns a new tensor or a dense array.  Immutability is what makes the
+per-tensor caches safe: the sparse unfoldings and the result of
+:func:`is_12_symmetric` for each tolerance are computed at most once.
 
 Dense factor matrices, vectors and small core tensors are plain numpy
 arrays.  Contractions that shrink a mode (multiplication by a matrix with
@@ -34,6 +47,7 @@ __all__ = [
     "is_12_symmetric",
     "symmetric_embed",
     "permute_mode",
+    "permute_modes",
     "subtensor",
 ]
 
@@ -66,7 +80,7 @@ class SparseTensor3:
         (k, i, j) order.
     """
 
-    __slots__ = ("dims", "i", "j", "k", "vals", "_unfold_cache")
+    __slots__ = ("dims", "i", "j", "k", "vals", "_unfold_cache", "_sym_cache")
 
     def __init__(self, dims, i=(), j=(), k=(), vals=()):
         dims = tuple(int(d) for d in dims)
@@ -94,11 +108,33 @@ class SparseTensor3:
         keep = summed != 0.0
         uniq, summed = uniq[keep], summed[keep]
 
+        k, rem = np.divmod(uniq, l * m)
+        i, j = np.divmod(rem, m)
+        self._set(dims, i, j, k, summed)
+
+    def _set(self, dims, i, j, k, vals) -> None:
+        for arr in (i, j, k, vals):
+            arr.flags.writeable = False
         self.dims = dims
-        self.k, rem = np.divmod(uniq, l * m)
-        self.i, self.j = np.divmod(rem, m)
-        self.vals = summed
+        self.i, self.j, self.k, self.vals = i, j, k, vals
         self._unfold_cache: dict[int, sp.csr_matrix] = {}
+        self._sym_cache: dict[float, bool] = {}
+
+    @classmethod
+    def _canonical(cls, dims, i, j, k, vals) -> "SparseTensor3":
+        """Trusted constructor for arrays already in canonical (k, i, j) order.
+
+        The caller guarantees valid int64 indices, finite float values,
+        strictly increasing (k, i, j) codes and a tuple ``dims``; only
+        explicit zeros are dropped.  When none are, the index arrays are
+        stored as given, so the new tensor shares them with their source.
+        """
+        keep = vals != 0.0
+        if not keep.all():
+            i, j, k, vals = i[keep], j[keep], k[keep], vals[keep]
+        T = cls.__new__(cls)
+        T._set(dims, i, j, k, vals)
+        return T
 
     # -- construction helpers -------------------------------------------------
 
@@ -307,30 +343,42 @@ def frobenius_norm(A) -> float:
 def is_12_symmetric(T: SparseTensor3, tol: float = 0.0) -> bool:
     """True iff every 3-slice is symmetric: |a_ijk - a_jik| <= tol.
 
-    Missing entries count as zero; requires equal mode-1/2 extents.
+    Missing entries count as zero; requires equal mode-1/2 extents.  The
+    transposed codes are sorted once; when they give back the pattern
+    itself, the values are compared position by position, otherwise both
+    patterns are looked up on their union.  The result is cached on the
+    tensor per ``tol``.
     """
     l, m, _ = T.dims
     if l != m:
         return False
+    cached = T._sym_cache.get(tol)
+    if cached is not None:
+        return cached
     lin = (T.k * l + T.i) * m + T.j
     lin_t = (T.k * l + T.j) * m + T.i
-    order = np.argsort(lin_t, kind="stable")
+    order = np.argsort(lin_t)  # codes are unique, so any sort gives this order
     lin_t, vals_t = lin_t[order], T.vals[order]
-    # values at positions present in both / only one of the patterns
-    union = np.union1d(lin, lin_t)
+    if np.array_equal(lin, lin_t):
+        va, vb = T.vals, vals_t
+    else:
+        # values at positions present in both / only one of the patterns
+        union = np.union1d(lin, lin_t)
+        va = _lookup(union, lin, T.vals)
+        vb = _lookup(union, lin_t, vals_t)
+    result = bool(np.all(np.abs(va - vb) <= tol))
+    T._sym_cache[tol] = result
+    return result
 
-    def lookup(codes, sorted_codes, sorted_vals):
-        pos = np.searchsorted(sorted_codes, codes)
-        pos = np.clip(pos, 0, len(sorted_codes) - 1) if len(sorted_codes) else pos
-        out = np.zeros(len(codes))
-        if len(sorted_codes):
-            hit = sorted_codes[pos] == codes
-            out[hit] = sorted_vals[pos[hit]]
-        return out
 
-    va = lookup(union, lin, T.vals)
-    vb = lookup(union, lin_t, vals_t)
-    return bool(np.all(np.abs(va - vb) <= tol))
+def _lookup(codes, sorted_codes, sorted_vals):
+    """Values at ``codes`` of a sorted code/value table; 0 where absent."""
+    out = np.zeros(len(codes))
+    if len(sorted_codes):
+        pos = np.minimum(np.searchsorted(sorted_codes, codes), len(sorted_codes) - 1)
+        hit = sorted_codes[pos] == codes
+        out[hit] = sorted_vals[pos[hit]]
+    return out
 
 
 def symmetric_embed(T: SparseTensor3) -> SparseTensor3:
@@ -362,13 +410,29 @@ def permute_mode(T: SparseTensor3, perm: Sequence[int], mode: int) -> SparseTens
     corresponding rows/columns/slices of the tensor in lockstep with the
     reordered factor columns.
     """
-    extent = T.dims[mode - 1]
-    perm = _check_permutation(perm, extent)
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(extent)
-    idx = [T.i, T.j, T.k]
-    idx[mode - 1] = inv[idx[mode - 1]]
-    return SparseTensor3(T.dims, idx[0], idx[1], idx[2], T.vals)
+    perms = [np.arange(d) for d in T.dims]
+    perms[mode - 1] = perm
+    return permute_modes(T, *perms)
+
+
+def permute_modes(
+    T: SparseTensor3, perm1: Sequence[int], perm2: Sequence[int], perm3: Sequence[int]
+) -> SparseTensor3:
+    """Reorder all three modes at once, each as in :func:`permute_mode`.
+
+    Equals chained single-mode permutations; the entries are sorted into
+    canonical order once.
+    """
+    idx = []
+    for perm, extent, old in zip((perm1, perm2, perm3), T.dims, (T.i, T.j, T.k)):
+        perm = _check_permutation(perm, extent)
+        inv = np.empty_like(perm)
+        inv[perm] = np.arange(extent)
+        idx.append(inv[old])
+    i, j, k = idx
+    l, m, _ = T.dims
+    order = np.argsort((k * l + i) * m + j)  # unique codes
+    return SparseTensor3._canonical(T.dims, i[order], j[order], k[order], T.vals[order])
 
 
 def subtensor(T: SparseTensor3, I, J, K) -> SparseTensor3:
@@ -393,9 +457,8 @@ def subtensor(T: SparseTensor3, I, J, K) -> SparseTensor3:
         pos = np.searchsorted(S, idx)
         pos = np.clip(pos, 0, S.size - 1)
         mask &= S[pos] == idx
-    new_idx = []
-    for idx, S in ((T.i[mask], I), (T.j[mask], J), (T.k[mask], K)):
-        new_idx.append(np.searchsorted(S, idx))
-    return SparseTensor3(
+    # the remaps are increasing, so the kept entries stay in canonical order
+    new_idx = [np.searchsorted(S, idx[mask]) for idx, S in ((T.i, I), (T.j, J), (T.k, K))]
+    return SparseTensor3._canonical(
         (I.size, J.size, K.size), new_idx[0], new_idx[1], new_idx[2], T.vals[mask]
     )

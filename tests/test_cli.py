@@ -163,6 +163,19 @@ class TestPartition:
         split_groups = {frozenset(perm[:6].tolist()), frozenset(perm[6:].tolist())}
         assert split_groups == {frozenset(range(6)), frozenset(range(6, 12))}
 
+    def test_writes_approximation_report(self, tmp_path):
+        src = tmp_path / "in.tns"
+        write_symmetric_tensor(src, l=12)
+        out = tmp_path / "out"
+        argv = ["partition", str(src), "--rank", "2", "2", "1", "--symmetric", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        report = json.loads((out / "approx_report.json").read_text())
+        assert report["converged"] is True
+        history = report["objective_history"]
+        assert len(history) >= 1 and all(h > 0 for h in history)
+        assert report["shapes"]["U"] == [12, 2]
+        assert (out / "approx_U.csv").exists()
+
     def test_recurse_option(self, tmp_path):
         src = tmp_path / "in.tns"
         write_symmetric_tensor(src, l=12)

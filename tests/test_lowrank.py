@@ -131,6 +131,35 @@ class TestHosvdInit:
             hosvd_init(random_sparse(rng, (3, 3, 3)), (4, 1, 1))
 
 
+class TestRankCheck:
+    """r_i <= r_j*r_k is checked before any sweep, with a message naming it."""
+
+    MATCH = r"r_i <= r_j\*r_k"
+
+    @pytest.mark.parametrize("dims, ranks", [((5, 1, 3), (3, 1, 1)), ((1, 1, 2), (1, 1, 2))])
+    def test_hooi(self, rng, dims, ranks):
+        T = SparseTensor3.from_dense(rng.random(dims) + 0.5)
+        with pytest.raises(ValueError, match=self.MATCH):
+            hooi(T, ranks)
+        with pytest.raises(ValueError, match=self.MATCH):
+            hosvd_init(T, ranks)
+
+    @pytest.mark.parametrize("dims, ranks", [((1, 1, 2), (1, 1, 2)), ((4, 4, 3), (1, 1, 2))])
+    def test_hooi_symmetric(self, rng, dims, ranks):
+        T = random_symmetric(rng, dims[0], dims[2], density=1.0)
+        with pytest.raises(ValueError, match=self.MATCH):
+            hooi_symmetric(T, ranks)
+
+    def test_embedding(self, rng):
+        T = random_sparse(rng, (5, 4, 3), density=0.8)
+        with pytest.raises(ValueError, match=self.MATCH):
+            approx_nonsymmetric_via_embedding(T, (3, 1, 1))
+
+    def test_boundary_ranks_accepted(self, rng):
+        T = random_sparse(rng, (5, 4, 3), density=0.8)
+        assert hooi(T, (2, 1, 2)).ranks == (2, 1, 2)
+
+
 class TestHooi:
     def test_exact_rank_one_recovery(self, rng):
         a, b, c = rng.random(5), rng.random(6), rng.random(4)

@@ -19,6 +19,7 @@ from tenspart import (
     restrict_and_recurse,
     sign_change_split,
     significance_ranking,
+    subtensor,
 )
 from tenspart.partition import save_partition_report
 
@@ -110,6 +111,24 @@ class TestBlockNorms:
         assert math.fsum((table**2).ravel()) == pytest.approx(
             frobenius_norm(T) ** 2, rel=1e-12
         )
+
+    def test_bitwise_equal_to_subtensor_oracle(self, rng):
+        for dims, b1, b2 in (
+            ((8, 6, 3), [0, 3, 8], [0, 2, 6]),
+            ((20, 20, 4), [0, 3, 17, 20], [0, 3, 17, 20]),
+            ((9, 7, 2), [0, 1, 2, 9], [0, 7]),
+            ((6, 6, 1), [0, 6], [0, 1, 5, 6]),
+        ):
+            for density in (0.0, 0.05, 0.5, 1.0):
+                T = random_sparse(rng, dims, density=density)
+                K = np.arange(dims[2])
+                oracle = np.array([
+                    [frobenius_norm(subtensor(T, np.arange(b1[a], b1[a + 1]),
+                                              np.arange(b2[b], b2[b + 1]), K))
+                     for b in range(len(b2) - 1)]
+                    for a in range(len(b1) - 1)
+                ])
+                assert np.array_equal(block_norms(T, b1, b2), oracle)
 
     def test_invalid_boundaries(self, rng):
         T = random_sparse(rng, (5, 5, 2))

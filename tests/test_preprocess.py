@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,14 @@ from tenspart import (
     save_coordinate_file,
     symmetric_embed,
 )
-from tenspart.preprocess import LabelTable, RecordLog, TensorFileError, save_labels
+from tenspart import preprocess
+from tenspart.preprocess import (
+    LabelTable,
+    RecordLog,
+    TensorFileError,
+    _load_coordinate_lines,
+    save_labels,
+)
 
 from conftest import random_sparse, random_symmetric
 
@@ -60,6 +69,98 @@ class TestCoordinateFile:
         p.write_text("1 1 1 1.0\n" + line + "\n")
         with pytest.raises(TensorFileError, match=":2"):
             load_coordinate_file(p)
+
+
+def _outcome(loader, path):
+    """(dims, i, j, k, vals) of the loaded tensor, or (error type, message)."""
+    try:
+        T = loader(path)
+    except Exception as exc:  # noqa: BLE001 - the error itself is compared
+        return type(exc).__name__, str(exc)
+    return T.dims, T.i.tolist(), T.j.tolist(), T.k.tolist(), T.vals.tolist()
+
+
+# Lines mixed into the fuzzed files: plain entries, and everything the
+# whole-buffer parser must hand to the line reader or reject the same way.
+_ODD_LINES = [
+    "", "   ", "\t", "# comment", "2 1 1 3.0  # trailing", "1 1 1 0", "1 1 1 0.0", "1 1 1 -0.0",
+    "1.0 1 1 2.0", "1 1 1 nan", "1 1 1 inf", "1 1 1 1e999", "1_0 1 1 2.0", "1 1 1 1_5",
+    "0 1 1 2.0", "-1 1 1 2.0", "+2 1 1 2.0", "1 1", "1 1 1 1 1", "1 1 1 2.0\r", "x 1 1 2.0",
+    "1 1 1 .5", "1 1 1 5.", "1 1 1 1e-3", "1 1 1 -2E+2", "1 1 1 e5", "1 1 1 +-1", "007 1 1 1.5",
+    "dims 9 9 9", "1\t2\t1\t4.0", "99999999999999999999 1 1 1.0", "1 1 1 \u00a02.0",
+]
+
+
+class TestCoordinateFileParity:
+    """The whole-buffer parser gives what the line reader gives, or defers to it."""
+
+    def check(self, path):
+        assert _outcome(load_coordinate_file, path) == _outcome(_load_coordinate_lines, path)
+
+    @pytest.mark.parametrize("chunk", [None, 7, 64])
+    def test_fuzzed_files(self, tmp_path, monkeypatch, chunk):
+        if chunk is not None:  # small pieces put piece boundaries into every file
+            monkeypatch.setattr(preprocess, "_CHUNK_BYTES", chunk)
+        rng = np.random.default_rng(2024)
+        p = tmp_path / "f.tns"
+        headers = ["dims 6 5 4", "dims 2 2 2", "  dims\t6 5 4", "dims +6 05 4",
+                   "dims 6 5", "dims 6 5 x"]
+        for trial in range(300):
+            odd = trial % 2  # even trials: plain files, which the fast parser takes
+            lines = []
+            if rng.random() < 0.5:
+                lines.append(str(rng.choice(headers[: 4 + 2 * odd])))
+            for _ in range(rng.integers(0, 12)):
+                if odd and rng.random() < 0.15:
+                    lines.append(str(rng.choice(_ODD_LINES)))
+                else:
+                    i, j, k = rng.integers(1, rng.choice([6, 1200]), size=3)
+                    v = float(rng.choice([1.0, 0.5, 2.25, 0.0, 3.0e-8, -1.5, 10.0]))
+                    if rng.random() < 0.3:
+                        v = float(rng.standard_normal() * 10.0 ** rng.integers(-300, 300))
+                    lines.append(f"{i} {j} {k} {v!r}")
+            sep = "\r\n" if rng.random() < 0.3 else "\n"
+            if rng.random() < 0.2:
+                lines.insert(0, "")
+            tail = sep if rng.random() < 0.7 else ""
+            p.write_bytes((sep.join(lines) + tail).encode("utf-8"))
+            self.check(p)
+
+    def test_plain_file_takes_fast_path(self, tmp_path, rng, monkeypatch):
+        T = random_sparse(rng, (120, 15, 11), density=0.05)
+        p = tmp_path / "t.tns"
+        save_coordinate_file(T, p)
+
+        def no_fallback(path):
+            raise AssertionError("line reader used on a plain file")
+
+        monkeypatch.setattr(preprocess, "_load_coordinate_lines", no_fallback)
+        assert load_coordinate_file(p) == T
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1 1 1 1.0\r\n2 2 2 2.0\r\n",
+            "\n\n1 1 1 1.0\n\n2 1 1 2.0\n",
+            "dims 3 3 3\n1 1 1 1.0\n",
+            "1 1 1 1.0\n",
+            "2 2 2 1.0\n2 2 2 -1.0\n1 1 1 3.0\n",
+            "1 1 1 0\n1 1 1 0.0\n",
+            "1.0 1 1 2.0\n",
+            "1 1 1 nan\n",
+            "1_0 1 1 2.0\n",
+            "0 1 1 2.0\n",
+            "dims 3 3 3\n",
+            "",
+            "1 1 1 1.0\r2 2 2 1.0\n",
+            "1 1 1 1.0\ndims 3 3 3\n",
+            "dims 1 1 1\n2 2 2 1.0\n",
+        ],
+    )
+    def test_edge_cases(self, tmp_path, text):
+        p = tmp_path / "e.tns"
+        p.write_bytes(text.encode("utf-8"))
+        self.check(p)
 
 
 class TestLabels:
@@ -156,6 +257,50 @@ class TestFrobeniusNormalization:
             normalize_slices_frobenius(T)
         N = normalize_slices_frobenius(T, skip_empty=True)
         assert N.nnz == 1 and N.vals[0] == 1.0
+
+
+def degree_normalize_oracle(T):
+    """Per-slice np.add.at degrees, as the normalization was first written."""
+    l, m, _ = T.dims
+    vals = T.vals.copy()
+    for _, run in T.slice_runs():
+        dr, dc = np.zeros(l), np.zeros(m)
+        np.add.at(dr, T.i[run], T.vals[run])
+        np.add.at(dc, T.j[run], T.vals[run])
+        ir, ic = np.zeros(l), np.zeros(m)
+        ir[dr > 0] = 1.0 / np.sqrt(dr[dr > 0])
+        ic[dc > 0] = 1.0 / np.sqrt(dc[dc > 0])
+        vals[run] = T.vals[run] * ir[T.i[run]] * ic[T.j[run]]
+    return vals
+
+
+class TestNormalizationParity:
+    """Value-only normalizations: bitwise equal to per-slice oracles (tolerance 0)."""
+
+    @pytest.mark.parametrize("dims", [(6, 6, 3), (9, 4, 5), (1, 7, 2), (30, 30, 4)])
+    def test_degree_normalization_bitwise(self, dims):
+        rng = np.random.default_rng(sum(dims))
+        for _ in range(10):
+            T = SparseTensor3.from_dense(np.abs(random_sparse(rng, dims, density=0.4).to_dense()))
+            N = nonsymmetric_normalize(T)
+            assert np.array_equal(N.vals, degree_normalize_oracle(T))
+            assert np.array_equal(N.i, T.i) and np.array_equal(N.k, T.k)
+            S = random_symmetric(rng, dims[0], dims[2], density=0.4)
+            S = SparseTensor3.from_dense(np.abs(S.to_dense()))
+            assert np.array_equal(normalize_slices_adjacency(S).vals, degree_normalize_oracle(S))
+
+    def test_frobenius_bitwise(self, rng):
+        for _ in range(10):
+            T = random_sparse(rng, (7, 5, 6), density=0.3)
+            vals = T.vals.copy()
+            for _, run in T.slice_runs():
+                vals[run] = T.vals[run] / math.sqrt(math.fsum(T.vals[run] * T.vals[run]))
+            N = normalize_slices_frobenius(T, skip_empty=True)
+            assert np.array_equal(N.vals, vals) and np.shares_memory(N.j, T.j)
+
+    def test_empty_tensor(self):
+        T = SparseTensor3((3, 4, 2))
+        assert nonsymmetric_normalize(T) == T
 
 
 class TestNonsymmetricNormalization:

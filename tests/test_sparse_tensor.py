@@ -11,12 +11,14 @@ from tenspart import (
     mode_multiply,
     multi_multiply,
     permute_mode,
+    permute_modes,
     subtensor,
     symmetric_embed,
 )
+from tenspart.preprocess import nonsymmetric_normalize
 from tenspart.sparse_tensor import TensorShapeError
 
-from conftest import random_orthogonal, random_sparse
+from conftest import random_orthogonal, random_sparse, random_symmetric
 
 
 def mode1_oracle(dense, M):
@@ -66,6 +68,21 @@ class TestConstruction:
     def test_dense_roundtrip(self, rng):
         T = random_sparse(rng, (4, 3, 5))
         assert SparseTensor3.from_dense(T.to_dense()) == T
+
+    @pytest.mark.parametrize("name", ["i", "j", "k", "vals"])
+    def test_arrays_read_only(self, rng, name):
+        T = random_sparse(rng, (4, 3, 5))
+        with pytest.raises(ValueError):
+            getattr(T, name)[0] = 1
+        P = permute_mode(T, np.arange(3)[::-1], 2)  # built by the trusted constructor
+        with pytest.raises(ValueError):
+            getattr(P, name)[0] = 1
+
+    def test_trusted_result_shares_index_arrays(self, rng):
+        T = SparseTensor3.from_dense(np.abs(random_sparse(rng, (4, 3, 5)).to_dense()))
+        N = nonsymmetric_normalize(T)
+        assert np.shares_memory(N.i, T.i) and np.shares_memory(N.k, T.k)
+        assert not np.shares_memory(N.vals, T.vals)
 
 
 class TestModeMultiply:
@@ -221,6 +238,68 @@ class TestSymmetry:
         T = SparseTensor3((3, 3, 1), [0], [1], [0], [1.0])
         assert not is_12_symmetric(T, tol=1e-9)
 
+    @staticmethod
+    def union_oracle(T, tol):
+        """The reference check: look both patterns up on their union."""
+        l, m, _ = T.dims
+        if l != m:
+            return False
+        lin = (T.k * l + T.i) * m + T.j
+        lin_t = (T.k * l + T.j) * m + T.i
+        order = np.argsort(lin_t, kind="stable")
+        lin_t, vals_t = lin_t[order], T.vals[order]
+        union = np.union1d(lin, lin_t)
+
+        def lookup(codes, sorted_codes, sorted_vals):
+            pos = np.searchsorted(sorted_codes, codes)
+            pos = np.clip(pos, 0, len(sorted_codes) - 1) if len(sorted_codes) else pos
+            out = np.zeros(len(codes))
+            if len(sorted_codes):
+                hit = sorted_codes[pos] == codes
+                out[hit] = sorted_vals[pos[hit]]
+            return out
+
+        va = lookup(union, lin, T.vals)
+        vb = lookup(union, lin_t, vals_t)
+        return bool(np.all(np.abs(va - vb) <= tol))
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-12, 1e-3, 0.5])
+    def test_matches_union_oracle(self, tol):
+        # same pattern, exactly or nearly symmetric values; and patterns that
+        # differ only by entries below or above tol
+        rng = np.random.default_rng(7)
+        cases = []
+        for _ in range(40):
+            S = random_symmetric(rng, 6, 3, density=0.4)
+            d = S.to_dense()
+            cases.append(S)
+            noisy = d + np.where(d != 0, rng.uniform(-1e-3, 1e-3, d.shape), 0.0)
+            cases.append(SparseTensor3.from_dense(noisy))
+            extra = d.copy()
+            i, j, k = rng.integers(0, 6), rng.integers(0, 6), rng.integers(0, 3)
+            extra[i, j, k] = rng.choice([1e-13, 1e-4, 0.3, 2.0])
+            cases.append(SparseTensor3.from_dense(extra))
+            cases.append(random_sparse(rng, (6, 6, 3), density=0.2))
+        cases += [
+            SparseTensor3((3, 3, 2)),
+            SparseTensor3((3, 4, 2), [0], [1], [0], [1.0]),
+            # differences of exactly 0.5, on one pattern and on differing patterns
+            SparseTensor3((2, 2, 1), [0, 1], [1, 0], [0, 0], [2.0, 2.5]),
+            SparseTensor3((3, 3, 1), [0], [1], [0], [0.5]),
+        ]
+        results = [is_12_symmetric(T, tol) for T in cases]
+        assert results == [self.union_oracle(T, tol) for T in cases]
+        assert True in results and False in results
+
+    def test_result_cached_per_tol(self):
+        T = SparseTensor3((2, 2, 1), [0, 1], [1, 0], [0, 0], [2.0, 2.0 + 1e-6])
+        assert not is_12_symmetric(T, tol=1e-9)
+        assert is_12_symmetric(T, tol=1e-3)
+        assert T._sym_cache == {1e-9: False, 1e-3: True}
+        assert not is_12_symmetric(T, tol=1e-9)
+        T._sym_cache[1e-9] = True  # later calls read the cache, not the entries
+        assert is_12_symmetric(T, tol=1e-9)
+
 
 class TestSymmetricEmbed:
     def test_scalar_case(self):
@@ -269,6 +348,20 @@ class TestPermute:
         T = random_sparse(rng, (4, 3, 2))
         with pytest.raises(ValueError):
             permute_mode(T, [0, 0, 1], 2)
+
+    def test_three_modes_equal_chained(self, rng):
+        for dims in ((4, 5, 3), (7, 7, 1), (1, 6, 5)):
+            T = random_sparse(rng, dims, density=0.5)
+            p1, p2, p3 = (rng.permutation(d) for d in dims)
+            chained = permute_mode(permute_mode(permute_mode(T, p1, 1), p2, 2), p3, 3)
+            P = permute_modes(T, p1, p2, p3)
+            assert P == chained and P.dims == chained.dims
+            assert np.array_equal(P.to_dense(), T.to_dense()[p1][:, p2][:, :, p3])
+
+    def test_three_modes_non_bijection_rejected(self, rng):
+        T = random_sparse(rng, (4, 3, 2))
+        with pytest.raises(ValueError):
+            permute_modes(T, np.arange(4), np.arange(3), [1, 1])
 
 
 class TestSubtensor:
