@@ -377,38 +377,28 @@ def bin_and_symmetrize(
     if not log.records:
         raise ValueError("record log is empty")
 
-    vocab: dict[str, int] = {}
-    for src, dst, _ in log.records:
-        for ident in (src, dst):
-            if ident not in vocab:
-                vocab[ident] = len(vocab)
-
-    keep = None
+    records = log.records
+    vocab = dict.fromkeys(ident for src, dst, _ in records for ident in (src, dst))
     if restrict_bidirectional:
-        senders = {src for src, _, _ in log.records}
-        receivers = {dst for _, dst, _ in log.records}
-        both = senders & receivers
+        both = {src for src, _, _ in records} & {dst for _, dst, _ in records}
         if not both:
             raise ValueError("no id both sent and received; nothing left after restriction")
-        keep = {ident: pos for pos, ident in enumerate(v for v in vocab if v in both)}
+        vocab = dict.fromkeys(v for v in vocab if v in both)
 
-    table = keep if keep is not None else vocab
-    labels = LabelTable(tuple(table))
+    labels = LabelTable(tuple(vocab))
+    table = {ident: pos for pos, ident in enumerate(vocab)}
     m = len(table)
-    n = -(-len(log.records) // bin_size)  # ceil
+    n = -(-len(records) // bin_size)  # ceil
 
-    seen: set[tuple[int, int, int]] = set()
-    i, j, k = [], [], []
-    for pos, (src, dst, _) in enumerate(log.records):
-        if keep is not None and (src not in keep or dst not in keep):
-            continue
-        a, b = table[src], table[dst]
-        bin_idx = pos // bin_size
-        for x, y in ((a, b), (b, a)):
-            if (x, y, bin_idx) not in seen:
-                seen.add((x, y, bin_idx))
-                i.append(x)
-                j.append(y)
-                k.append(bin_idx)
-    vals = np.ones(len(i))
-    return SparseTensor3((m, m, n), i, j, k, vals), labels
+    # codes -1 mark ids left out by the restriction; such records are dropped
+    a = np.fromiter((table.get(src, -1) for src, _, _ in records), np.int64, len(records))
+    b = np.fromiter((table.get(dst, -1) for _, dst, _ in records), np.int64, len(records))
+    kept = (a >= 0) & (b >= 0)
+    a, b = a[kept], b[kept]
+    bins = np.flatnonzero(kept) // bin_size
+    # both orientations; repeats (and a self-loop's two copies) sum, then become 1
+    T = SparseTensor3(
+        (m, m, n), np.concatenate((a, b)), np.concatenate((b, a)),
+        np.concatenate((bins, bins)), np.ones(2 * a.size),
+    )
+    return SparseTensor3._canonical(T.dims, T.i, T.j, T.k, np.ones(T.nnz)), labels

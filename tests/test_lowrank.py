@@ -80,8 +80,12 @@ class TestHosvdInit:
     @staticmethod
     def unfolding_svd_oracle(T, ranks):
         """Leading left singular subspaces of the dense unfoldings."""
+        dense = T.to_dense()
         return [
-            np.linalg.svd(T.unfolding(mode).toarray(), full_matrices=False)[0][:, :r]
+            np.linalg.svd(
+                np.moveaxis(dense, mode - 1, 0).reshape(dense.shape[mode - 1], -1),
+                full_matrices=False,
+            )[0][:, :r]
             for mode, r in zip((1, 2, 3), ranks)
         ]
 

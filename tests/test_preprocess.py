@@ -369,6 +369,68 @@ class TestBinAndSymmetrize:
         with pytest.raises(ValueError):
             bin_and_symmetrize(RecordLog([]), bin_size=1)
 
+    @staticmethod
+    def loop_oracle(log, bin_size, restrict_bidirectional=False):
+        """The per-record set loop that bin_and_symmetrize replaced."""
+        if bin_size < 1:
+            raise ValueError("bin_size must be >= 1")
+        if not log.records:
+            raise ValueError("record log is empty")
+        vocab = {}
+        for src, dst, _ in log.records:
+            for ident in (src, dst):
+                if ident not in vocab:
+                    vocab[ident] = len(vocab)
+        keep = None
+        if restrict_bidirectional:
+            senders = {src for src, _, _ in log.records}
+            receivers = {dst for _, dst, _ in log.records}
+            both = senders & receivers
+            if not both:
+                raise ValueError("no id both sent and received; nothing left after restriction")
+            keep = {ident: pos for pos, ident in enumerate(v for v in vocab if v in both)}
+        table = keep if keep is not None else vocab
+        m = len(table)
+        n = -(-len(log.records) // bin_size)
+        seen = set()
+        i, j, k = [], [], []
+        for pos, (src, dst, _) in enumerate(log.records):
+            if keep is not None and (src not in keep or dst not in keep):
+                continue
+            a, b = table[src], table[dst]
+            for x, y in ((a, b), (b, a)):
+                if (x, y, pos // bin_size) not in seen:
+                    seen.add((x, y, pos // bin_size))
+                    i.append(x)
+                    j.append(y)
+                    k.append(pos // bin_size)
+        return SparseTensor3((m, m, n), i, j, k, np.ones(len(i))), LabelTable(tuple(table))
+
+    def test_matches_loop_oracle_fuzzed(self, rng):
+        def outcome(fn, *args):
+            try:
+                return fn(*args)
+            except ValueError as exc:
+                return str(exc)
+
+        for _ in range(300):
+            ids = [f"h{x}" for x in range(int(rng.integers(1, 6)))]
+            # few ids and short bins: self-loops and repeated pairs within a bin
+            records = [
+                (ids[rng.integers(len(ids))], ids[rng.integers(len(ids))], "t")
+                for _ in range(int(rng.integers(0, 25)))
+            ]
+            log = RecordLog(records)
+            for bin_size in (0, 1, 2, 3, 7):
+                for restrict in (False, True):
+                    got = outcome(bin_and_symmetrize, log, bin_size, restrict)
+                    want = outcome(self.loop_oracle, log, bin_size, restrict)
+                    assert type(got) is type(want)
+                    if isinstance(want, str):
+                        assert got == want
+                    else:
+                        assert got[0] == want[0] and got[1] == want[1]
+
 
 class TestRecordLogFile:
     def test_load(self, tmp_path):

@@ -124,6 +124,55 @@ class TestModeMultiply:
         with pytest.raises(ValueError):
             mode_multiply(T, M, 1)
 
+    @pytest.mark.parametrize("mode", [0, 4, -1])
+    def test_invalid_mode(self, rng, mode):
+        T = random_sparse(rng, (3, 4, 2))
+        with pytest.raises(ValueError, match="mode must be 1, 2 or 3"):
+            mode_multiply(T, np.ones((2, 3)), mode)
+
+
+def _factor(rng, rows, cols, layout):
+    """Orthonormal factor, Fortran-ordered or a strided column slice."""
+    r = min(rows, cols)
+    if layout == "F":
+        return np.asfortranarray(np.linalg.qr(rng.standard_normal((rows, r)))[0])
+    square = np.linalg.svd(rng.standard_normal((rows, rows + 2)), full_matrices=False)[0]
+    return square[:, :r]  # not contiguous when rows > r
+
+
+class TestContractionKernel:
+    """Every contraction against dense einsum, on shapes where a mode mix-up shows."""
+
+    @pytest.mark.parametrize("dims", [(1, 5, 3), (4, 1, 2), (6, 5, 1), (4, 3, 5)])
+    @pytest.mark.parametrize("source", ["direct", "permute_modes", "nonsymmetric_normalize"])
+    @pytest.mark.parametrize("layout", ["F", "slice"])
+    def test_matches_dense_einsum(self, rng, dims, source, layout):
+        dense = rng.standard_normal(dims)
+        dense[rng.random(dims) > 0.6] = 0.0
+        if dims[2] > 1:
+            dense[:, :, 0] = 0.0  # an empty 3-slice
+        if dims[0] > 1:
+            dense[0] = 0.0  # an empty row in every slice
+        T = SparseTensor3.from_dense(dense)
+        if source == "permute_modes":
+            T = permute_modes(T, *(rng.permutation(d) for d in dims))
+        elif source == "nonsymmetric_normalize":
+            T = nonsymmetric_normalize(SparseTensor3.from_dense(np.abs(dense)))
+        D = T.to_dense()
+        U, V, W = (_factor(rng, d, 2, layout) for d in dims)
+
+        def check(got, want):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+        check(T.contract_modes23(V, W), np.einsum("ijk,jq,kr->iqr", D, V, W))
+        check(T.contract_modes13(U, W), np.einsum("ijk,ip,kr->jpr", D, U, W))
+        check(T.contract_modes12(U, V), np.einsum("ijk,ip,jq->kpq", D, U, V))
+        check(mode_multiply(T, U.T, 1), np.einsum("ijk,ip->pjk", D, U))
+        check(mode_multiply(T, V.T, 2), np.einsum("ijk,jq->iqk", D, V))
+        check(mode_multiply(T, W.T, 3), np.einsum("ijk,kr->ijr", D, W))
+        check(multi_multiply(T, U, V, W), np.einsum("ijk,ip,jq,kr->pqr", D, U, V, W))
+
 
 class TestMultiMultiply:
     def test_basis_columns_extract_element(self, rng):
