@@ -1,10 +1,13 @@
 """Rank-(2,2,1) expansion of (1,2)-symmetric tensors.
 
 Each expansion step computes a best rank-(2,2,1) approximation of the
-current residual, turns it into a symmetric rank-2 matrix B, thresholds B
-into a sparse nonnegative (or signed) B-hat, and deflates.  Deflation is
-lazy: the residual is kept as the original tensor minus the accumulated
-terms, so contractions stay sparse and there is no fill-in.
+current residual, turns it into a symmetric rank-2 matrix B = U G U',
+thresholds B into a sparse nonnegative (or signed) B-hat, and deflates.
+B is thresholded from its factors in row blocks and never formed densely,
+so an expansion step holds O(block + nnz(B-hat)) memory, not O(m^2).
+Deflation is lazy: the residual is kept as the original tensor minus the
+accumulated terms, so contractions stay sparse and there is no fill-in,
+and the residual norm is kept from cached per-term inner products.
 
 The eigenvalue pair of the 2x2 core slice is the structure diagnostic: a
 two-group pattern of the bipartite-block type shows up as eigenvalues of
@@ -40,6 +43,9 @@ __all__ = [
     "save_expansion_report",
 ]
 
+# entries of B computed at once while thresholding (2 MB of float64)
+_BLOCK_ENTRIES = 1 << 18
+
 
 @dataclass
 class ExpansionTerm:
@@ -69,11 +75,21 @@ class DeflatedOperator:
 
     Supports the same contraction interface as a sparse tensor, so the
     symmetric solver runs on it directly; the base tensor is never
-    modified.
+    modified.  ``terms`` is stored as a tuple with each B_hat in canonical
+    CSR form (a user-supplied matrix with duplicate or unsorted entries is
+    copied first).  The parts of the squared norm are cached per term, so
+    :func:`deflate` adds O(q) sparse products for the new term only.
     """
 
     base: SparseTensor3
-    terms: list[tuple[np.ndarray, sp.csr_matrix]] = field(default_factory=list)
+    terms: tuple[tuple[np.ndarray, sp.csr_matrix], ...] = ()
+    # squared-norm parts: ||base||^2, -2<base, term a>, and <term a, term b>
+    _base_sq: float | None = field(default=None, init=False, repr=False, compare=False)
+    _cross: list[float] = field(default_factory=list, init=False, repr=False, compare=False)
+    _gram: list[list[float]] = field(default_factory=list, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.terms = tuple((w, _canonical_csr(B)) for w, B in self.terms)
 
     @property
     def dims(self):
@@ -109,29 +125,66 @@ class DeflatedOperator:
 
     # norms ------------------------------------------------------------------
 
+    def _fill_norm_cache(self) -> None:
+        """Compute the squared-norm parts of the terms not cached yet."""
+        if self._base_sq is None:
+            self._base_sq = self.base.norm_squared()
+        for t in range(len(self._cross), len(self.terms)):
+            w, B = self.terms[t]
+            self._cross.append(-2.0 * self._inner_base_term(w, B))
+            for a in range(t):
+                self._gram[a].append(self._inner_terms(a, t))
+            self._gram.append([self._inner_terms(t, b) for b in range(t + 1)])
+
+    def _inner_terms(self, a: int, b: int) -> float:
+        (wa, Ba), (wb, Bb) = self.terms[a], self.terms[b]
+        return float(wa @ wb) * float(Ba.multiply(Bb).sum())
+
     def norm_squared(self) -> float:
-        parts = [self.base.norm_squared()]
-        for w, B in self.terms:
-            parts.append(-2.0 * self._inner_base_term(w, B))
-        for a, (wa, Ba) in enumerate(self.terms):
-            for b, (wb, Bb) in enumerate(self.terms):
-                parts.append(float(wa @ wb) * float(Ba.multiply(Bb).sum()))
-        return math.fsum(parts)
+        self._fill_norm_cache()
+        return math.fsum([self._base_sq, *self._cross, *(g for row in self._gram for g in row)])
 
     def norm(self) -> float:
         return math.sqrt(max(self.norm_squared(), 0.0))
 
-    def _inner_base_term(self, w: np.ndarray, B: sp.spmatrix) -> float:
+    def _inner_base_term(self, w: np.ndarray, B: sp.csr_matrix) -> float:
+        """<base, w x B>, summed over the base entries that canonical B stores."""
         T = self.base
-        Bc = B.tocsr()
-        bvals = np.asarray(Bc[T.i, T.j]).ravel()
-        return math.fsum(T.vals * w[T.k] * bvals)
+        m = B.shape[1]
+        row_nnz = np.diff(B.indptr)
+        in_cols = np.zeros(m, dtype=bool)
+        in_cols[B.indices] = True
+        # only base entries inside B's row and column support can be stored in B
+        cand = np.flatnonzero((row_nnz > 0)[T.i] & in_cols[T.j])
+        b_codes = np.repeat(np.arange(B.shape[0], dtype=np.int64), row_nnz) * m + B.indices
+        where, at = _find(b_codes, T.i[cand] * m + T.j[cand])
+        where = cand[where]
+        return math.fsum(T.vals[where] * w[T.k[where]] * B.data[at])
 
     def to_dense(self) -> np.ndarray:
         out = self.base.to_dense()
         for w, B in self.terms:
             out -= B.toarray()[:, :, None] * w[None, None, :]
         return out
+
+
+def _find(sorted_codes: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(where, at) with codes[where] == sorted_codes[at], over the codes present."""
+    if not sorted_codes.size:
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    at = np.searchsorted(sorted_codes, codes)
+    np.minimum(at, sorted_codes.size - 1, out=at)
+    where = np.flatnonzero(sorted_codes[at] == codes)
+    return where, at[where]
+
+
+def _canonical_csr(B: sp.spmatrix) -> sp.csr_matrix:
+    """CSR form of B with sorted indices and no duplicates (a copy if B had them)."""
+    B = B.tocsr()
+    if not B.has_canonical_format:
+        B = B.copy()
+        B.sum_duplicates()
+    return B
 
 
 def rank221_term(R, cfg: SolverConfig | None = None) -> RankApproximation:
@@ -144,9 +197,12 @@ def rank221_term(R, cfg: SolverConfig | None = None) -> RankApproximation:
 
 
 def form_B(U: np.ndarray, core: np.ndarray) -> np.ndarray:
-    """Symmetric rank-<=2 matrix B = U G U' from the 2x2 core slice G.
+    """Dense symmetric rank-<=2 matrix B = U G U' from the 2x2 core slice G.
 
-    ||B|| equals ||F|| because U has orthonormal columns.
+    ||B|| equals ||F|| because U has orthonormal columns.  This builds all
+    m^2 entries (O(m^2) time and memory); :func:`expand` never calls it but
+    thresholds the pair (U, G) in row blocks instead.  It is kept as the
+    dense oracle for that path.
     """
     G = np.asarray(core, dtype=float)
     if G.ndim == 3:
@@ -156,45 +212,90 @@ def form_B(U: np.ndarray, core: np.ndarray) -> np.ndarray:
     return U @ G @ U.T
 
 
-def threshold_B(B: np.ndarray, theta: float, mode: str = "positive") -> sp.csr_matrix:
+def _row_blocks(B):
+    """Yield (first row, rows) blocks of B, about ``_BLOCK_ENTRIES`` entries each.
+
+    B is a dense square matrix, or a pair (U, G) standing for U G U', whose
+    blocks are computed as (U G)[a:b] U' without forming the whole matrix.
+    """
+    factored = isinstance(B, tuple)
+    if factored:
+        U, G = B
+        UG = U @ G
+    m = U.shape[0] if factored else B.shape[0]
+    step = max(1, _BLOCK_ENTRIES // max(m, 1))
+    for a in range(0, m, step):
+        yield a, UG[a : a + step] @ U.T if factored else B[a : a + step]
+
+
+def _extremes(B) -> tuple[float, float]:
+    """(max, min) over the entries of B, read through :func:`_row_blocks`."""
+    his, los = [], []
+    for _, blk in _row_blocks(B):
+        his.append(blk.max())
+        los.append(blk.min())
+    return (float(np.max(his)), float(np.min(los))) if his else (0.0, 0.0)
+
+
+def threshold_B(B, theta: float, mode: str = "positive") -> sp.csr_matrix:
     """Sparsify B by cutting against its largest element.
 
     positive mode keeps b_ij > theta * max(B); absolute mode keeps
     |b_ij| > theta * max|B|.  With theta = 0 the absolute mode keeps every
     nonzero.  Symmetry is preserved by keeping an entry only when both
     (i, j) and (j, i) pass, which matters only for exact ties at the cut.
+
+    B is a dense square matrix or a pair (U, G) standing for U G U' (an
+    m x 2 factor and a 2x2 core slice).  Either way B is read in row blocks,
+    once for its extremes and once for the kept entries, so the working
+    memory is O(block + nnz(B-hat)) and no m x m temporary is allocated.
     """
     if not 0 <= theta < 1:
         raise ValueError("theta must satisfy 0 <= theta < 1")
     if mode not in ("positive", "absolute"):
         raise ValueError(f"unknown threshold mode {mode!r}")
-    B = np.asarray(B, dtype=float)
-    if mode == "positive":
-        b_max = B.max() if B.size else 0.0
-        scale = np.abs(B).max() if B.size else 0.0
-        if b_max <= 1e-12 * scale:
-            # no meaningful positive part; roundoff positives are not entries
-            mask = np.zeros(B.shape, dtype=bool)
-        else:
-            mask = B > theta * b_max
+    if isinstance(B, tuple):
+        U, G = (np.asarray(x, dtype=float) for x in B)
+        if U.ndim != 2 or U.shape[1] != 2 or G.shape != (2, 2):
+            raise ValueError("B as a pair needs an mx2 factor and a 2x2 core slice")
+        B, m = (U, G), U.shape[0]
     else:
-        b_max = np.abs(B).max() if B.size else 0.0
-        mask = np.abs(B) > theta * b_max
-        if theta == 0.0:
-            mask = B != 0
-    mask &= mask.T
-    kept = np.where(mask, B, 0.0)
-    out = sp.csr_matrix(kept)
-    out.eliminate_zeros()
-    return out
+        B = np.asarray(B, dtype=float)
+        if B.ndim != 2 or B.shape[0] != B.shape[1]:
+            raise ValueError(f"B must be a square matrix, got shape {B.shape}")
+        m = B.shape[0]
+    b_max, b_min = _extremes(B)
+    scale = max(b_max, -b_min)  # max|B|
+    if m == 0 or (mode == "positive" and b_max <= 1e-12 * scale):
+        # no meaningful positive part; roundoff positives are not entries
+        return sp.csr_matrix((m, m))
+    rows, cols, vals = [], [], []
+    for a, blk in _row_blocks(B):
+        if mode == "positive":
+            r, c = np.nonzero(blk > theta * b_max)
+        elif theta == 0.0:
+            r, c = np.nonzero(blk)
+        else:
+            r, c = np.nonzero(np.abs(blk) > theta * scale)
+        rows.append(r + a)
+        cols.append(c)
+        vals.append(blk[r, c])
+    i, j, v = (np.concatenate(x) for x in (rows, cols, vals))
+    # row-major codes are sorted; keep (i, j) only when (j, i) passed too
+    both, _ = _find(i * m + j, j * m + i)
+    i, j, v = i[both], j[both], v[both]
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(i, minlength=m))))
+    return sp.csr_matrix((v, j, indptr), shape=(m, m))
 
 
 def deflate(R: DeflatedOperator, w: np.ndarray, B_hat: sp.spmatrix) -> DeflatedOperator:
     """Append one rank-(2,2,1) term; the base tensor is untouched."""
     w = np.asarray(w, dtype=float).ravel()
-    B_hat = B_hat.tocsr()
     R._check_term(w, B_hat)
-    return DeflatedOperator(R.base, R.terms + [(w, B_hat)])
+    out = DeflatedOperator(R.base, R.terms + ((w, B_hat),))
+    # R's cached norm parts are a prefix of the new operator's
+    out._base_sq, out._cross, out._gram = R._base_sq, list(R._cross), [row[:] for row in R._gram]
+    return out
 
 
 def expand(
@@ -227,8 +328,8 @@ def expand(
             approx = rank221_term(R, cfg)
         G = approx.core[:, :, 0]
         w = approx.W[:, 0].copy()
-        B = form_B(approx.U, G)
-        B_hat = threshold_B(B, theta, mode)
+        b_raw_max, b_raw_min = _extremes((approx.U, G))
+        B_hat = threshold_B((approx.U, G), theta, mode)
         evals = np.sort(np.linalg.eigvalsh(0.5 * (G + G.T)))[::-1]
         l1, l2 = float(evals[0]), float(evals[1])
         structured = l1 * l2 < 0 and abs(l1 + l2) <= structure_margin * abs(l1)
@@ -239,8 +340,8 @@ def expand(
                 w=w,
                 core=G,
                 B_hat=B_hat,
-                b_raw_max=float(B.max()),
-                b_raw_min=float(B.min()),
+                b_raw_max=b_raw_max,
+                b_raw_min=b_raw_min,
                 eigenvalues=(l1, l2),
                 norm_B_hat=float(sp.linalg.norm(B_hat)) if B_hat.nnz else 0.0,
                 norm_F=norm_F,

@@ -215,7 +215,9 @@ def _solve(T, ranks, cfg: SolverConfig, shared: bool) -> RankApproximation:
 
     The first run starts from :func:`hosvd_init` on every operator, sparse
     tensor or implicit; the others start from orthonormal factors drawn
-    from ``cfg.seed``.
+    from ``cfg.seed``.  A later run replaces the best only when its
+    objective is larger by more than ``cfg.rel_tol`` relative, so runs that
+    reach the same optimum (and tie up to rounding) return the earliest.
     """
     if isinstance(T, SparseTensor3) and T.nnz == 0:
         raise ValueError("cannot approximate an empty tensor")
@@ -230,7 +232,7 @@ def _solve(T, ranks, cfg: SolverConfig, shared: bool) -> RankApproximation:
             V = U if shared else _random_orthonormal(rng, m, ranks[1])
             W = _random_orthonormal(rng, n, ranks[2])
         cand = _sweeps(T, U, V, W, ranks, cfg, shared)
-        if best is None or cand.objective > best.objective:
+        if best is None or cand.objective - best.objective > cfg.rel_tol * best.objective:
             best = cand
     if not best.converged:
         warnings.warn("HOOI did not converge within max_iters", RuntimeWarning)
@@ -242,8 +244,9 @@ def hooi(T, ranks: tuple[int, int, int], cfg: SolverConfig | None = None) -> Ran
 
     Starts from :func:`hosvd_init`; with ``cfg.num_restarts > 1`` the
     solve is repeated from seeded random orthonormal factors and the run
-    with the largest objective is returned.  Non-convergence is flagged on
-    the result, not fatal.
+    with the largest objective is returned (the earliest, among runs within
+    ``cfg.rel_tol`` of each other).  Non-convergence is flagged on the
+    result, not fatal.
     """
     return _solve(T, ranks, cfg or SolverConfig(), shared=False)
 

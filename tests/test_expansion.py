@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from tenspart import (
     symmetric_embed,
     threshold_B,
 )
+from tenspart import expansion
 from tenspart.expansion import save_expansion_report
 
 from conftest import planted_bipartite, random_symmetric
@@ -167,6 +169,101 @@ class TestThresholdB:
             threshold_B(np.eye(2), 0.5, "weird")
 
 
+def threshold_oracle(B, theta, mode):
+    """Dense thresholding on a whole-matrix mask, with the symmetric tie rule."""
+    if mode == "positive":
+        scale = np.abs(B).max()
+        mask = B > theta * B.max() if B.max() > 1e-12 * scale else np.zeros(B.shape, bool)
+    else:
+        mask = B != 0 if theta == 0.0 else np.abs(B) > theta * np.abs(B).max()
+    mask &= mask.T
+    return np.where(mask, B, 0.0)
+
+
+def factor_cases(m, rng):
+    """(name, U, G): opposite-sign and same-sign core eigenvalues, no positive part."""
+    U = rng.standard_normal((m, 2))
+    if m >= 2:
+        U = np.linalg.qr(U)[0]
+    return [
+        ("opposite", U, np.array([[0.1, 2.0], [2.0, -0.3]])),
+        ("same", U, np.array([[3.0, 0.5], [0.4, 1.0]])),
+        ("nonpositive", np.abs(U), -np.array([[1.0, 0.2], [0.3, 0.7]])),
+    ]
+
+
+class TestStreamedThreshold:
+    """threshold_B on the pair (U, G) against the dense B = form_B(U, G).
+
+    Both compute b_ij = (U G)_i . u_j, the streamed path one row block at a
+    time; BLAS may round a block product differently from the whole
+    product (seen: 1.2e-16 * max|B| at m = 500).  So the supports must be
+    identical except for entries whose value (|b_ij| in absolute mode), or
+    whose mirror's, lies within 4 ulp * max|B| of the cut, and kept values
+    and the extremes agree to 1e-15 * max|B|.
+    """
+
+    @staticmethod
+    def check(U, G, theta, mode):
+        B = form_B(U, G)
+        scale = np.abs(B).max()
+        tol = 1e-15 * scale
+        b_max, b_min = expansion._extremes((U, G))
+        assert abs(b_max - B.max()) <= tol and abs(b_min - B.min()) <= tol
+        want = threshold_oracle(B, theta, mode)
+        assert np.array_equal(threshold_B(B, theta, mode).toarray(), want)
+        got = threshold_B((U, G), theta, mode)
+        assert got.has_canonical_format or got.nnz == 0
+        got = got.toarray()
+        both = (got != 0) & (want != 0)
+        assert np.abs(got[both] - want[both]).max(initial=0.0) <= tol
+        if mode == "positive":
+            value, cut = B, theta * B.max()
+        else:
+            value, cut = np.abs(B), theta * scale
+        near = np.abs(value - cut) <= 4 * np.finfo(float).eps * scale
+        near |= near.T
+        assert not np.any(((got != 0) != (want != 0)) & ~near)
+
+    @pytest.mark.parametrize("block", [20, 1000])
+    @pytest.mark.parametrize("m", [1, 2, 7, 255, 256, 257, 500])
+    def test_matches_dense(self, monkeypatch, m, block):
+        monkeypatch.setattr(expansion, "_BLOCK_ENTRIES", block)
+        rng = np.random.default_rng(m)
+        for _, U, G in factor_cases(m, rng):
+            for mode in ("positive", "absolute"):
+                for theta in (0.0, 0.25, 0.9):
+                    self.check(U, G, theta, mode)
+
+    def test_no_positive_part_is_empty(self):
+        _, U, G = factor_cases(50, np.random.default_rng(1))[2]
+        assert form_B(U, G).max() <= 0
+        assert threshold_B((U, G), 0.25, "positive").nnz == 0
+
+    @pytest.mark.parametrize("mode", ["positive", "absolute"])
+    def test_exact_ties_at_the_cut(self, monkeypatch, mode):
+        # dyadic rows: every product is exact, equal rows give equal entries,
+        # and at theta = 0.25 the entries 1 (= 0.25 * max B = 0.25 * 4) sit on the cut
+        monkeypatch.setattr(expansion, "_BLOCK_ENTRIES", 24)
+        rows = np.array([[1.0, 0.0], [0.5, 0.0], [0.0, 1.0], [0.5, 0.5]])
+        U = rows[np.random.default_rng(5).integers(0, 4, 40)]
+        G = np.array([[4.0, 0.0], [0.0, 1.0]])
+        B = form_B(U, G)
+        assert np.count_nonzero(B == 1.0) > 0
+        for theta in (0.0, 0.25, 0.9):
+            got = threshold_B((U, G), theta, mode).toarray()
+            assert np.array_equal(got, threshold_oracle(B, theta, mode))
+
+    def test_pair_shape_rejected(self):
+        with pytest.raises(ValueError):
+            threshold_B((np.ones((4, 3)), np.eye(2)), 0.5)
+        with pytest.raises(ValueError):
+            threshold_B((np.ones((4, 2)), np.eye(3)), 0.5)
+        with pytest.raises(ValueError):
+            threshold_B(np.ones((4, 3)), 0.5)
+
+
+
 class TestDeflatedOperator:
     def test_matches_materialized_residual(self, rng):
         T = random_symmetric(rng, 7, 4, density=0.5)
@@ -202,6 +299,63 @@ class TestDeflatedOperator:
             deflate(DeflatedOperator(T), np.ones(2), sp.eye(6, format="csr"))
         with pytest.raises(ValueError):
             deflate(DeflatedOperator(T), np.ones(3), sp.eye(5, format="csr"))
+
+
+def norm_squared_from_scratch(R):
+    """fsum of ||base||^2, -2<base, term> by fancy indexing, and every term Gram product."""
+    T = R.base
+    parts = [T.norm_squared()]
+    for w, B in R.terms:
+        bvals = np.asarray(B.tocsr()[T.i, T.j]).ravel()
+        parts.append(-2.0 * math.fsum(T.vals * w[T.k] * bvals))
+    for wa, Ba in R.terms:
+        for wb, Bb in R.terms:
+            parts.append(float(wa @ wb) * float(Ba.multiply(Bb).sum()))
+    return math.fsum(parts)
+
+
+def random_term(rng, m, n, density=0.3):
+    B = sp.random(m, m, density=density, random_state=rng, format="csr")
+    return rng.standard_normal(n), (B + B.T).tocsr()
+
+
+class TestNormCache:
+    def test_chain_matches_from_scratch(self, rng):
+        T = random_symmetric(rng, 9, 4, density=0.5)
+        chain = [DeflatedOperator(T)]
+        for _ in range(4):
+            R = deflate(chain[-1], *random_term(rng, 9, 4))
+            got = R.norm_squared()
+            assert got == norm_squared_from_scratch(R)
+            assert got == pytest.approx(np.linalg.norm(R.to_dense()) ** 2, rel=1e-12)
+            chain.append(R)
+        # deflating never changes the cached norm of the operator it extends
+        for R in chain:
+            assert R.norm_squared() == norm_squared_from_scratch(R)
+
+    def test_duplicate_unsorted_entries_canonicalized(self, rng):
+        T = random_symmetric(rng, 6, 3, density=0.6)
+        w = rng.standard_normal(3)
+        # row 0 stores column 4 twice and its columns out of order; dyadic
+        # values make the duplicate sum exact
+        data = np.array([0.25, 0.5, 0.75, 1.0, -0.5, 1.5])
+        indices = np.array([4, 1, 4, 0, 3, 2])
+        indptr = np.array([0, 3, 4, 4, 5, 5, 6])
+        B = sp.csr_matrix((data, indices, indptr), shape=(6, 6))
+        assert not B.has_canonical_format
+        canonical = sp.csr_matrix(B.toarray())
+        R = deflate(DeflatedOperator(T), w, B)
+        assert R.norm_squared() == deflate(DeflatedOperator(T), w, canonical).norm_squared()
+        assert R.norm_squared() == pytest.approx(np.linalg.norm(R.to_dense()) ** 2, rel=1e-12)
+        assert np.array_equal(B.indices, indices) and np.array_equal(B.data, data)
+
+    def test_direct_construction_fills_cache_lazily(self, rng):
+        T = random_symmetric(rng, 8, 4, density=0.5)
+        terms = [random_term(rng, 8, 4) for _ in range(2)]
+        direct = DeflatedOperator(T, terms)
+        chained = deflate(deflate(DeflatedOperator(T), *terms[0]), *terms[1])
+        assert isinstance(direct.terms, tuple)
+        assert direct.norm_squared() == chained.norm_squared() == norm_squared_from_scratch(direct)
 
 
 class TestExpand:
@@ -260,6 +414,27 @@ class TestExpand:
         for a, b in zip(*runs):
             for x, y in ((a.U, b.U), (a.w, b.w), (a.core, b.core), (a.B_hat.data, b.B_hat.data)):
                 assert x.tobytes() == y.tobytes()
+
+    def test_memory_below_dense_B(self):
+        # a dense B alone is m^2 * 8 bytes (72 MB); the expansion path must
+        # stay under a quarter of that (it peaked at 146 MB with dense B)
+        m, n = 3000, 4
+        rng = np.random.default_rng(2024)
+        i, j = rng.integers(0, m, 20000), rng.integers(0, m, 20000)
+        p, q = np.meshgrid(np.arange(100), np.arange(100, 200), indexing="ij")
+        i, j = np.concatenate((i, p.ravel())), np.concatenate((j, q.ravel()))
+        k = rng.integers(0, n, i.size)
+        T = SparseTensor3((m, m, n), np.concatenate((i, j)), np.concatenate((j, i)),
+                          np.concatenate((k, k)), np.ones(2 * i.size))
+        # a short run builds the cached slice layouts and symmetry check
+        expand(T, 1, 0.25, cfg=SolverConfig(max_iters=2))
+        tracemalloc.start()
+        try:
+            expand(T, 1, 0.25)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < m * m * 8 / 4
 
     def test_benchmark_seed7_variant2_terms_converge(self, tmp_path):
         # a random start stalled the third term of this input at objective

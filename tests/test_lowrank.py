@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -13,6 +15,7 @@ from tenspart import (
     hooi,
     hooi_symmetric,
     hosvd_init,
+    lowrank,
     multi_multiply,
     reconstruct,
     symmetric_embed,
@@ -184,6 +187,35 @@ class TestHooi:
             for s in range(10)
         )
         assert ap.objective >= best - 1e-6
+
+    def test_tied_restarts_return_first_run(self):
+        # all six runs reach one optimum; a later one ends 8e-13 relative
+        # higher by rounding alone, with a different (18-sweep) history
+        T = random_sparse(np.random.default_rng(111), (6, 5, 4), density=0.7)
+        cfg = SolverConfig(rel_tol=1e-10, max_iters=500)
+        first = hooi(T, (2, 2, 1), cfg)
+        best = hooi(T, (2, 2, 1), replace(cfg, num_restarts=6))
+        assert best.objective_history == first.objective_history
+
+    @pytest.mark.parametrize("gain, taken", [(2.0, True), (0.5, False)])
+    def test_restart_must_beat_best_by_rel_tol(self, rng, monkeypatch, gain, taken):
+        # the second run's objective is set to the first's times (1 + gain * rel_tol)
+        cfg = SolverConfig(rel_tol=1e-8, num_restarts=2)
+        runs = []
+        sweeps = lowrank._sweeps
+
+        def patched(T, U, V, W, ranks, c, shared):
+            ap = sweeps(T, U, V, W, ranks, c, shared)
+            if c is cfg:
+                if runs:
+                    ap = replace(ap, objective_history=[runs[0].objective * (1 + gain * cfg.rel_tol)])
+                runs.append(ap)
+            return ap
+
+        monkeypatch.setattr(lowrank, "_sweeps", patched)
+        got = hooi(random_sparse(rng, (5, 4, 3), density=0.8), (2, 2, 1), cfg)
+        assert len(runs) == 2
+        assert got is runs[1 if taken else 0]
 
     def test_history_monotone_and_factors_orthonormal(self, rng):
         T = random_sparse(rng, (6, 6, 4), density=0.6)
