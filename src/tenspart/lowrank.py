@@ -66,7 +66,9 @@ class RankApproximation:
     history holds ||core|| per iteration; it is nondecreasing for
     :func:`hooi`, but not yet for the shared-factor solver (see the xfail
     ``test_shared_factor_history_monotone`` in ``tests/test_lowrank.py``).
-    For (1,2)-symmetric problems V is U.
+    ``rank_deficient`` is set when, in any sweep, a contraction a factor was
+    taken from had numerical rank below that factor's rank.  For
+    (1,2)-symmetric problems V is U.
     """
 
     U: np.ndarray
@@ -96,7 +98,7 @@ def _fix_column_signs(Q: np.ndarray) -> np.ndarray:
     return Q
 
 
-def dominant_subspace(M: np.ndarray, r: int, warn_deficient: bool = True) -> np.ndarray:
+def dominant_subspace(M: np.ndarray, r: int) -> np.ndarray:
     """Orthonormal basis of the r leading left singular directions of M.
 
     Columns are ordered by singular value and sign-fixed so the
@@ -104,6 +106,19 @@ def dominant_subspace(M: np.ndarray, r: int, warn_deficient: bool = True) -> np.
     below r the trailing columns are an orthonormal complement supplied by
     the SVD; this is reported with a warning.
     """
+    Q, deficient = _leading(M, r)
+    if deficient:
+        warnings.warn(
+            f"matrix has numerical rank below {r}; subspace padded with an "
+            "orthonormal complement",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    return Q
+
+
+def _leading(M: np.ndarray, r: int) -> tuple[np.ndarray, bool]:
+    """:func:`dominant_subspace` of M, and whether M has numerical rank below r."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
         raise ValueError("M must be a matrix")
@@ -112,15 +127,8 @@ def dominant_subspace(M: np.ndarray, r: int, warn_deficient: bool = True) -> np.
     if not 1 <= r <= min(M.shape):
         raise ValueError(f"r={r} out of range for shape {M.shape}")
     U, s, _ = np.linalg.svd(M, full_matrices=False)
-    cutoff = max(M.shape) * np.finfo(float).eps * s[0]
-    if warn_deficient and s[r - 1] <= cutoff:
-        warnings.warn(
-            f"matrix has numerical rank below {r}; subspace padded with an "
-            "orthonormal complement",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return _fix_column_signs(U[:, :r])
+    deficient = bool(s[r - 1] <= max(M.shape) * np.finfo(float).eps * s[0])
+    return _fix_column_signs(U[:, :r]), deficient
 
 
 def _random_orthonormal(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -142,28 +150,27 @@ def _sweeps(T, U, V, W, ranks, cfg: SolverConfig, shared: bool) -> RankApproxima
     """
     r1, r2, r3 = ranks
     history: list[float] = []
-    converged = False
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", RuntimeWarning)
-        for _ in range(cfg.max_iters):
-            if shared:
-                C = T.contract_modes23(U, W)  # (l, r1, r3)
-                U = V = dominant_subspace(C.reshape(C.shape[0], -1), r1)
-            else:
-                C = T.contract_modes23(V, W)  # (l, r2, r3)
-                U = dominant_subspace(C.reshape(C.shape[0], -1), r1)
-                C = T.contract_modes13(U, W)  # (m, r1, r3)
-                V = dominant_subspace(C.reshape(C.shape[0], -1), r2)
-            C12 = T.contract_modes12(U, V)  # (n, r1, r2)
-            W = dominant_subspace(C12.reshape(C12.shape[0], -1), r3)
-            core = _core_from_c12(C12, W)
-            obj = math.sqrt(float(np.sum(core * core)))
-            if history and abs(obj - history[-1]) <= cfg.rel_tol * max(obj, 1e-300):
-                history.append(obj)
-                converged = True
-                break
+    converged = deficient = False
+    for _ in range(cfg.max_iters):
+        if shared:
+            C = T.contract_modes23(U, W)  # (l, r1, r3)
+            U, low_u = _leading(C.reshape(C.shape[0], -1), r1)
+            V, low_v = U, False
+        else:
+            C = T.contract_modes23(V, W)  # (l, r2, r3)
+            U, low_u = _leading(C.reshape(C.shape[0], -1), r1)
+            C = T.contract_modes13(U, W)  # (m, r1, r3)
+            V, low_v = _leading(C.reshape(C.shape[0], -1), r2)
+        C12 = T.contract_modes12(U, V)  # (n, r1, r2)
+        W, low_w = _leading(C12.reshape(C12.shape[0], -1), r3)
+        deficient = deficient or low_u or low_v or low_w
+        core = _core_from_c12(C12, W)
+        obj = math.sqrt(float(np.sum(core * core)))
+        if history and abs(obj - history[-1]) <= cfg.rel_tol * max(obj, 1e-300):
             history.append(obj)
-    deficient = any(issubclass(w.category, RuntimeWarning) for w in caught)
+            converged = True
+            break
+        history.append(obj)
     return RankApproximation(U, V, W, core, history, converged, deficient)
 
 
@@ -206,7 +213,7 @@ def hosvd_init(T, ranks: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray, 
     factors = []
     for mode, (Q, r) in enumerate(zip((sketch.U, sketch.V, sketch.W), ranks)):
         unfold = np.moveaxis(sketch.core, mode, 0).reshape(p[mode], -1)
-        factors.append(_fix_column_signs(Q @ dominant_subspace(unfold, r, warn_deficient=False)))
+        factors.append(_fix_column_signs(Q @ _leading(unfold, r)[0]))
     return tuple(factors)
 
 
@@ -315,10 +322,10 @@ def approx_nonsymmetric_via_embedding(
     sym = hooi_symmetric(emb, (r1 + r2, r1 + r2, r3), cfg)
 
     top, bottom = sym.U[:l], sym.U[l:]
-    U = dominant_subspace(top, r1, warn_deficient=False)
-    V = dominant_subspace(bottom, r2, warn_deficient=False)
+    U = _leading(top, r1)[0]
+    V = _leading(bottom, r2)[0]
     C12 = T.contract_modes12(U, V)
-    W = dominant_subspace(C12.reshape(n, -1), r3, warn_deficient=False)
+    W = _leading(C12.reshape(n, -1), r3)[0]
 
     # polish to a stationary point of the direct problem
     return _sweeps(T, U, V, W, ranks, cfg, shared=False)

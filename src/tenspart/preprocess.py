@@ -18,8 +18,10 @@ order.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import re
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -84,9 +86,9 @@ def load_coordinate_file(path) -> SparseTensor3:
 
     Duplicate triples are summed; explicit zeros are dropped.  Extents come
     from an optional ``dims l m n`` header, else from the largest index
-    seen per mode.  Plain files are parsed over the whole buffer at once;
-    anything else (comments, odd bytes, a malformed or invalid line) goes
-    through the line-by-line reader, whose errors name the line.
+    seen per mode.  Plain files are parsed in one call to numpy's C text
+    reader; anything else (comments, odd bytes, a malformed or invalid
+    line) goes through the line-by-line reader, whose errors name the line.
     """
     with open(path, "rb") as fh:
         parsed = _parse_plain_coordinates(fh.read())
@@ -98,19 +100,11 @@ def load_coordinate_file(path) -> SparseTensor3:
     return SparseTensor3(dims, i - 1, j - 1, k - 1, v)
 
 
-# byte classes of a plain coordinate body; 0 marks a byte the line reader must judge
-_SPACE, _NEWLINE, _DIGIT, _NUMBER = 1, 2, 3, 4
-_BYTE_CLASS = np.zeros(256, dtype=np.int8)
-_BYTE_CLASS[[ord(" "), ord("\t")]] = _SPACE
-_BYTE_CLASS[ord("\n")] = _NEWLINE
-_BYTE_CLASS[ord("0") : ord("9") + 1] = _DIGIT
-_BYTE_CLASS[list(b"+-.eE")] = _NUMBER
-_LEADING_BLANKS = re.compile(rb"[ \t\n]*")
-_DIMS_HEADER = re.compile(rb"dims[ \t]+(\d+)[ \t]+(\d+)[ \t]+(\d+)[ \t]*")
-_MAX_INDEX_DIGITS = 15  # parsed exactly in int64
-# The body is parsed in pieces of about this many bytes (whole lines), so the
-# temporaries, some 16 bytes per input byte, stay small for any file size.
-_CHUNK_BYTES = 1 << 20
+_LEADING_BLANKS = re.compile(rb"[ \t\r\n]*")
+_DIMS_HEADER = re.compile(rb"dims[ \t]+(\d+)[ \t]+(\d+)[ \t]+(\d+)[ \t]*\r?(?:\n|\Z)")
+# bytes outside a plain body, which numpy may read unlike the line reader
+_NOT_PLAIN = re.compile(rb"[^0-9+\-.eE \t\r\n]")
+_ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("k", np.int64), ("v", np.float64)])
 
 
 def _parse_plain_coordinates(data: bytes):
@@ -118,90 +112,35 @@ def _parse_plain_coordinates(data: bytes):
 
     Accepts only files the line reader reads to the same tensor: an
     optional ``dims`` header of plain digits on the first non-blank line,
-    then lines of exactly four fields separated by spaces or tabs, ending
-    in ``\\n`` or ``\\r\\n``, whose three indices are plain digit strings >= 1
-    and whose value ``float`` parses to a finite number.  Returns None for
-    everything else, including a file without entries, so the line reader
-    decides and names the offending line.
+    then a body of digits, ``+-.eE``, blanks and line ends that numpy's
+    ``loadtxt`` reads as lines of four fields (three ``int64`` indices
+    >= 1 and a finite double; numpy parses both as ``int`` and ``float``
+    do).  Returns None for everything else, including a file without
+    entries, so the line reader decides and names the offending line.
     """
-    data = data.replace(b"\r\n", b"\n")
     start = _LEADING_BLANKS.match(data).end()
     dims = None
     if data.startswith(b"dims", start):
-        eol = data.find(b"\n", start)
-        header = _DIMS_HEADER.fullmatch(data, start, len(data) if eol < 0 else eol)
+        header = _DIMS_HEADER.match(data, start)
         if header is None:
             return None
         dims = tuple(int(g) for g in header.groups())
-        start = len(data) if eol < 0 else eol + 1
-    raw = np.frombuffer(data, dtype=np.uint8)
-    pieces = []
-    while start < len(data):
-        stop = data.find(b"\n", start + _CHUNK_BYTES) + 1 or len(data)
-        piece = _parse_entry_lines(raw[start:stop])
-        if piece is None:
-            return None
-        pieces.append(piece)
-        start = stop
-    if not pieces:
+        start = _LEADING_BLANKS.match(data, header.end()).end()
+    if start == len(data) or _NOT_PLAIN.search(data, start) is not None:
         return None
-    i, j, k, v = (np.concatenate(column) for column in zip(*pieces))
-    if v.size == 0:
-        return None
-    return dims, i, j, k, v
-
-
-def _parse_entry_lines(raw: np.ndarray):
-    """(i, j, k, v) of whole ``i j k v`` lines in ``raw``, or None (see above)."""
-    cls = _BYTE_CLASS[raw]
-    if not cls.all():
-        return None
-    # token boundaries, and exactly four tokens on every non-blank line
-    in_token = np.zeros(raw.size + 2, dtype=bool)
-    in_token[1:-1] = cls >= _DIGIT
-    edges = np.flatnonzero(in_token[1:] != in_token[:-1])
-    starts, ends = edges[0::2], edges[1::2]
-    per_line = np.diff(np.searchsorted(starts, np.flatnonzero(cls == _NEWLINE)),
-                       prepend=0, append=starts.size)
-    if np.any((per_line != 0) & (per_line != 4)):
-        return None
-    # signs, points and exponents only in the value column
-    token = np.searchsorted(starts, np.flatnonzero(cls == _NUMBER), side="right") - 1
-    if np.any(token % 4 != 3):
-        return None
-    n = starts.size // 4
-    starts, ends = starts.reshape(n, 4), ends.reshape(n, 4)
-
-    # indices: plain digit strings, read right to left; positions left of a
-    # token's start are masked out
-    index = []
-    for c in range(3):
-        length = ends[:, c] - starts[:, c]
-        width = int(length.max(initial=0))
-        if width > _MAX_INDEX_DIGITS:
-            return None
-        value = np.zeros(n, dtype=np.int64)
-        for w in range(width):
-            digit = raw[ends[:, c] - 1 - w].astype(np.int64) - ord("0")
-            value += np.where(w < length, digit, 0) * 10**w
-        if n and value.min() < 1:
-            return None
-        index.append(value)
-
-    # values: the tokens as a NUL-padded fixed-width byte array, which numpy
-    # parses to the same doubles as float() and rejects what float() rejects
-    length = ends[:, 3] - starts[:, 3]
-    width = max(int(length.max(initial=0)), 1)
-    chars = np.zeros((n, width), dtype=np.uint8)
-    for w in range(width):
-        chars[:, w] = np.where(w < length, raw[np.minimum(starts[:, 3] + w, raw.size - 1)], 0)
+    body = io.BytesIO(data)
+    body.seek(start)
     try:
-        v = chars.view(f"S{width}").ravel().astype(float)
+        # numpy < 2 only warns on "1.0" in an int column; as an error it raises ValueError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            rows = np.loadtxt(body, dtype=_ENTRY, comments=None, ndmin=1)
     except ValueError:
         return None
-    if not np.all(np.isfinite(v)):
+    i, j, k, v = rows["i"], rows["j"], rows["k"], rows["v"]
+    if min(i.min(), j.min(), k.min()) < 1 or not np.all(np.isfinite(v)):
         return None
-    return index[0], index[1], index[2], v
+    return dims, i, j, k, v
 
 
 def _load_coordinate_lines(path) -> SparseTensor3:

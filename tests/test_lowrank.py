@@ -276,6 +276,29 @@ class TestHooi:
         assert not ap.converged
         assert ap.objective_history  # result still returned
 
+    @pytest.mark.parametrize("low_modes", [(), (0,), (1,), (2,), (0, 1, 2)])
+    def test_rank_deficiency_flagged(self, rng, low_modes):
+        # a sum of two rank-1 terms whose factors coincide in the modes of
+        # low_modes, so exactly those unfoldings have rank 1 < 2
+        first = [rng.random(d) for d in (6, 5, 4)]
+        second = [f if mode in low_modes else rng.random(f.size) for mode, f in enumerate(first)]
+        dense = sum(np.einsum("i,j,k->ijk", *fs) for fs in (first, second))
+        ap = hooi(SparseTensor3.from_dense(dense), (2, 2, 2))
+        assert ap.rank_deficient is bool(low_modes)
+
+    def test_overflow_is_not_rank_deficiency(self, rng):
+        # entries near 1e160 overflow core * core in the objective; the
+        # warning reaches the caller and the full-rank problem stays full rank
+        T = random_sparse(rng, (6, 5, 4), density=0.6)
+        assert hooi(T, (2, 2, 2)).rank_deficient is False
+        big = SparseTensor3(T.dims, T.i, T.j, T.k, T.vals * 1e160)
+        with pytest.warns(RuntimeWarning) as caught:
+            ap = hooi(big, (2, 2, 2), SolverConfig(max_iters=5))
+        assert any("overflow" in str(w.message) for w in caught)
+        assert ap.rank_deficient is False
+        C = big.contract_modes23(ap.V, ap.W).reshape(6, -1) / 1e160
+        assert np.linalg.svd(C, compute_uv=False)[1] > 0.1
+
 
 class TestHooiSymmetric:
     def test_single_symmetric_slice(self, rng):

@@ -81,61 +81,78 @@ def _outcome(loader, path):
 
 
 # Lines mixed into the fuzzed files: plain entries, and everything the
-# whole-buffer parser must hand to the line reader or reject the same way.
+# plain-file parser must hand to the line reader or reject the same way.
 _ODD_LINES = [
     "", "   ", "\t", "# comment", "2 1 1 3.0  # trailing", "1 1 1 0", "1 1 1 0.0", "1 1 1 -0.0",
     "1.0 1 1 2.0", "1 1 1 nan", "1 1 1 inf", "1 1 1 1e999", "1_0 1 1 2.0", "1 1 1 1_5",
     "0 1 1 2.0", "-1 1 1 2.0", "+2 1 1 2.0", "1 1", "1 1 1 1 1", "1 1 1 2.0\r", "x 1 1 2.0",
     "1 1 1 .5", "1 1 1 5.", "1 1 1 1e-3", "1 1 1 -2E+2", "1 1 1 e5", "1 1 1 +-1", "007 1 1 1.5",
     "dims 9 9 9", "1\t2\t1\t4.0", "99999999999999999999 1 1 1.0", "1 1 1 \u00a02.0",
+    "1 1 1 1.0\r2 1 1 2.0", "\r", "1 1 1 2.0\x0c", "\x0c", "1 1 1 \x002.0", "\x00",
+    "1e2 1 1 1.0", "00000000000000000002 1 1 1.0", "1 1 1 1-", "1 1 1 -", "1 1\r1 1.0",
+]
+# Value tokens that are hard to round: 25 significant digits, near-halfway
+# between neighbouring doubles, subnormal, below the smallest subnormal, and
+# next to the largest double.
+_HARD_VALUES = [
+    "1.000000000000000000000001", "9007199254740993", "9007199254740992.5000000000000000001",
+    "0.1000000000000000055511151231257827", "2.2250738585072011e-308",
+    "4.9406564584124654e-324", "2.4703282292062328e-324", "2.4703282292062327e-324",
+    "1e-400", "-1.7976931348623157e308", "1.797693134862315807e308", "+3.0E-05",
 ]
 
 
 class TestCoordinateFileParity:
-    """The whole-buffer parser gives what the line reader gives, or defers to it."""
+    """The plain-file parser gives what the line reader gives, or defers to it."""
 
     def check(self, path):
         assert _outcome(load_coordinate_file, path) == _outcome(_load_coordinate_lines, path)
 
-    @pytest.mark.parametrize("chunk", [None, 7, 64])
-    def test_fuzzed_files(self, tmp_path, monkeypatch, chunk):
-        if chunk is not None:  # small pieces put piece boundaries into every file
-            monkeypatch.setattr(preprocess, "_CHUNK_BYTES", chunk)
+    def test_fuzzed_files(self, tmp_path):
         rng = np.random.default_rng(2024)
         p = tmp_path / "f.tns"
-        headers = ["dims 6 5 4", "dims 2 2 2", "  dims\t6 5 4", "dims +6 05 4",
+        headers = ["dims 6 5 4", "dims 2 2 2", "  dims\t6 5 4", "dims +6 05 4", "dims 6 5 4\r",
                    "dims 6 5", "dims 6 5 x"]
-        for trial in range(300):
+        for trial in range(600):
             odd = trial % 2  # even trials: plain files, which the fast parser takes
             lines = []
             if rng.random() < 0.5:
-                lines.append(str(rng.choice(headers[: 4 + 2 * odd])))
+                lines.append(str(rng.choice(headers[: 5 + 2 * odd])))
             for _ in range(rng.integers(0, 12)):
                 if odd and rng.random() < 0.15:
                     lines.append(str(rng.choice(_ODD_LINES)))
-                else:
-                    i, j, k = rng.integers(1, rng.choice([6, 1200]), size=3)
-                    v = float(rng.choice([1.0, 0.5, 2.25, 0.0, 3.0e-8, -1.5, 10.0]))
-                    if rng.random() < 0.3:
-                        v = float(rng.standard_normal() * 10.0 ** rng.integers(-300, 300))
-                    lines.append(f"{i} {j} {k} {v!r}")
-            sep = "\r\n" if rng.random() < 0.3 else "\n"
+                    continue
+                i, j, k = rng.integers(1, rng.choice([6, 1200]), size=3)
+                v = repr(float(rng.choice([1.0, 0.5, 2.25, 0.0, 3.0e-8, -1.5, 10.0])))
+                if rng.random() < 0.3:
+                    v = repr(float(rng.standard_normal() * 10.0 ** rng.integers(-300, 300)))
+                elif rng.random() < 0.2:
+                    v = str(rng.choice(_HARD_VALUES))
+                lines.append(f"{i} {j} {k} {v}")
+            sep = str(rng.choice(["\n", "\r\n", "\r"] if odd else ["\n", "\r\n"]))
             if rng.random() < 0.2:
                 lines.insert(0, "")
             tail = sep if rng.random() < 0.7 else ""
             p.write_bytes((sep.join(lines) + tail).encode("utf-8"))
             self.check(p)
 
-    def test_plain_file_takes_fast_path(self, tmp_path, rng, monkeypatch):
+    @pytest.mark.parametrize("header", [True, False], ids=["header", "no_header"])
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["LF", "CRLF"])
+    def test_plain_file_takes_fast_path(self, tmp_path, rng, monkeypatch, eol, header):
         T = random_sparse(rng, (120, 15, 11), density=0.05)
         p = tmp_path / "t.tns"
         save_coordinate_file(T, p)
+        lines = p.read_text().splitlines()[0 if header else 1 :]
+        p.write_bytes((eol.join(lines) + eol).encode("utf-8"))
+        expected = _load_coordinate_lines(p)
+        if header:
+            assert expected == T
 
         def no_fallback(path):
             raise AssertionError("line reader used on a plain file")
 
         monkeypatch.setattr(preprocess, "_load_coordinate_lines", no_fallback)
-        assert load_coordinate_file(p) == T
+        assert load_coordinate_file(p) == expected
 
     @pytest.mark.parametrize(
         "text",
@@ -155,11 +172,17 @@ class TestCoordinateFileParity:
             "1 1 1 1.0\r2 2 2 1.0\n",
             "1 1 1 1.0\ndims 3 3 3\n",
             "dims 1 1 1\n2 2 2 1.0\n",
+            "1 1 1 1e999\n",
+            "1 1 1 1.0\n2 1 1 -1e400\n",
+            "1 1 1\udca01.0\n",
+            "1 1 1 1.0\udc85\n",
         ],
     )
     def test_edge_cases(self, tmp_path, text):
+        # lone surrogates stand for raw bytes that are not UTF-8; numpy's
+        # reader would take 0xA0 and 0x85 as blanks, the line reader fails
         p = tmp_path / "e.tns"
-        p.write_bytes(text.encode("utf-8"))
+        p.write_bytes(text.encode("utf-8", "surrogateescape"))
         self.check(p)
 
 
