@@ -26,7 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg  # noqa: F401  (registers sp.linalg)
 
-from .lowrank import RankApproximation, SolverConfig, hooi_symmetric
+from .lowrank import RankApproximation, SolverConfig, _frobenius, hooi_symmetric
 from .preprocess import LabelTable
 from .sparse_tensor import SparseTensor3, is_12_symmetric
 
@@ -333,7 +333,6 @@ def expand(
         evals = np.sort(np.linalg.eigvalsh(0.5 * (G + G.T)))[::-1]
         l1, l2 = float(evals[0]), float(evals[1])
         structured = l1 * l2 < 0 and abs(l1 + l2) <= structure_margin * abs(l1)
-        norm_F = math.sqrt(float(np.sum(G * G)))
         terms.append(
             ExpansionTerm(
                 U=approx.U,
@@ -344,7 +343,7 @@ def expand(
                 b_raw_min=b_raw_min,
                 eigenvalues=(l1, l2),
                 norm_B_hat=float(sp.linalg.norm(B_hat)) if B_hat.nnz else 0.0,
-                norm_F=norm_F,
+                norm_F=_frobenius(G),
                 structured=structured,
                 converged=approx.converged,
             )

@@ -103,8 +103,9 @@ def dominant_subspace(M: np.ndarray, r: int) -> np.ndarray:
 
     Columns are ordered by singular value and sign-fixed so the
     largest-|entry| element in each column is positive.  When M has rank
-    below r the trailing columns are an orthonormal complement supplied by
-    the SVD; this is reported with a warning.
+    below r the trailing columns are an orthonormal complement, supplied by
+    the QR factorization (tall M) or the Gram eigenvectors (wide M) of
+    :func:`_leading`; this is reported with a warning.
     """
     Q, deficient = _leading(M, r)
     if deficient:
@@ -118,7 +119,16 @@ def dominant_subspace(M: np.ndarray, r: int) -> np.ndarray:
 
 
 def _leading(M: np.ndarray, r: int) -> tuple[np.ndarray, bool]:
-    """:func:`dominant_subspace` of M, and whether M has numerical rank below r."""
+    """:func:`dominant_subspace` of M, and whether M has numerical rank below r.
+
+    The subspace comes from the eigenvectors of the smaller Gram matrix of
+    M, scaled first by an exact power of two so the Gram can neither
+    overflow nor underflow.  Tall M (d > q): the top-r eigenvectors V of
+    MᵀM are lifted to Y = M V, and the basis is the Q factor of Y.  Wide or
+    square M: the basis is the top-r eigenvectors of MMᵀ.  The singular
+    values are the column norms of M V (or Mᵀ U), accurate to about
+    eps·||M|| in absolute terms, which is the scale of the rank test.
+    """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
         raise ValueError("M must be a matrix")
@@ -126,9 +136,33 @@ def _leading(M: np.ndarray, r: int) -> tuple[np.ndarray, bool]:
         raise ValueError("M contains non-finite values")
     if not 1 <= r <= min(M.shape):
         raise ValueError(f"r={r} out of range for shape {M.shape}")
-    U, s, _ = np.linalg.svd(M, full_matrices=False)
+    M = np.ldexp(M, -_exponent(M))
+    if M.shape[0] > M.shape[1]:
+        Y = M @ np.linalg.eigh(M.T @ M)[1][:, ::-1][:, :r]
+        s = np.linalg.norm(Y, axis=0)
+        Q = np.linalg.qr(Y)[0]
+    else:
+        Q = np.linalg.eigh(M @ M.T)[1][:, ::-1][:, :r]
+        s = np.linalg.norm(M.T @ Q, axis=0)
     deficient = bool(s[r - 1] <= max(M.shape) * np.finfo(float).eps * s[0])
-    return _fix_column_signs(U[:, :r]), deficient
+    return _fix_column_signs(Q), deficient
+
+
+def _exponent(A: np.ndarray) -> int:
+    """The e with max|A| in [2**(e-1), 2**e); 0 for an all-zero A."""
+    return math.frexp(np.abs(A).max())[1]
+
+
+def _frobenius(A: np.ndarray) -> float:
+    """sqrt(sum(A*A)), summed at an exact power-of-two scale.
+
+    Bitwise equal to ``math.sqrt(float(np.sum(A * A)))`` whenever that
+    neither overflows nor underflows, and finite for entries near the top
+    of the float range, where that formula returns inf.
+    """
+    e = _exponent(A)
+    A = np.ldexp(A, -e)
+    return math.ldexp(math.sqrt(float(np.sum(A * A))), e)
 
 
 def _random_orthonormal(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -165,7 +199,7 @@ def _sweeps(T, U, V, W, ranks, cfg: SolverConfig, shared: bool) -> RankApproxima
         W, low_w = _leading(C12.reshape(C12.shape[0], -1), r3)
         deficient = deficient or low_u or low_v or low_w
         core = _core_from_c12(C12, W)
-        obj = math.sqrt(float(np.sum(core * core)))
+        obj = _frobenius(core)
         if history and abs(obj - history[-1]) <= cfg.rel_tol * max(obj, 1e-300):
             history.append(obj)
             converged = True

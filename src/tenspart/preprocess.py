@@ -102,8 +102,8 @@ def load_coordinate_file(path) -> SparseTensor3:
 
 _LEADING_BLANKS = re.compile(rb"[ \t\r\n]*")
 _DIMS_HEADER = re.compile(rb"dims[ \t]+(\d+)[ \t]+(\d+)[ \t]+(\d+)[ \t]*\r?(?:\n|\Z)")
-# bytes outside a plain body, which numpy may read unlike the line reader
-_NOT_PLAIN = re.compile(rb"[^0-9+\-.eE \t\r\n]")
+# the bytes of a plain body; numpy may read any other byte unlike the line reader
+_PLAIN_BYTES = b"0123456789+-.eE \t\r\n"
 _ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("k", np.int64), ("v", np.float64)])
 
 
@@ -126,7 +126,7 @@ def _parse_plain_coordinates(data: bytes):
             return None
         dims = tuple(int(g) for g in header.groups())
         start = _LEADING_BLANKS.match(data, header.end()).end()
-    if start == len(data) or _NOT_PLAIN.search(data, start) is not None:
+    if start == len(data) or data[start:].translate(None, _PLAIN_BYTES):
         return None
     body = io.BytesIO(data)
     body.seek(start)
@@ -185,12 +185,40 @@ def _load_coordinate_lines(path) -> SparseTensor3:
     return SparseTensor3(dims, i, j, k, v)
 
 
+# entries per writer chunk; bounds the writer's transient memory
+_WRITE_CHUNK = 1 << 15
+
+
+def _tokens(column: np.ndarray, fmt, end: str) -> tuple[np.ndarray, np.ndarray]:
+    """Per-entry padded token bytes ``fmt(x) + end`` and the mask of their used bytes."""
+    distinct, inverse = np.unique(column, return_inverse=True)
+    text = [fmt(x) + end for x in distinct.tolist()]
+    table = np.array(text, dtype="S").view(np.uint8).reshape(len(text), -1)
+    used = np.arange(table.shape[1]) < np.array([len(t) for t in text])[:, None]
+    return table[inverse], used[inverse]
+
+
 def save_coordinate_file(T: SparseTensor3, path) -> None:
-    """Write canonical ``.tns`` output (dims header, 1-based, canonical order)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"dims {T.dims[0]} {T.dims[1]} {T.dims[2]}\n")
-        for i, j, k, v in T.entries():
-            fh.write(f"{i + 1} {j + 1} {k + 1} {v!r}\n")
+    """Write canonical ``.tns`` output (dims header, 1-based, canonical order).
+
+    Each entry is the line ``f"{i+1} {j+1} {k+1} {v!r}\\n"``.  The lines are
+    built chunk by chunk: ``str``/``repr`` run once per distinct number of a
+    column in the chunk, and one masked gather from the padded token tables
+    gives the chunk's bytes.
+    """
+    with open(path, "wb") as fh:
+        fh.write(f"dims {T.dims[0]} {T.dims[1]} {T.dims[2]}\n".encode())
+        for a in range(0, T.nnz, _WRITE_CHUNK):
+            b = a + _WRITE_CHUNK
+            fields = [
+                _tokens(T.i[a:b] + 1, str, " "),
+                _tokens(T.j[a:b] + 1, str, " "),
+                _tokens(T.k[a:b] + 1, str, " "),
+                _tokens(T.vals[a:b], repr, "\n"),
+            ]
+            rows = np.concatenate([table for table, _ in fields], axis=1)
+            used = np.concatenate([mask for _, mask in fields], axis=1)
+            fh.write(rows[used])
 
 
 def load_labels(path, extent: int | None = None) -> LabelTable:

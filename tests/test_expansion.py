@@ -381,6 +381,8 @@ class TestExpand:
             lhs = residuals[v + 1] ** 2
             rhs = residuals[v] ** 2 - t.norm_F**2
             assert abs(lhs - rhs) <= 1e-9 * residuals[0] ** 2
+            # the scaled norm gives the unscaled formula's bits where that is finite
+            assert t.norm_F == math.sqrt(float(np.sum(t.core * t.core)))
 
     def test_residual_norms_length(self, rng):
         T = random_symmetric(rng, 6, 3, density=0.6)

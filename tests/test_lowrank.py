@@ -1,3 +1,5 @@
+import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +13,7 @@ from tenspart import (
     approx_nonsymmetric_via_embedding,
     deflate,
     dominant_subspace,
+    expand,
     frobenius_norm,
     hooi,
     hooi_symmetric,
@@ -63,6 +66,111 @@ class TestDominantSubspace:
         with pytest.warns(RuntimeWarning):
             Q = dominant_subspace(M, 2)
         assert np.allclose(Q.T @ Q, np.eye(2), atol=1e-12)
+
+
+def graded(rng, shape, r, ratio):
+    """Matrix with r leading singular values 1 .. ratio and the rest ten times below ratio."""
+    d, q = shape
+    k = min(shape)
+    tail = ratio * np.geomspace(0.1, 1e-3, k - r) if k > r else []
+    s = np.concatenate([np.geomspace(1.0, ratio, r), tail])
+    A = np.linalg.qr(rng.standard_normal((d, k)))[0]
+    B = np.linalg.qr(rng.standard_normal((q, k)))[0]
+    return (A * s) @ B.T
+
+
+class TestLeading:
+    """The Gram-eigenvector kernel against the SVD oracle."""
+
+    SHAPES = [
+        pytest.param((60, 8), id="tall"),
+        pytest.param((8, 60), id="wide"),
+        pytest.param((20, 20), id="square"),
+    ]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("ratio", [1e-1, 1e-2, 1e-4])
+    def test_matches_svd_oracle(self, rng, shape, ratio):
+        r = 3
+        M = graded(rng, shape, r, ratio)
+        Q, deficient = lowrank._leading(M, r)
+        assert not deficient
+        assert np.abs(Q.T @ Q - np.eye(r)).max() <= 1e-13
+        for c in range(r):
+            assert Q[np.argmax(np.abs(Q[:, c])), c] > 0
+        # the Gram squares the condition: the r-th direction is resolved to
+        # about eps * (s_1 / s_r)^2 (eps * s_1^2 over the gap s_r^2 - s_{r+1}^2,
+        # with s_{r+1} = s_r / 10); 50x that leaves room for the constants
+        tol = 50 * np.finfo(float).eps / ratio**2
+        U = np.linalg.svd(M, full_matrices=False)[0][:, :r]
+        assert subspace_distance(Q, U) <= tol
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_exact_low_rank_flagged(self, rng, shape):
+        M = rng.standard_normal((shape[0], 2)) @ rng.standard_normal((2, shape[1]))
+        Q, deficient = lowrank._leading(M, 3)
+        assert deficient
+        # the padding column is an orthonormal complement of the rank-2 range
+        assert np.abs(Q.T @ Q - np.eye(3)).max() <= 1e-13
+        U = np.linalg.svd(M, full_matrices=False)[0][:, :2]
+        assert subspace_distance(Q[:, :2], U) <= 1e-12
+        assert lowrank._leading(M, 2)[1] is False
+
+    @pytest.mark.parametrize("shape", [(5, 3), (3, 5), (4, 4)])
+    def test_zero_matrix(self, shape):
+        Q, deficient = lowrank._leading(np.zeros(shape), 2)
+        assert deficient
+        assert np.abs(Q.T @ Q - np.eye(2)).max() <= 1e-15
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("exponent", [531, -531])  # 2**531 is about 1e160
+    def test_scale_is_exact(self, rng, shape, exponent):
+        # unscaled, the Gram overflows (2**1062) or underflows to zero; scaled
+        # by the exponent of max|M| both give the same bits
+        M = graded(rng, shape, 3, 1e-2)
+        Q, deficient = lowrank._leading(M, 3)
+        scaled = lowrank._leading(np.ldexp(M, exponent), 3)
+        assert np.array_equal(scaled[0], Q) and scaled[1] is deficient is False
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_subnormal_entries(self, rng, shape):
+        # entries near 1e-310 keep about 44 of 53 bits, so the result agrees
+        # with the unscaled one to about 2**-44 relative, not bitwise
+        M = graded(rng, shape, 3, 1e-2)
+        Q, deficient = lowrank._leading(M * 1e-310, 3)
+        assert not deficient
+        assert subspace_distance(Q, lowrank._leading(M, 3)[0]) <= 1e-10
+
+
+class TestFrobenius:
+    @pytest.mark.parametrize("exponent", [0, -150, 150])  # squares stay normal
+    def test_bitwise_equal_to_unscaled_formula(self, rng, exponent):
+        for _ in range(200):
+            shape = tuple(int(d) for d in rng.integers(1, 6, size=3))
+            core = rng.standard_normal(shape) * 10.0**exponent
+            assert lowrank._frobenius(core) == math.sqrt(float(np.sum(core * core)))
+
+    def test_finite_where_unscaled_overflows(self, rng):
+        core = rng.standard_normal((2, 2, 2))
+        with np.errstate(over="raise"):
+            assert lowrank._frobenius(np.ldexp(core, 531)) == np.ldexp(
+                lowrank._frobenius(core), 531
+            )
+
+
+def test_solvers_take_no_svd(rng, monkeypatch):
+    def no_svd(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    T = random_sparse(rng, (12, 10, 5), density=0.5)
+    hooi(T, (2, 2, 2), SolverConfig(num_restarts=2))
+    approx_nonsymmetric_via_embedding(T, (2, 2, 1))
+    S = random_symmetric(rng, 10, 4, density=0.5)
+    hooi_symmetric(S, (2, 2, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # empty-term warnings
+        expand(S, 2, theta=0.1)
 
 
 class TestHosvdInit:
@@ -287,14 +395,19 @@ class TestHooi:
         assert ap.rank_deficient is bool(low_modes)
 
     def test_overflow_is_not_rank_deficiency(self, rng):
-        # entries near 1e160 overflow core * core in the objective; the
-        # warning reaches the caller and the full-rank problem stays full rank
+        # entries near 1e160 would overflow core * core in an unscaled
+        # objective; the scaled one stays finite, the solve converges to 1e160
+        # times the unscaled objective, and the full-rank problem stays full rank
         T = random_sparse(rng, (6, 5, 4), density=0.6)
-        assert hooi(T, (2, 2, 2)).rank_deficient is False
+        small = hooi(T, (2, 2, 2))
+        assert small.rank_deficient is False
         big = SparseTensor3(T.dims, T.i, T.j, T.k, T.vals * 1e160)
-        with pytest.warns(RuntimeWarning) as caught:
-            ap = hooi(big, (2, 2, 2), SolverConfig(max_iters=5))
-        assert any("overflow" in str(w.message) for w in caught)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ap = hooi(big, (2, 2, 2))
+        assert np.all(np.isfinite(ap.objective_history))
+        assert ap.converged
+        assert ap.objective == pytest.approx(1e160 * small.objective, rel=1e-12)
         assert ap.rank_deficient is False
         C = big.contract_modes23(ap.V, ap.W).reshape(6, -1) / 1e160
         assert np.linalg.svd(C, compute_uv=False)[1] > 0.1

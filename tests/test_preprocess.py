@@ -29,6 +29,14 @@ from tenspart.preprocess import (
 from conftest import random_sparse, random_symmetric
 
 
+def _save_coordinate_lines(T, path):
+    """One f-string per entry; the byte-for-byte reference of save_coordinate_file."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"dims {T.dims[0]} {T.dims[1]} {T.dims[2]}\n")
+        for i, j, k, v in T.entries():
+            fh.write(f"{i + 1} {j + 1} {k + 1} {v!r}\n")
+
+
 class TestCoordinateFile:
     def test_single_line(self, tmp_path):
         p = tmp_path / "t.tns"
@@ -60,6 +68,29 @@ class TestCoordinateFile:
         save_coordinate_file(T, p1)
         save_coordinate_file(load_coordinate_file(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("chunk", [3, 1 << 15])
+    def test_writer_matches_line_oracle(self, tmp_path, rng, monkeypatch, chunk):
+        monkeypatch.setattr(preprocess, "_WRITE_CHUNK", chunk)
+        hard = [1.0, -1.0, 0.1 + 0.2, 1e-300, 5e-324, 1.7976931348623157e308, -2.5e16, 1e22,
+                123456.789]
+        tensors = [
+            random_sparse(rng, (5, 4, 3), density=0.5),
+            SparseTensor3((1200, 30, 11), rng.integers(0, 1200, 40), rng.integers(0, 30, 40),
+                          rng.integers(0, 11, 40), rng.choice(hard, 40)),
+            SparseTensor3((9, 9, 2), rng.integers(0, 9, 25), rng.integers(0, 9, 25),
+                          rng.integers(0, 2, 25), np.ones(25)),
+        ]
+        p, ref = tmp_path / "t.tns", tmp_path / "ref.tns"
+        for T in tensors:
+            save_coordinate_file(T, p)
+            _save_coordinate_lines(T, ref)
+            assert p.read_bytes() == ref.read_bytes()
+
+    def test_empty_tensor_writes_header_only(self, tmp_path):
+        p = tmp_path / "t.tns"
+        save_coordinate_file(SparseTensor3((3, 4, 2)), p)
+        assert p.read_bytes() == b"dims 3 4 2\n"
 
     @pytest.mark.parametrize(
         "line", ["1 1 1", "x 1 1 2.0", "0 1 1 2.0", "1 1 1 nan"]
