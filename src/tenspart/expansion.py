@@ -24,11 +24,10 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg  # noqa: F401  (registers sp.linalg)
 
-from .lowrank import RankApproximation, SolverConfig, _frobenius, hooi_symmetric
+from .lowrank import RankApproximation, SolverConfig, _exponent, _frobenius, hooi_symmetric
 from .preprocess import LabelTable
-from .sparse_tensor import SparseTensor3, is_12_symmetric
+from .sparse_tensor import SparseTensor3, _exact_sum, is_12_symmetric
 
 __all__ = [
     "ExpansionTerm",
@@ -78,12 +77,17 @@ class DeflatedOperator:
     modified.  ``terms`` is stored as a tuple with each B_hat in canonical
     CSR form (a user-supplied matrix with duplicate or unsorted entries is
     copied first).  The parts of the squared norm are cached per term, so
-    :func:`deflate` adds O(q) sparse products for the new term only.
+    :func:`deflate` adds O(q) sparse products for the new term only.  They
+    are kept at the exact scale 4**-e, where 2**e bounds the base's largest
+    |entry|, so they stay finite for entries near the top of the float
+    range and equal the unscaled parts times 4**-e bit for bit elsewhere.
     """
 
     base: SparseTensor3
     terms: tuple[tuple[np.ndarray, sp.csr_matrix], ...] = ()
-    # squared-norm parts: ||base||^2, -2<base, term a>, and <term a, term b>
+    # squared-norm parts times 4**-_exp: ||base||^2, -2<base, term a>, and
+    # <term a, term b>
+    _exp: int = field(default=0, init=False, repr=False, compare=False)
     _base_sq: float | None = field(default=None, init=False, repr=False, compare=False)
     _cross: list[float] = field(default_factory=list, init=False, repr=False, compare=False)
     _gram: list[list[float]] = field(default_factory=list, init=False, repr=False, compare=False)
@@ -128,7 +132,10 @@ class DeflatedOperator:
     def _fill_norm_cache(self) -> None:
         """Compute the squared-norm parts of the terms not cached yet."""
         if self._base_sq is None:
-            self._base_sq = self.base.norm_squared()
+            self._exp = _exponent(self.base.vals)
+            v = np.ldexp(self.base.vals, -self._exp)
+            v *= v
+            self._base_sq = _exact_sum(v)
         for t in range(len(self._cross), len(self.terms)):
             w, B = self.terms[t]
             self._cross.append(-2.0 * self._inner_base_term(w, B))
@@ -136,19 +143,35 @@ class DeflatedOperator:
                 self._gram[a].append(self._inner_terms(a, t))
             self._gram.append([self._inner_terms(t, b) for b in range(t + 1)])
 
+    def _scaled(self, B: sp.csr_matrix) -> sp.csr_matrix:
+        """B times 2**-_exp, exactly (a power-of-two scale)."""
+        return sp.csr_matrix((np.ldexp(B.data, -self._exp), B.indices, B.indptr), shape=B.shape)
+
     def _inner_terms(self, a: int, b: int) -> float:
         (wa, Ba), (wb, Bb) = self.terms[a], self.terms[b]
-        return float(wa @ wb) * float(Ba.multiply(Bb).sum())
+        return float(wa @ wb) * float(self._scaled(Ba).multiply(self._scaled(Bb)).sum())
 
-    def norm_squared(self) -> float:
+    def _scaled_norm_squared(self) -> float:
         self._fill_norm_cache()
         return math.fsum([self._base_sq, *self._cross, *(g for row in self._gram for g in row)])
 
+    def norm_squared(self) -> float:
+        """||R||^2; inf once that passes the float range, where :meth:`norm` does not."""
+        sq = self._scaled_norm_squared()
+        try:
+            return math.ldexp(sq, 2 * self._exp)
+        except OverflowError:
+            return math.copysign(math.inf, sq)
+
     def norm(self) -> float:
-        return math.sqrt(max(self.norm_squared(), 0.0))
+        sq = self.norm_squared()
+        if math.isinf(sq):
+            # the root at the parts' scale is still in range
+            return math.ldexp(math.sqrt(max(self._scaled_norm_squared(), 0.0)), self._exp)
+        return math.sqrt(max(sq, 0.0))
 
     def _inner_base_term(self, w: np.ndarray, B: sp.csr_matrix) -> float:
-        """<base, w x B>, summed over the base entries that canonical B stores."""
+        """<base, w x B> times 4**-_exp, over the base entries that canonical B stores."""
         T = self.base
         m = B.shape[1]
         row_nnz = np.diff(B.indptr)
@@ -159,7 +182,9 @@ class DeflatedOperator:
         b_codes = np.repeat(np.arange(B.shape[0], dtype=np.int64), row_nnz) * m + B.indices
         where, at = _find(b_codes, T.i[cand] * m + T.j[cand])
         where = cand[where]
-        return math.fsum(T.vals[where] * w[T.k[where]] * B.data[at])
+        return _exact_sum(
+            np.ldexp(T.vals[where], -self._exp) * w[T.k[where]] * np.ldexp(B.data[at], -self._exp)
+        )
 
     def to_dense(self) -> np.ndarray:
         out = self.base.to_dense()
@@ -176,6 +201,13 @@ def _find(sorted_codes: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.n
     np.minimum(at, sorted_codes.size - 1, out=at)
     where = np.flatnonzero(sorted_codes[at] == codes)
     return where, at[where]
+
+
+def _norm_of_data(data: np.ndarray) -> float:
+    """``np.linalg.norm(data)`` (scipy's sparse Frobenius norm), summed at an exact
+    power-of-two scale: the same bits, and finite near the top of the float range."""
+    e = _exponent(data)
+    return math.ldexp(float(np.linalg.norm(np.ldexp(data, -e))), e)
 
 
 def _canonical_csr(B: sp.spmatrix) -> sp.csr_matrix:
@@ -294,7 +326,8 @@ def deflate(R: DeflatedOperator, w: np.ndarray, B_hat: sp.spmatrix) -> DeflatedO
     R._check_term(w, B_hat)
     out = DeflatedOperator(R.base, R.terms + ((w, B_hat),))
     # R's cached norm parts are a prefix of the new operator's
-    out._base_sq, out._cross, out._gram = R._base_sq, list(R._cross), [row[:] for row in R._gram]
+    out._exp, out._base_sq = R._exp, R._base_sq
+    out._cross, out._gram = list(R._cross), [row[:] for row in R._gram]
     return out
 
 
@@ -342,7 +375,7 @@ def expand(
                 b_raw_max=b_raw_max,
                 b_raw_min=b_raw_min,
                 eigenvalues=(l1, l2),
-                norm_B_hat=float(sp.linalg.norm(B_hat)) if B_hat.nnz else 0.0,
+                norm_B_hat=_norm_of_data(B_hat.data),
                 norm_F=_frobenius(G),
                 structured=structured,
                 converged=approx.converged,
@@ -381,14 +414,12 @@ def subgraph_export(term: ExpansionTerm, labels: LabelTable):
     coo = term.B_hat.tocoo()
     if len(labels) != term.B_hat.shape[0]:
         raise ValueError("labels must cover the mode extent")
-    edges = []
-    support = set()
-    for i, j, v in zip(coo.row, coo.col, coo.data):
-        support.add(int(i))
-        support.add(int(j))
-        if i <= j:
-            edges.append((labels[int(i)], labels[int(j)], float(v)))
-    vertices = [labels[i] for i in sorted(support)]
+    upper = coo.row <= coo.col
+    edges = [
+        (labels[i], labels[j], v)
+        for i, j, v in zip(coo.row[upper].tolist(), coo.col[upper].tolist(), coo.data[upper].tolist())
+    ]
+    vertices = [labels[i] for i in np.union1d(coo.row, coo.col).tolist()]
     return edges, vertices
 
 

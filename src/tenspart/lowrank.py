@@ -149,8 +149,8 @@ def _leading(M: np.ndarray, r: int) -> tuple[np.ndarray, bool]:
 
 
 def _exponent(A: np.ndarray) -> int:
-    """The e with max|A| in [2**(e-1), 2**e); 0 for an all-zero A."""
-    return math.frexp(np.abs(A).max())[1]
+    """The e with max|A| in [2**(e-1), 2**e); 0 for an all-zero or empty A."""
+    return math.frexp(np.abs(A).max(initial=0.0))[1]
 
 
 def _frobenius(A: np.ndarray) -> float:

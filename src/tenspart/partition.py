@@ -10,7 +10,6 @@ tensor.  The third (temporal) mode is treated exactly like modes 1 and 2.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -22,6 +21,7 @@ from .preprocess import LabelTable
 # where perfbench/spans.py looks it up to trace it
 from .sparse_tensor import (  # noqa: F401
     SparseTensor3,
+    _exact_sum,
     frobenius_norm,
     permute_mode,
     permute_modes,
@@ -129,18 +129,13 @@ def block_norms(
             b >= c for b, c in zip(bounds, bounds[1:])
         ):
             raise ValueError(f"invalid block boundaries {bounds} for extent {extent}")
-    # block id of every entry, then one fsum per block over its squared
-    # values: the same correctly rounded sums as the norms of the blocks
-    # cut out one by one
+    # block id of every entry, then one correctly rounded sum of squares
+    # per block: the same sums as the norms of the blocks cut out one by one
     rows, cols = len(bounds1) - 1, len(bounds2) - 1
     a = np.searchsorted(bounds1, T.i, side="right") - 1
     b = np.searchsorted(bounds2, T.j, side="right") - 1
-    block = a * cols + b
-    order = np.argsort(block, kind="stable")
-    sq = (T.vals * T.vals)[order]
-    cuts = np.searchsorted(block[order], np.arange(rows * cols + 1))
-    norms = [math.sqrt(math.fsum(sq[s:t])) for s, t in zip(cuts[:-1], cuts[1:])]
-    return np.array(norms).reshape(rows, cols)
+    sq = _exact_sum(T.vals * T.vals, a * cols + b, rows * cols)
+    return np.sqrt(sq).reshape(rows, cols)
 
 
 def corner_block_norms(T: SparseTensor3, width: int):

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .sparse_tensor import SparseTensor3, is_12_symmetric
+from .sparse_tensor import SparseTensor3, _exact_sum, is_12_symmetric
 
 __all__ = [
     "LabelTable",
@@ -283,16 +283,13 @@ def normalize_slices_frobenius(T: SparseTensor3, skip_empty: bool = False) -> Sp
     All-zero slices raise unless ``skip_empty`` is set (then left zero).
     Only values change, so the result keeps the input's index arrays.
     """
-    nonempty = np.zeros(T.dims[2], dtype=bool)
-    vals = T.vals.copy()
-    sq = T.vals * T.vals
-    for kk, run in T.slice_runs():
-        nonempty[kk] = True
-        vals[run] /= math.sqrt(math.fsum(sq[run]))
-    if not skip_empty and not nonempty.all():
-        empty = np.flatnonzero(~nonempty)
-        raise ValueError(f"all-zero 3-slices at k={empty.tolist()} (pass skip_empty=True)")
-    return SparseTensor3._canonical(T.dims, T.i, T.j, T.k, vals)
+    n = T.dims[2]
+    if not skip_empty:
+        empty = np.flatnonzero(np.bincount(T.k, minlength=n) == 0)
+        if empty.size:
+            raise ValueError(f"all-zero 3-slices at k={empty.tolist()} (pass skip_empty=True)")
+    norms = np.sqrt(_exact_sum(T.vals * T.vals, T.k, n))
+    return SparseTensor3._canonical(T.dims, T.i, T.j, T.k, T.vals / norms[T.k])
 
 
 def _inv_sqrt(d: np.ndarray) -> np.ndarray:

@@ -27,9 +27,13 @@ arrays.  Contractions that shrink a mode (multiplication by a matrix with
 few rows) always produce dense arrays, since in the intended workloads the
 small side is never larger than a handful of columns.
 
-Inner products and Frobenius norms are accumulated with ``math.fsum``,
-which is correctly rounded and therefore independent of summation order.
-This makes the norm exactly invariant under entry reordering.
+Inner products, Frobenius norms and the grouped sums of squares behind
+block norms and slice normalization are correctly rounded: each is the
+exact sum of the rounded products (or squares), rounded once.  A correctly
+rounded sum has one answer whatever the order of its terms, so these norms
+are exactly invariant under entry reordering, and they are bitwise equal to
+``math.fsum`` of the same terms.  :func:`_exact_sum` computes them with a
+few vectorized passes instead of fsum's per-element Python loop.
 """
 
 from __future__ import annotations
@@ -67,6 +71,65 @@ def _check_matrix(M: np.ndarray, name: str = "matrix") -> np.ndarray:
     return M
 
 
+def _exact_sum(x, groups=None, count: int = 1):
+    """Correctly rounded sum of ``x``, or of each group of it; bitwise ``math.fsum``.
+
+    With ``groups`` (non-negative ids below ``count``, one per element of
+    ``x``), returns an array of ``count`` sums, 0.0 for an empty group.
+
+    Error-free extraction (Rump, Ogita and Oishi, SIAM J. Sci. Comput.
+    31(1), 2008): each level takes sigma = 2**s with 2**s > 2 * len(x) *
+    max|r| for the remainder r (initially ``x``), splits r exactly into
+    hi = (r + sigma) - sigma, on the grid ulp(sigma)/2, and r - hi, and adds
+    up hi.  Every partial sum of the hi lies on that grid below sigma/2, so
+    ``np.sum`` or ``np.bincount`` adds them without error in any order.
+    Once the remainder is zero the level sums split the exact total, and
+    fsum of these few numbers rounds it once: the one correctly rounded
+    sum, which fsum of ``x`` returns as well (Shewchuk 1997).  Non-finite
+    input, or a sigma past the float range, is left to fsum itself, so its
+    values and errors (inf, nan, ``OverflowError``) are kept.  Uses two
+    temporaries of the size of ``x``.
+    """
+    x = np.asarray(x, dtype=float).ravel()
+    n = x.size
+    levels = []
+    r, hi = x, None
+    while n:
+        top, bottom = float(r.max()), float(r.min())
+        if not (math.isfinite(top) and math.isfinite(bottom)):
+            return _fsum_fallback(x, groups, count)
+        big = max(top, -bottom)
+        if big == 0.0:
+            break
+        s = math.frexp(big)[1] + n.bit_length() + 1
+        if s > 1023:
+            return _fsum_fallback(x, groups, count)
+        sigma = math.ldexp(1.0, s)
+        if hi is None:  # first level: x itself is left as it is
+            hi = x + sigma
+            hi -= sigma
+            r = x - hi
+        else:
+            np.add(r, sigma, out=hi)
+            hi -= sigma
+            r -= hi
+        levels.append(np.sum(hi) if groups is None else np.bincount(groups, weights=hi, minlength=count))
+    if groups is None:
+        return math.fsum(levels)
+    if len(levels) <= 1:
+        return levels[0] if levels else np.zeros(count)
+    return np.array([math.fsum(col) for col in zip(*(lv.tolist() for lv in levels))])
+
+
+def _fsum_fallback(x: np.ndarray, groups, count: int):
+    """``math.fsum`` of ``x``, or of each group in input order."""
+    if groups is None:
+        return math.fsum(x)
+    order = np.argsort(groups, kind="stable")
+    cuts = np.searchsorted(groups[order], np.arange(1, count))
+    return np.array([math.fsum(part) for part in np.split(x[order], cuts)])
+
+
 class SparseTensor3:
     """Coordinate-format sparse real 3-tensor.
 
@@ -102,10 +165,23 @@ class SparseTensor3:
 
         l, m, _ = dims
         lin = (k * l + i) * m + j  # strictly increasing along canonical (k, i, j) order
-        order = np.argsort(lin, kind="stable")
-        lin, vals = lin[order], vals[order]
+        order = np.argsort(lin)
+        lin = lin[order]
+        first = np.ones(lin.size, dtype=bool)  # first entry of each run of equal codes
+        np.not_equal(lin[1:], lin[:-1], out=first[1:])
+        start = np.flatnonzero(first)
+        if start.size < lin.size:
+            # input order inside each run of duplicates makes order the stable
+            # permutation, so duplicates are summed left to right; the key
+            # run start * nnz + input position is below nnz**2
+            dup = ~first
+            dup[:-1] |= ~first[1:]
+            pos = np.flatnonzero(dup)
+            run = start[np.searchsorted(start, pos, side="right") - 1]
+            order[pos] = np.sort(run * lin.size + order[pos]) % lin.size
+        vals = vals[order]
         # sum duplicates, then drop explicit zeros
-        uniq, start = np.unique(lin, return_index=True)
+        uniq = lin[start]
         summed = np.add.reduceat(vals, start) if vals.size else vals
         keep = summed != 0.0
         uniq, summed = uniq[keep], summed[keep]
@@ -257,7 +333,7 @@ class SparseTensor3:
         return self._contract(3, U, V)
 
     def norm_squared(self) -> float:
-        return math.fsum(self.vals * self.vals)
+        return _exact_sum(self.vals * self.vals)
 
     def norm(self) -> float:
         return math.sqrt(self.norm_squared())
@@ -314,8 +390,9 @@ def inner(A, B) -> float:
     """Inner product <A, B> = sum over all elements of a_xyz * b_xyz.
 
     Accepts sparse tensors and dense 3-arrays in any combination.  The
-    accumulation uses ``math.fsum`` and is therefore deterministic and
-    independent of entry order.
+    elementwise products are rounded as usual; their sum is exact and
+    rounded once (:func:`_exact_sum`), so the result is bitwise equal to
+    ``math.fsum`` of the products and independent of entry order.
     """
     a_sparse = isinstance(A, SparseTensor3)
     b_sparse = isinstance(B, SparseTensor3)
@@ -329,14 +406,14 @@ def inner(A, B) -> float:
         lin_a = (A.k * l + A.i) * m + A.j
         lin_b = (B.k * l + B.i) * m + B.j
         _, ia, ib = np.intersect1d(lin_a, lin_b, assume_unique=True, return_indices=True)
-        return math.fsum(A.vals[ia] * B.vals[ib])
+        return _exact_sum(A.vals[ia] * B.vals[ib])
     if a_sparse:
         B = np.asarray(B, dtype=float)
-        return math.fsum(A.vals * B[A.i, A.j, A.k])
+        return _exact_sum(A.vals * B[A.i, A.j, A.k])
     if b_sparse:
         return inner(B, A)
     prod = np.asarray(A, dtype=float) * np.asarray(B, dtype=float)
-    return math.fsum(prod.ravel())
+    return _exact_sum(prod)
 
 
 def frobenius_norm(A) -> float:
@@ -344,7 +421,7 @@ def frobenius_norm(A) -> float:
     if isinstance(A, SparseTensor3):
         return A.norm()
     A = np.asarray(A, dtype=float)
-    return math.sqrt(math.fsum((A * A).ravel()))
+    return math.sqrt(_exact_sum(A * A))
 
 
 def is_12_symmetric(T: SparseTensor3, tol: float = 0.0) -> bool:

@@ -1,12 +1,15 @@
+import dataclasses
 import importlib.util
 import json
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg
 
 from tenspart import (
     DeflatedOperator,
@@ -384,6 +387,34 @@ class TestExpand:
             # the scaled norm gives the unscaled formula's bits where that is finite
             assert t.norm_F == math.sqrt(float(np.sum(t.core * t.core)))
 
+    def test_residual_norms_finite_near_float_max(self, rng):
+        # squares of entries near 1e160 pass the float range; the norm parts
+        # are kept at the base's power-of-two scale, so the scaled tensor's
+        # norms are the unscaled ones times 2**531
+        T = random_symmetric(rng, 8, 4, density=0.6)
+        big = SparseTensor3(T.dims, T.i, T.j, T.k, np.ldexp(T.vals, 531))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            terms, residuals = expand(big, 2, 0.1)
+        small_terms, small_residuals = expand(T, 2, 0.1)
+        assert all(math.isfinite(r) for r in residuals)
+        np.testing.assert_allclose(residuals, np.ldexp(small_residuals, 531), rtol=1e-12)
+        for t, s in zip(terms, small_terms):
+            assert math.isfinite(t.norm_B_hat)
+            assert t.norm_B_hat == pytest.approx(math.ldexp(s.norm_B_hat, 531), rel=1e-12)
+        R = deflate(DeflatedOperator(big), terms[0].w, terms[0].B_hat)
+        assert R.norm_squared() == math.inf and math.isfinite(R.norm())
+
+    def test_norm_B_hat_keeps_scipy_bits(self, rng):
+        # the scaled norm gives scipy's sparse Frobenius norm bit for bit, so
+        # written reports do not change
+        for _ in range(6):
+            T = random_symmetric(rng, 100, 3, density=0.3)
+            terms, _ = expand(T, 2, theta=0.0, mode="absolute", cfg=TIGHT)
+            for t in terms:
+                assert t.B_hat.nnz > 5000
+                assert t.norm_B_hat == float(scipy.sparse.linalg.norm(t.B_hat))
+
     def test_residual_norms_length(self, rng):
         T = random_symmetric(rng, 6, 3, density=0.6)
         terms, residuals = expand(T, 3, theta=0.0, mode="absolute", cfg=TIGHT)
@@ -481,6 +512,30 @@ class TestSubgraphExport:
         assert len(edges) == sum(1 for i, j in zip(coo.row, coo.col) if i <= j)
         touched = {f"n{t}" for t in set(coo.row.tolist()) | set(coo.col.tolist())}
         assert set(vertices) == touched
+
+    def test_equals_loop_oracle(self, rng):
+        # the per-entry loop that subgraph_export replaced, kept as the oracle
+        def oracle(term, labels):
+            coo = term.B_hat.tocoo()
+            edges, support = [], set()
+            for i, j, v in zip(coo.row, coo.col, coo.data):
+                support.update((int(i), int(j)))
+                if i <= j:
+                    edges.append((labels[int(i)], labels[int(j)], float(v)))
+            return edges, [labels[i] for i in sorted(support)]
+
+        T, _, _ = planted_two_terms(seed=2)
+        terms, _ = expand(T, 2, theta=0.1, mode="absolute", cfg=TIGHT)
+        # B_hat as expand leaves it, and random ones: empty, full, not symmetric
+        for m, density, symmetric in ((20, 0.0, True), (20, 0.1, False), (20, 1.0, False), (7, 0.4, True)):
+            B = sp.random(m, m, density=density, random_state=rng, format="csr")
+            term = dataclasses.replace(terms[0], B_hat=(B + B.T).tocsr() if symmetric else B)
+            labels = LabelTable.default(m, prefix="v")
+            got = subgraph_export(term, labels)
+            assert got == oracle(term, labels)
+            assert all(type(v) is float for _, _, v in got[0])
+        for term in terms:
+            assert subgraph_export(term, LabelTable.default(20)) == oracle(term, LabelTable.default(20))
 
     def test_label_mismatch_rejected(self):
         T, _, _ = planted_two_terms(seed=2)

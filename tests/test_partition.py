@@ -130,6 +130,18 @@ class TestBlockNorms:
                 ])
                 assert np.array_equal(block_norms(T, b1, b2), oracle)
 
+    def test_random_bounds_equal_subtensor_oracle(self):
+        rng = np.random.default_rng(99)
+        for _ in range(60):
+            dims = tuple(int(d) for d in rng.integers(1, 12, 3))
+            T = random_sparse(rng, dims, density=rng.uniform(0.05, 1.0))
+            b1, b2 = ([0, *sorted(rng.choice(np.arange(1, d), rng.integers(0, d), replace=False)), d]
+                      for d in dims[:2])
+            K = np.arange(dims[2])
+            oracle = [[frobenius_norm(subtensor(T, np.arange(b1[a], b1[a + 1]), np.arange(b2[b], b2[b + 1]), K))
+                       for b in range(len(b2) - 1)] for a in range(len(b1) - 1)]
+            assert np.array_equal(block_norms(T, b1, b2), np.array(oracle))
+
     def test_invalid_boundaries(self, rng):
         T = random_sparse(rng, (5, 5, 2))
         with pytest.raises(ValueError):

@@ -352,6 +352,18 @@ class TestNormalizationParity:
             N = normalize_slices_frobenius(T, skip_empty=True)
             assert np.array_equal(N.vals, vals) and np.shares_memory(N.j, T.j)
 
+    def test_frobenius_bitwise_many_slices(self, rng):
+        # several hundred slices, some empty, with values spread over 2**-500 .. 2**500
+        T = random_sparse(rng, (4, 3, 400), density=0.2)
+        T = SparseTensor3(T.dims, T.i, T.j, T.k, T.vals * 2.0 ** rng.integers(-500, 500, T.nnz))
+        vals = T.vals.copy()
+        for _, run in T.slice_runs():
+            vals[run] = T.vals[run] / math.sqrt(math.fsum(T.vals[run] * T.vals[run]))
+        assert np.bincount(T.k, minlength=400).min() == 0
+        with pytest.raises(ValueError, match="all-zero 3-slices at k="):
+            normalize_slices_frobenius(T)
+        assert np.array_equal(normalize_slices_frobenius(T, skip_empty=True).vals, vals)
+
     def test_empty_tensor(self):
         T = SparseTensor3((3, 4, 2))
         assert nonsymmetric_normalize(T) == T

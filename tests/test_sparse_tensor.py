@@ -16,7 +16,7 @@ from tenspart import (
     symmetric_embed,
 )
 from tenspart.preprocess import nonsymmetric_normalize
-from tenspart.sparse_tensor import TensorShapeError
+from tenspart.sparse_tensor import TensorShapeError, _exact_sum
 
 from conftest import random_orthogonal, random_sparse, random_symmetric
 
@@ -83,6 +83,37 @@ class TestConstruction:
         N = nonsymmetric_normalize(T)
         assert np.shares_memory(N.i, T.i) and np.shares_memory(N.k, T.k)
         assert not np.shares_memory(N.vals, T.vals)
+
+    def test_duplicates_summed_in_input_order(self):
+        # runs of 3-6 duplicates whose left-to-right sum depends on the order
+        # (1e16 + 1.0 rounds back to 1e16); the oracle is the stable sort
+        rng = np.random.default_rng(7)
+        order_mattered = 0
+        for _ in range(300):
+            dims = tuple(int(d) for d in rng.integers(1, 6, 3))
+            cells = rng.integers(0, np.prod(dims), rng.integers(1, 12))
+            reps = rng.integers(3, 7, cells.size)
+            codes = np.repeat(cells, reps)
+            vals = np.concatenate([rng.permutation([1e16, 1.0, -1e16, 0.5, -2.0, 3.0][:r]) for r in reps])
+            perm = rng.permutation(codes.size)
+            codes, vals = codes[perm], vals[perm]
+            # append unique entries, so runs of one mix with the duplicates
+            codes = np.concatenate((codes, np.arange(np.prod(dims))))
+            vals = np.concatenate((vals, rng.standard_normal(np.prod(dims))))
+            i, j, k = np.unravel_index(codes, dims)
+            T = SparseTensor3(dims, i, j, k, vals)
+
+            l, m, _ = dims
+            lin = (k * l + i) * m + j
+            order = np.argsort(lin, kind="stable")
+            uniq, start = np.unique(lin[order], return_index=True)
+            summed = np.add.reduceat(vals[order], start)
+            keep = summed != 0.0
+            assert np.array_equal(T.vals, summed[keep])
+            assert np.array_equal((T.k * l + T.i) * m + T.j, uniq[keep])
+            backwards = np.add.reduceat(vals[np.lexsort((-np.arange(lin.size), lin))], start)
+            order_mattered += not np.array_equal(summed, backwards)
+        assert order_mattered > 100
 
 
 class TestModeMultiply:
@@ -212,6 +243,122 @@ class TestMultiMultiply:
         ]
         for want in orders:
             assert np.allclose(ref, want, rtol=1e-12, atol=1e-12)
+
+
+def same_bits(a, b) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def fsum_or_error(x):
+    try:
+        return math.fsum(x)
+    except (OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def exact_sum_or_error(*args):
+    try:
+        return _exact_sum(*args)
+    except (OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def sum_cases(rng, n):
+    """Arrays of one of nine kinds, chosen so that rounding is hard to get right."""
+    size = int(rng.integers(0, 48))
+    kind = n % 9
+    if kind == 0:  # normal values of one random magnitude
+        return rng.standard_normal(size) * 10.0 ** rng.uniform(-8, 8)
+    if kind == 1:  # subnormals, alone or next to the smallest normals
+        x = rng.standard_normal(size) * 2.0**-1060
+        return np.where(rng.random(size) < 0.3, x * 2.0**40, x)
+    if kind == 2:  # exact cancellation around a few small leftovers
+        v = rng.standard_normal(size // 2) * 2.0 ** rng.integers(-30, 30, size // 2)
+        x = np.concatenate((v, -v, rng.standard_normal(size % 2) * 1e-20))
+        return rng.permutation(x)
+    if kind == 3:  # magnitudes spread over 2**-1000 .. 2**1000
+        return rng.standard_normal(size) * 2.0 ** rng.integers(-1000, 1000, size)
+    if kind == 4:  # dyadic values whose sums land on rounding ties
+        return rng.integers(-(2**20), 2**20, size) * 2.0 ** rng.integers(-60, 20, size)
+    if kind == 5:  # signed zeros, alone or with a few values
+        x = rng.choice([0.0, -0.0], size)
+        x[rng.random(size) < 0.2] = 1.5
+        return x
+    if kind == 6:  # inf and nan among normal values
+        x = rng.standard_normal(max(size, 1))
+        x[rng.integers(0, x.size, 2)] = rng.choice([np.inf, -np.inf, np.nan], 2)
+        return x
+    if kind == 7:  # near the top of the float range, where sigma would overflow
+        return rng.choice([1.0, -1.0], size) * rng.uniform(0.5, 1.79, size) * 1e308
+    return rng.standard_normal(size)  # kind 8: unit normals
+
+
+class TestExactSum:
+    """_exact_sum against math.fsum, bit for bit: tolerance 0, errors included."""
+
+    def test_fuzz_equals_fsum(self):
+        rng = np.random.default_rng(2008)
+        for n in range(20_000):
+            x = sum_cases(rng, n)
+            want, got = fsum_or_error(x.tolist()), exact_sum_or_error(x)
+            if isinstance(want, tuple):
+                assert got == want, (n, x)
+            else:
+                assert isinstance(got, float) and same_bits(got, want), (n, x)
+
+    @pytest.mark.parametrize("x, want", [
+        ([], 0.0),
+        ([-0.0], 0.0),
+        ([1e16, 1.0, -1e16], 1.0),
+        ([1.0, 2.0**-53], 1.0),
+        ([1.0, 2.0**-53, 2.0**-106], 1.0 + 2.0**-52),
+        ([2.0**1023, 2.0**1023, -(2.0**1023)], None),
+        ([1e308, 1e308, -1e308], None),
+        ([np.inf, 1.0], np.inf),
+    ])
+    def test_known_sums(self, x, want):
+        if want is None:  # fsum's intermediate overflow is kept
+            with pytest.raises(OverflowError):
+                math.fsum(x)
+            with pytest.raises(OverflowError):
+                _exact_sum(np.array(x))
+        else:
+            assert same_bits(_exact_sum(np.array(x)), want)
+
+    def test_inf_minus_inf_raises_like_fsum(self):
+        with pytest.raises(ValueError, match="-inf \\+ inf"):
+            _exact_sum(np.array([np.inf, -np.inf]))
+
+    def test_long_arrays(self):
+        # 2**17 terms: sigma takes 18 more bits, so fewer per level
+        rng = np.random.default_rng(5)
+        for scale in (1.0, 2.0**-1000, 2.0**900):
+            x = rng.standard_normal(2**17) ** 3 * scale
+            before = x.copy()
+            assert same_bits(_exact_sum(x), math.fsum(x))
+            assert np.array_equal(x, before)  # the input is not overwritten
+        x = np.full(2**17, 2.0**1000)  # the level sum reaches 2**1017
+        assert same_bits(_exact_sum(x), math.fsum(x))
+
+    def test_grouped_equals_fsum_per_group(self):
+        rng = np.random.default_rng(31)
+        for n in range(2_000):
+            x = sum_cases(rng, n)
+            count = int(rng.integers(1, 6))
+            groups = rng.integers(0, count, x.size)
+            want = [fsum_or_error(x[groups == g].tolist()) for g in range(count)]
+            got = exact_sum_or_error(x, groups, count)
+            errors = [w for w in want if isinstance(w, tuple)]
+            if errors:
+                assert got in errors, (n, x, groups)
+            else:
+                assert isinstance(got, np.ndarray) and got.shape == (count,)
+                assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64)), (n, x, groups)
+
+    def test_grouped_empty(self):
+        assert np.array_equal(_exact_sum(np.zeros(0), np.zeros(0, dtype=np.int64), 3), np.zeros(3))
+        got = _exact_sum(np.array([1e16, 1.0, -1e16]), np.array([2, 2, 2]), 4)
+        assert np.array_equal(got, [0.0, 0.0, 1.0, 0.0])
 
 
 class TestInnerAndNorm:
