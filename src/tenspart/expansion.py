@@ -78,15 +78,18 @@ class DeflatedOperator:
     CSR form (a user-supplied matrix with duplicate or unsorted entries is
     copied first).  The parts of the squared norm are cached per term, so
     :func:`deflate` adds O(q) sparse products for the new term only.  They
-    are kept at the exact scale 4**-e, where 2**e bounds the base's largest
-    |entry|, so they stay finite for entries near the top of the float
-    range and equal the unscaled parts times 4**-e bit for bit elsewhere.
+    are kept at the exact scale 4**-e, where 2**e bounds every |entry| of
+    the base and of each term; a term that raises the bound rescales the
+    cached parts.  Each inner product scales every factor by its own power
+    of two first, so the parts stay finite for entries anywhere in the
+    float range and equal the unscaled parts times 4**-e bit for bit
+    wherever those are finite and no scaled factor is subnormal.
     """
 
     base: SparseTensor3
     terms: tuple[tuple[np.ndarray, sp.csr_matrix], ...] = ()
     # squared-norm parts times 4**-_exp: ||base||^2, -2<base, term a>, and
-    # <term a, term b>
+    # <term a, term b>; 2**_exp bounds every entry of the base and the terms
     _exp: int = field(default=0, init=False, repr=False, compare=False)
     _base_sq: float | None = field(default=None, init=False, repr=False, compare=False)
     _cross: list[float] = field(default_factory=list, init=False, repr=False, compare=False)
@@ -138,18 +141,32 @@ class DeflatedOperator:
             self._base_sq = _exact_sum(v)
         for t in range(len(self._cross), len(self.terms)):
             w, B = self.terms[t]
+            if w.any() and B.data.any():  # a zero term must not raise the scale
+                self._raise_scale(_exponent(w) + _exponent(B.data))
             self._cross.append(-2.0 * self._inner_base_term(w, B))
             for a in range(t):
                 self._gram[a].append(self._inner_terms(a, t))
             self._gram.append([self._inner_terms(t, b) for b in range(t + 1)])
 
-    def _scaled(self, B: sp.csr_matrix) -> sp.csr_matrix:
-        """B times 2**-_exp, exactly (a power-of-two scale)."""
-        return sp.csr_matrix((np.ldexp(B.data, -self._exp), B.indices, B.indptr), shape=B.shape)
+    def _raise_scale(self, e: int) -> None:
+        """Move the cached parts to the scale 4**-e if e exceeds ``_exp`` (exact
+        but for parts that become subnormal, at most 2**-1022 of the largest)."""
+        if e <= self._exp:
+            return
+        shift = 2 * (self._exp - e)
+        self._base_sq = math.ldexp(self._base_sq, shift)
+        self._cross = [math.ldexp(c, shift) for c in self._cross]
+        self._gram = [[math.ldexp(g, shift) for g in row] for row in self._gram]
+        self._exp = e
 
     def _inner_terms(self, a: int, b: int) -> float:
+        """<term a, term b> times 4**-_exp."""
         (wa, Ba), (wb, Bb) = self.terms[a], self.terms[b]
-        return float(wa @ wb) * float(self._scaled(Ba).multiply(self._scaled(Bb)).sum())
+        ea, eb = _exponent(wa), _exponent(wb)
+        fa, fb = _exponent(Ba.data), _exponent(Bb.data)
+        w_dot = float(np.ldexp(wa, -ea) @ np.ldexp(wb, -eb))
+        B_dot = float(_scaled(Ba, -fa).multiply(_scaled(Bb, -fb)).sum())
+        return math.ldexp(w_dot * B_dot, ea + eb + fa + fb - 2 * self._exp)
 
     def _scaled_norm_squared(self) -> float:
         self._fill_norm_cache()
@@ -164,11 +181,7 @@ class DeflatedOperator:
             return math.copysign(math.inf, sq)
 
     def norm(self) -> float:
-        sq = self.norm_squared()
-        if math.isinf(sq):
-            # the root at the parts' scale is still in range
-            return math.ldexp(math.sqrt(max(self._scaled_norm_squared(), 0.0)), self._exp)
-        return math.sqrt(max(sq, 0.0))
+        return math.ldexp(math.sqrt(max(self._scaled_norm_squared(), 0.0)), self._exp)
 
     def _inner_base_term(self, w: np.ndarray, B: sp.csr_matrix) -> float:
         """<base, w x B> times 4**-_exp, over the base entries that canonical B stores."""
@@ -182,15 +195,21 @@ class DeflatedOperator:
         b_codes = np.repeat(np.arange(B.shape[0], dtype=np.int64), row_nnz) * m + B.indices
         where, at = _find(b_codes, T.i[cand] * m + T.j[cand])
         where = cand[where]
-        return _exact_sum(
-            np.ldexp(T.vals[where], -self._exp) * w[T.k[where]] * np.ldexp(B.data[at], -self._exp)
-        )
+        factors = (T.vals[where], w[T.k[where]], B.data[at])
+        exps = [_exponent(f) for f in factors]
+        v, x, b = (np.ldexp(f, -e) for f, e in zip(factors, exps))
+        return math.ldexp(_exact_sum(v * x * b), sum(exps) - 2 * self._exp)
 
     def to_dense(self) -> np.ndarray:
         out = self.base.to_dense()
         for w, B in self.terms:
             out -= B.toarray()[:, :, None] * w[None, None, :]
         return out
+
+
+def _scaled(B: sp.csr_matrix, e: int) -> sp.csr_matrix:
+    """B times 2**e, exactly (a power-of-two scale)."""
+    return sp.csr_matrix((np.ldexp(B.data, e), B.indices, B.indptr), shape=B.shape)
 
 
 def _find(sorted_codes: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

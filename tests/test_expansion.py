@@ -361,6 +361,45 @@ class TestNormCache:
         assert direct.norm_squared() == chained.norm_squared() == norm_squared_from_scratch(direct)
 
 
+    def test_terms_far_from_base_scale(self, rng):
+        # every factor of an inner product is scaled by its own power of two
+        # and the cache moves to the largest term's scale, so O(1) terms on
+        # a base near 2**-600, tiny terms, and O(1) terms whose w and B lie
+        # far apart all give finite, exact norms
+        T = random_symmetric(rng, 9, 4, density=0.5)
+        tiny = SparseTensor3(T.dims, T.i, T.j, T.k, np.ldexp(T.vals, -600))
+        for base, w_scale, B_scale in ((tiny, 0, 0), (T, 0, -600), (T, 600, -600)):
+            R = DeflatedOperator(base)
+            R.norm()
+            for _ in range(3):
+                w, B = random_term(rng, 9, 4)
+                B = sp.csr_matrix((np.ldexp(B.data, B_scale), B.indices, B.indptr), shape=B.shape)
+                R = deflate(R, np.ldexp(w, w_scale), B)
+                assert R.norm() == pytest.approx(np.linalg.norm(R.to_dense()), rel=1e-12)
+                assert R.norm_squared() == pytest.approx(R.norm() ** 2, rel=1e-12)
+
+    def test_zero_terms_keep_scale(self, rng):
+        # an empty B_hat or a zero w adds nothing and must not move a tiny
+        # base's parts to a scale where they underflow
+        T = random_symmetric(rng, 9, 4, density=0.5)
+        tiny = DeflatedOperator(SparseTensor3(T.dims, T.i, T.j, T.k, np.ldexp(T.vals, -600)))
+        w, B = random_term(rng, 9, 4)
+        R = deflate(deflate(tiny, w, sp.csr_matrix((9, 9))), np.zeros(4), B)
+        assert R.norm() == tiny.norm() == math.ldexp(DeflatedOperator(T).norm(), -600)
+
+    def test_norm_below_squared_range(self, rng):
+        # ||R||^2 underflows near 1e-170 while ||R|| does not; the root is taken
+        # at the cached scale, so it is the unscaled norm times 2**-565 bitwise
+        T = random_symmetric(rng, 8, 4, density=0.5)
+        w, B = random_term(rng, 8, 4)
+        small = SparseTensor3(T.dims, T.i, T.j, T.k, np.ldexp(T.vals, -565))
+        B_small = sp.csr_matrix((np.ldexp(B.data, -565), B.indices, B.indptr), shape=B.shape)
+        for R, R_small in ((DeflatedOperator(T), DeflatedOperator(small)),
+                           (deflate(DeflatedOperator(T), w, B), deflate(DeflatedOperator(small), w, B_small))):
+            assert R_small.norm_squared() < 1e-300
+            assert R_small.norm() == math.ldexp(R.norm(), -565) > 0.0
+
+
 class TestExpand:
     def test_two_planted_terms_recovered(self):
         T, (A1, w1, c1), (A2, w2, c2) = planted_two_terms(seed=4)
