@@ -34,13 +34,10 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _write_run_config(args: argparse.Namespace, outdir: Path, inputs: list[str]) -> None:
-    cfg = {k: v for k, v in vars(args).items() if k != "func"}
-    for key, val in cfg.items():
-        if isinstance(val, Path):
-            cfg[key] = str(val)
-    cfg["input_checksums"] = {p: _sha256(p) for p in inputs if Path(p).is_file()}
-    with open(outdir / "run_config.json", "w", encoding="utf-8") as fh:
+def _write_run_config(args: argparse.Namespace) -> None:
+    cfg = {k: v for k, v in vars(args).items() if k != "func"}  # paths written by default=str
+    cfg["input_checksums"] = {str(p): _sha256(p) for p in [args.input] if Path(p).is_file()}
+    with open(args.out / "run_config.json", "w", encoding="utf-8") as fh:
         json.dump(cfg, fh, indent=2, default=str)
 
 
@@ -79,8 +76,6 @@ def _load_labels(args, extent: int):
 
 
 def cmd_ingest(args) -> int:
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     if args.format == "tns":
         T = preprocess.load_coordinate_file(args.input)
         labels = None
@@ -89,20 +84,16 @@ def cmd_ingest(args) -> int:
         T, labels = preprocess.bin_and_symmetrize(
             log, args.bin_size, restrict_bidirectional=args.bidirectional_only
         )
-    preprocess.save_coordinate_file(T, outdir / "tensor.tns")
+    preprocess.save_coordinate_file(T, args.out / "tensor.tns")
     if labels is not None:
-        preprocess.save_labels(labels, outdir / "labels.txt")
-    _write_run_config(args, outdir, [str(args.input)])
+        preprocess.save_labels(labels, args.out / "labels.txt")
     print(f"dims {T.dims[0]} {T.dims[1]} {T.dims[2]}  nnz {T.nnz}")
     return EXIT_OK
 
 
 def cmd_normalize(args) -> int:
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     T = _load_tensor(args)
-    preprocess.save_coordinate_file(T, outdir / "tensor.tns")
-    _write_run_config(args, outdir, [str(args.input)])
+    preprocess.save_coordinate_file(T, args.out / "tensor.tns")
     print(f"normalized ({args.normalize})  dims {T.dims}  nnz {T.nnz}")
     return EXIT_OK
 
@@ -116,19 +107,14 @@ def _run_approx(args, T: SparseTensor3):
 
 
 def cmd_approx(args) -> int:
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     T = _load_tensor(args)
     approx = _run_approx(args, T)
-    lowrank.save_approximation(approx, outdir)
-    _write_run_config(args, outdir, [str(args.input)])
+    lowrank.save_approximation(approx, args.out)
     print(f"objective {approx.objective:.6g}  iterations {len(approx.objective_history)}")
     return EXIT_OK if approx.converged else EXIT_NONCONVERGED
 
 
 def cmd_partition(args) -> int:
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     T = _load_tensor(args)
     labels = _load_labels(args, T.dims[0])
     approx = _run_approx(args, T)
@@ -148,17 +134,14 @@ def cmd_partition(args) -> int:
             symmetric=args.symmetric,
             corner_width=args.corner_width,
         )
-        partition.save_partition_report(nested, outdir, prefix="partition_nested")
-    partition.save_partition_report(report, outdir)
-    lowrank.save_approximation(approx, outdir)
-    _write_run_config(args, outdir, [str(args.input)])
+        partition.save_partition_report(nested, args.out, prefix="partition_nested")
+    partition.save_partition_report(report, args.out)
+    lowrank.save_approximation(approx, args.out)
     print(f"splits {report.split_points}  total norm {report.total_norm:.6g}")
     return EXIT_OK if approx.converged else EXIT_NONCONVERGED
 
 
 def cmd_expand(args) -> int:
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     T = _load_tensor(args)
     labels = _load_labels(args, T.dims[0])
     terms, residual_norms = expansion.expand(
@@ -168,8 +151,7 @@ def cmd_expand(args) -> int:
         mode=args.threshold_mode,
         cfg=_solver_config(args),
     )
-    expansion.save_expansion_report(terms, residual_norms, outdir, labels=labels)
-    _write_run_config(args, outdir, [str(args.input)])
+    expansion.save_expansion_report(terms, residual_norms, args.out, labels=labels)
     for v, term in enumerate(terms, start=1):
         l1, l2 = term.eigenvalues
         print(
@@ -260,7 +242,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args.out.mkdir(parents=True, exist_ok=True)
+        code = args.func(args)
+        _write_run_config(args)  # only once the command has returned an exit code
+        return code
     except TensorFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -25,9 +25,9 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .lowrank import RankApproximation, SolverConfig, _exponent, _frobenius, hooi_symmetric
+from .lowrank import RankApproximation, SolverConfig, _frobenius, hooi_symmetric
 from .preprocess import LabelTable
-from .sparse_tensor import SparseTensor3, _exact_sum, is_12_symmetric
+from .sparse_tensor import SparseTensor3, _exponent, _ldexp, _scaled_sum, _symmetry_tol, is_12_symmetric
 
 __all__ = [
     "ExpansionTerm",
@@ -76,24 +76,19 @@ class DeflatedOperator:
     symmetric solver runs on it directly; the base tensor is never
     modified.  ``terms`` is stored as a tuple with each B_hat in canonical
     CSR form (a user-supplied matrix with duplicate or unsorted entries is
-    copied first).  The parts of the squared norm are cached per term, so
-    :func:`deflate` adds O(q) sparse products for the new term only.  They
-    are kept at the exact scale 4**-e, where 2**e bounds every |entry| of
-    the base and of each term; a term that raises the bound rescales the
-    cached parts.  Each inner product scales every factor by its own power
-    of two first, so the parts stay finite for entries anywhere in the
-    float range and equal the unscaled parts times 4**-e bit for bit
-    wherever those are finite and no scaled factor is subnormal.
+    copied first).  ||R||^2 is cached as parts (s, e) standing for
+    s * 2**e: a row [||base||^2], then per term t a row [-2<base, t>,
+    2<a, t> for each earlier a, <t, t>], every factor of an inner product
+    scaled by its own power of two.  So :func:`deflate` adds O(q) sparse
+    products for the new term only, and no part leaves the float range.
+    Reading a norm puts the parts on one scale and adds them with the exact
+    ``math.fsum``: the bits of fsum of the unscaled parts wherever those
+    are finite and no factor is subnormal.
     """
 
     base: SparseTensor3
     terms: tuple[tuple[np.ndarray, sp.csr_matrix], ...] = ()
-    # squared-norm parts times 4**-_exp: ||base||^2, -2<base, term a>, and
-    # <term a, term b>; 2**_exp bounds every entry of the base and the terms
-    _exp: int = field(default=0, init=False, repr=False, compare=False)
-    _base_sq: float | None = field(default=None, init=False, repr=False, compare=False)
-    _cross: list[float] = field(default_factory=list, init=False, repr=False, compare=False)
-    _gram: list[list[float]] = field(default_factory=list, init=False, repr=False, compare=False)
+    _parts: list[list] = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.terms = tuple((w, _canonical_csr(B)) for w, B in self.terms)
@@ -134,57 +129,41 @@ class DeflatedOperator:
 
     def _fill_norm_cache(self) -> None:
         """Compute the squared-norm parts of the terms not cached yet."""
-        if self._base_sq is None:
-            self._exp = _exponent(self.base.vals)
-            v = np.ldexp(self.base.vals, -self._exp)
-            v *= v
-            self._base_sq = _exact_sum(v)
-        for t in range(len(self._cross), len(self.terms)):
-            w, B = self.terms[t]
-            if w.any() and B.data.any():  # a zero term must not raise the scale
-                self._raise_scale(_exponent(w) + _exponent(B.data))
-            self._cross.append(-2.0 * self._inner_base_term(w, B))
-            for a in range(t):
-                self._gram[a].append(self._inner_terms(a, t))
-            self._gram.append([self._inner_terms(t, b) for b in range(t + 1)])
+        if not self._parts:
+            self._parts.append([_scaled_sum(self.base.vals, self.base.vals)])
+        for t in range(len(self._parts) - 1, len(self.terms)):
+            s, e = self._inner_base_term(*self.terms[t])
+            row = [(-s, e + 1)]  # e + 1 doubles a part exactly
+            row += [(s, e + 1) for s, e in (self._inner_terms(a, t) for a in range(t))]
+            self._parts.append(row + [self._inner_terms(t, t)])
 
-    def _raise_scale(self, e: int) -> None:
-        """Move the cached parts to the scale 4**-e if e exceeds ``_exp`` (exact
-        but for parts that become subnormal, at most 2**-1022 of the largest)."""
-        if e <= self._exp:
-            return
-        shift = 2 * (self._exp - e)
-        self._base_sq = math.ldexp(self._base_sq, shift)
-        self._cross = [math.ldexp(c, shift) for c in self._cross]
-        self._gram = [[math.ldexp(g, shift) for g in row] for row in self._gram]
-        self._exp = e
-
-    def _inner_terms(self, a: int, b: int) -> float:
-        """<term a, term b> times 4**-_exp."""
+    def _inner_terms(self, a: int, b: int) -> tuple[float, int]:
+        """<term a, term b> as (s, e)."""
         (wa, Ba), (wb, Bb) = self.terms[a], self.terms[b]
         ea, eb = _exponent(wa), _exponent(wb)
         fa, fb = _exponent(Ba.data), _exponent(Bb.data)
         w_dot = float(np.ldexp(wa, -ea) @ np.ldexp(wb, -eb))
         B_dot = float(_scaled(Ba, -fa).multiply(_scaled(Bb, -fb)).sum())
-        return math.ldexp(w_dot * B_dot, ea + eb + fa + fb - 2 * self._exp)
+        return w_dot * B_dot, ea + eb + fa + fb
 
-    def _scaled_norm_squared(self) -> float:
+    def _norm_squared_parts(self) -> tuple[float, int]:
+        """||R||^2 as (s, e) with an even e and |s| <= the number of parts."""
         self._fill_norm_cache()
-        return math.fsum([self._base_sq, *self._cross, *(g for row in self._gram for g in row)])
+        parts = [math.frexp(s) + (e,) for row in self._parts for s, e in row]
+        top = max((x + e for m, x, e in parts if m), default=0)
+        top += top % 2
+        return math.fsum(math.ldexp(m, x + e - top) for m, x, e in parts), top
 
     def norm_squared(self) -> float:
         """||R||^2; inf once that passes the float range, where :meth:`norm` does not."""
-        sq = self._scaled_norm_squared()
-        try:
-            return math.ldexp(sq, 2 * self._exp)
-        except OverflowError:
-            return math.copysign(math.inf, sq)
+        return _ldexp(*self._norm_squared_parts())
 
     def norm(self) -> float:
-        return math.ldexp(math.sqrt(max(self._scaled_norm_squared(), 0.0)), self._exp)
+        s, e = self._norm_squared_parts()
+        return math.ldexp(math.sqrt(max(s, 0.0)), e // 2)
 
-    def _inner_base_term(self, w: np.ndarray, B: sp.csr_matrix) -> float:
-        """<base, w x B> times 4**-_exp, over the base entries that canonical B stores."""
+    def _inner_base_term(self, w: np.ndarray, B: sp.csr_matrix) -> tuple[float, int]:
+        """<base, w x B> as (s, e), over the base entries that canonical B stores."""
         T = self.base
         m = B.shape[1]
         row_nnz = np.diff(B.indptr)
@@ -195,10 +174,7 @@ class DeflatedOperator:
         b_codes = np.repeat(np.arange(B.shape[0], dtype=np.int64), row_nnz) * m + B.indices
         where, at = _find(b_codes, T.i[cand] * m + T.j[cand])
         where = cand[where]
-        factors = (T.vals[where], w[T.k[where]], B.data[at])
-        exps = [_exponent(f) for f in factors]
-        v, x, b = (np.ldexp(f, -e) for f, e in zip(factors, exps))
-        return math.ldexp(_exact_sum(v * x * b), sum(exps) - 2 * self._exp)
+        return _scaled_sum(T.vals[where], w[T.k[where]], B.data[at])
 
     def to_dense(self) -> np.ndarray:
         out = self.base.to_dense()
@@ -344,9 +320,7 @@ def deflate(R: DeflatedOperator, w: np.ndarray, B_hat: sp.spmatrix) -> DeflatedO
     w = np.asarray(w, dtype=float).ravel()
     R._check_term(w, B_hat)
     out = DeflatedOperator(R.base, R.terms + ((w, B_hat),))
-    # R's cached norm parts are a prefix of the new operator's
-    out._exp, out._base_sq = R._exp, R._base_sq
-    out._cross, out._gram = list(R._cross), [row[:] for row in R._gram]
+    out._parts = list(R._parts)  # R's cached norm parts are a prefix of the new operator's
     return out
 
 
@@ -367,7 +341,7 @@ def expand(
     """
     if q < 1:
         raise ValueError("q must be >= 1")
-    if not is_12_symmetric(T, tol=1e-12):
+    if not is_12_symmetric(T, tol=_symmetry_tol(T)):
         raise ValueError("expansion needs a (1,2)-symmetric tensor")
     cfg = cfg or SolverConfig()
 
@@ -384,7 +358,7 @@ def expand(
         B_hat = threshold_B((approx.U, G), theta, mode)
         evals = np.sort(np.linalg.eigvalsh(0.5 * (G + G.T)))[::-1]
         l1, l2 = float(evals[0]), float(evals[1])
-        structured = l1 * l2 < 0 and abs(l1 + l2) <= structure_margin * abs(l1)
+        structured = l1 > 0 > l2 and abs(l1 + l2) <= structure_margin * abs(l1)
         terms.append(
             ExpansionTerm(
                 U=approx.U,

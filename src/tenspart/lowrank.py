@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .sparse_tensor import SparseTensor3, is_12_symmetric, symmetric_embed
+from .sparse_tensor import SparseTensor3, _exponent, _symmetry_tol, is_12_symmetric, symmetric_embed
 
 __all__ = [
     "SolverConfig",
@@ -146,11 +146,6 @@ def _leading(M: np.ndarray, r: int) -> tuple[np.ndarray, bool]:
         s = np.linalg.norm(M.T @ Q, axis=0)
     deficient = bool(s[r - 1] <= max(M.shape) * np.finfo(float).eps * s[0])
     return _fix_column_signs(Q), deficient
-
-
-def _exponent(A: np.ndarray) -> int:
-    """The e with max|A| in [2**(e-1), 2**e); 0 for an all-zero or empty A."""
-    return math.frexp(np.abs(A).max(initial=0.0))[1]
 
 
 def _frobenius(A: np.ndarray) -> float:
@@ -305,7 +300,7 @@ def _fix_rotation_221(T, ap: RankApproximation) -> RankApproximation:
     order = np.argsort(evals)[::-1]
     P = _fix_column_signs(P[:, order])
     evals = evals[order]
-    if evals[0] * evals[1] < 0:
+    if evals[0] > 0 > evals[1]:  # opposite signs; their product can overflow
         mix = np.array([[1.0, -1.0], [1.0, 1.0]]) / math.sqrt(2.0)
         R = P @ mix.T
     else:
@@ -328,7 +323,7 @@ def hooi_symmetric(T, ranks: tuple[int, int, int], cfg: SolverConfig | None = No
     l, m, _ = T.dims
     if l != m:
         raise ValueError("symmetric solver needs equal mode-1/2 extents")
-    if isinstance(T, SparseTensor3) and not is_12_symmetric(T, tol=1e-12):
+    if isinstance(T, SparseTensor3) and not is_12_symmetric(T, tol=_symmetry_tol(T)):
         raise ValueError("tensor is not (1,2)-symmetric")
     if ranks[0] != ranks[1]:
         raise ValueError("symmetric solver needs r1 == r2")

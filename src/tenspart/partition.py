@@ -10,7 +10,7 @@ tensor.  The third (temporal) mode is treated exactly like modes 1 and 2.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +21,7 @@ from .preprocess import LabelTable
 # where perfbench/spans.py looks it up to trace it
 from .sparse_tensor import (  # noqa: F401
     SparseTensor3,
-    _exact_sum,
+    _norm,
     frobenius_norm,
     permute_mode,
     permute_modes,
@@ -70,9 +70,11 @@ class PartitionReport:
         if self.block_norm_table is not None:
             d["block_norm_table"] = self.block_norm_table.tolist()
             d["block_boundaries"] = [list(b) for b in self.block_boundaries]
-            total_sq = self.total_norm**2
+            # squared at the total's power-of-two scale: finite, and table**2 / total**2 where that is
+            e = np.frexp(self.total_norm)[1]
             d["block_mass_fractions"] = (
-                (self.block_norm_table**2 / total_sq).tolist() if total_sq > 0 else None
+                (np.ldexp(self.block_norm_table, -e) ** 2 / np.ldexp(self.total_norm, -e) ** 2).tolist()
+                if self.total_norm > 0 else None
             )
         if self.top_terms is not None:
             d["top_terms"] = self.top_terms
@@ -134,8 +136,7 @@ def block_norms(
     rows, cols = len(bounds1) - 1, len(bounds2) - 1
     a = np.searchsorted(bounds1, T.i, side="right") - 1
     b = np.searchsorted(bounds2, T.j, side="right") - 1
-    sq = _exact_sum(T.vals * T.vals, a * cols + b, rows * cols)
-    return np.sqrt(sq).reshape(rows, cols)
+    return _norm(T.vals, a * cols + b, rows * cols).reshape(rows, cols)
 
 
 def corner_block_norms(T: SparseTensor3, width: int):
@@ -182,7 +183,6 @@ def partition_tensor(
     labels: LabelTable | None = None,
     corner_width: int | None = None,
     top_k: int = 25,
-    insignificance_factor: float = 1e-2,
 ):
     """Reorder the tensor by the approximation factors and report the splits.
 

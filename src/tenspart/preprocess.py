@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .sparse_tensor import SparseTensor3, _exact_sum, is_12_symmetric
+from .sparse_tensor import SparseTensor3, _norm, _symmetry_tol, is_12_symmetric
 
 __all__ = [
     "LabelTable",
@@ -263,7 +263,7 @@ def _check_nonnegative(T: SparseTensor3) -> None:
         raise ValueError("tensor has negative entries; normalization expects nonnegative data")
 
 
-def normalize_slices_adjacency(T: SparseTensor3, sym_tol: float = 1e-12) -> SparseTensor3:
+def normalize_slices_adjacency(T: SparseTensor3) -> SparseTensor3:
     """Replace every 3-slice A by D^{-1/2} A D^{-1/2}, slice-wise degrees.
 
     Degrees are d = A e per slice; rows/columns with zero degree stay zero.
@@ -272,7 +272,7 @@ def normalize_slices_adjacency(T: SparseTensor3, sym_tol: float = 1e-12) -> Spar
     tensor row and column degrees coincide, so this is
     :func:`nonsymmetric_normalize` behind a symmetry check.
     """
-    if not is_12_symmetric(T, tol=sym_tol):
+    if not is_12_symmetric(T, tol=_symmetry_tol(T)):
         raise ValueError("tensor is not (1,2)-symmetric; use nonsymmetric_normalize")
     return nonsymmetric_normalize(T)
 
@@ -288,7 +288,7 @@ def normalize_slices_frobenius(T: SparseTensor3, skip_empty: bool = False) -> Sp
         empty = np.flatnonzero(np.bincount(T.k, minlength=n) == 0)
         if empty.size:
             raise ValueError(f"all-zero 3-slices at k={empty.tolist()} (pass skip_empty=True)")
-    norms = np.sqrt(_exact_sum(T.vals * T.vals, T.k, n))
+    norms = _norm(T.vals, T.k, n)
     return SparseTensor3._canonical(T.dims, T.i, T.j, T.k, T.vals / norms[T.k])
 
 

@@ -3,8 +3,8 @@
 The central object is :class:`SparseTensor3`, a real tensor of order three
 stored as coordinate (COO) triples.  Entries are kept in canonical
 lexicographic order by (slice, row, column), i.e. by (k, i, j), so that the
-3-slices are contiguous runs; all slice-wise workloads (normalization,
-per-slice adjacency) iterate over these runs.
+3-slices are contiguous runs; per-slice and per-block sums take a group id
+per entry from the index arrays and add up all groups at once.
 
 Canonical order is established once.  ``SparseTensor3(...)`` is the only
 validating constructor: it checks extents, indices and values, sums
@@ -28,12 +28,11 @@ few rows) always produce dense arrays, since in the intended workloads the
 small side is never larger than a handful of columns.
 
 Inner products, Frobenius norms and the grouped sums of squares behind
-block norms and slice normalization are correctly rounded: each is the
-exact sum of the rounded products (or squares), rounded once.  A correctly
-rounded sum has one answer whatever the order of its terms, so these norms
-are exactly invariant under entry reordering, and they are bitwise equal to
-``math.fsum`` of the same terms.  :func:`_exact_sum` computes them with a
-few vectorized passes instead of fsum's per-element Python loop.
+block norms and slice normalization all come from :func:`_scaled_sum`:
+factors scaled by exact powers of two, products summed exactly and rounded
+once.  So they are invariant under entry reordering, bitwise equal to
+``math.fsum`` of the unscaled terms wherever those are normal, and they
+scale exactly with the entries, past the range of their squares.
 """
 
 from __future__ import annotations
@@ -69,6 +68,53 @@ def _check_matrix(M: np.ndarray, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(M)):
         raise ValueError(f"{name} contains non-finite values")
     return M
+
+
+def _exponent(A: np.ndarray) -> int:
+    """The e with max|A| in [2**(e-1), 2**e); 0 for an all-zero or empty A."""
+    return math.frexp(max(A.max(initial=0.0), -A.min(initial=0.0)))[1]
+
+
+def _scaled_sum(*factors, groups=None, count: int = 1):
+    """(s, e) with s * 2**e the correctly rounded sum of the elementwise product
+    of ``factors``, or with s one such sum per group (as in :func:`_exact_sum`).
+
+    Each factor f is scaled exactly by 2**(d - e_f), with 2**e_f bounding |f|
+    and d = (1020 - bitlen(n)) // len(factors), so the largest product is
+    just below what :func:`_exact_sum` sums without fsum; a scale to [1/2, 1)
+    would flush squares of entries spread over 2**±500.  s * 2**e has the
+    bits of fsum of the unscaled products where those are normal, and is
+    finite where not; a factor value over 2**(1074 + d) below its factor's
+    largest is lost.  A square (one array twice) gets an even e.
+    """
+    first, *rest = factors
+    d = (1020 - np.size(first).bit_length()) // len(factors)
+    x = _exponent(first)
+    prod = np.ldexp(first, d - x).ravel()
+    e = x - d
+    for f in rest:
+        if f is first and len(rest) == 1:  # a square: square the one scaled copy
+            prod *= prod
+        else:
+            x = _exponent(f)
+            prod *= np.ldexp(f, d - x).ravel()
+        e += x - d
+    return _exact_sum(prod, groups, count), e
+
+
+def _ldexp(s: float, e: int) -> float:
+    """s * 2**e, inf past the float range (where math.ldexp raises)."""
+    try:
+        return math.ldexp(s, e)
+    except OverflowError:
+        return math.copysign(math.inf, s)
+
+
+def _norm(x: np.ndarray, groups=None, count: int = 1):
+    """sqrt(sum(x * x)), or an array of it per group, through :func:`_scaled_sum`."""
+    s, e = _scaled_sum(x, x, groups=groups, count=count)
+    root = np.ldexp(np.sqrt(s), e // 2)
+    return float(root) if groups is None else root
 
 
 def _exact_sum(x, groups=None, count: int = 1):
@@ -333,10 +379,10 @@ class SparseTensor3:
         return self._contract(3, U, V)
 
     def norm_squared(self) -> float:
-        return _exact_sum(self.vals * self.vals)
+        return _ldexp(*_scaled_sum(self.vals, self.vals))
 
     def norm(self) -> float:
-        return math.sqrt(self.norm_squared())
+        return _norm(self.vals)
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +437,8 @@ def inner(A, B) -> float:
 
     Accepts sparse tensors and dense 3-arrays in any combination.  The
     elementwise products are rounded as usual; their sum is exact and
-    rounded once (:func:`_exact_sum`), so the result is bitwise equal to
-    ``math.fsum`` of the products and independent of entry order.
+    rounded once (:func:`_scaled_sum`), so the result is bitwise equal to
+    ``math.fsum`` of the products where those are normal, in any entry order.
     """
     a_sparse = isinstance(A, SparseTensor3)
     b_sparse = isinstance(B, SparseTensor3)
@@ -406,22 +452,17 @@ def inner(A, B) -> float:
         lin_a = (A.k * l + A.i) * m + A.j
         lin_b = (B.k * l + B.i) * m + B.j
         _, ia, ib = np.intersect1d(lin_a, lin_b, assume_unique=True, return_indices=True)
-        return _exact_sum(A.vals[ia] * B.vals[ib])
+        return _ldexp(*_scaled_sum(A.vals[ia], B.vals[ib]))
     if a_sparse:
-        B = np.asarray(B, dtype=float)
-        return _exact_sum(A.vals * B[A.i, A.j, A.k])
+        return _ldexp(*_scaled_sum(A.vals, np.asarray(B, dtype=float)[A.i, A.j, A.k]))
     if b_sparse:
         return inner(B, A)
-    prod = np.asarray(A, dtype=float) * np.asarray(B, dtype=float)
-    return _exact_sum(prod)
+    return _ldexp(*_scaled_sum(np.asarray(A, dtype=float), np.asarray(B, dtype=float)))
 
 
 def frobenius_norm(A) -> float:
     """sqrt(<A, A>); zero iff the tensor has no stored entries."""
-    if isinstance(A, SparseTensor3):
-        return A.norm()
-    A = np.asarray(A, dtype=float)
-    return math.sqrt(_exact_sum(A * A))
+    return A.norm() if isinstance(A, SparseTensor3) else _norm(np.asarray(A, dtype=float))
 
 
 def is_12_symmetric(T: SparseTensor3, tol: float = 0.0) -> bool:
@@ -453,6 +494,10 @@ def is_12_symmetric(T: SparseTensor3, tol: float = 0.0) -> bool:
     result = bool(np.all(np.abs(va - vb) <= tol))
     T._sym_cache[tol] = result
     return result
+
+
+def _symmetry_tol(T: SparseTensor3) -> float:
+    return 1e-12 * float(max(T.vals.max(initial=0.0), -T.vals.min(initial=0.0)))
 
 
 def _lookup(codes, sorted_codes, sorted_vals):

@@ -23,6 +23,16 @@ def random_symmetric(rng, m, n, density=0.3):
     return SparseTensor3.from_dense(0.5 * (dense + dense.transpose(1, 0, 2)))
 
 
+def pow2_scaled(T, s):
+    """T times 2**s: exact, since only the exponents of the values change."""
+    return SparseTensor3(T.dims, T.i, T.j, T.k, np.ldexp(T.vals, s))
+
+
+# squares of O(1) entries times 2**(2s) pass the top of the float range at
+# s = 531 and fall below the subnormals at s = -565
+BEYOND_SQUARE_RANGE = (531, -565)
+
+
 def planted_bipartite(m1, m2, n, tau, w, seed):
     """Exact two-group block structure: [[0, C], [C', 0]] with C = tau u v w.
 

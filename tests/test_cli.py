@@ -1,10 +1,11 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from tenspart import SparseTensor3, load_coordinate_file, save_coordinate_file
-from tenspart.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
+from tenspart.cli import EXIT_IO, EXIT_NONCONVERGED, EXIT_OK, EXIT_VALIDATION, main
 
 
 def write_symmetric_tensor(path, seed=0, l=10, n=3, base=0.2):
@@ -73,6 +74,45 @@ class TestIngest:
         cfg = json.loads((out / "run_config.json").read_text())
         assert cfg["format"] == "tns"
         assert str(src) in cfg["input_checksums"]
+
+
+class TestRunConfig:
+    """main writes run_config.json into --out once a command returns an exit code."""
+
+    @pytest.mark.parametrize("cmd, extra", [
+        ("ingest", ["--format", "tns"]),
+        ("normalize", ["--normalize", "frobenius"]),
+        ("approx", []),
+        ("partition", ["--symmetric", "--rank", "2", "2", "1"]),
+        ("expand", ["--theta", "0.1", "--terms", "1"]),
+    ])
+    def test_written_by_every_command(self, tmp_path, cmd, extra):
+        src = tmp_path / "in.tns"
+        write_symmetric_tensor(src)
+        out = tmp_path / "out"
+        assert main([cmd, str(src), *extra, "--out", str(out)]) == EXIT_OK
+        cfg = json.loads((out / "run_config.json").read_text())
+        assert cfg["command"] == cmd and cfg["out"] == str(out)
+        assert str(src) in cfg["input_checksums"]
+
+    def test_written_when_not_converged(self, tmp_path):
+        src = tmp_path / "in.tns"
+        write_symmetric_tensor(src)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            rc = main(["approx", str(src), "--max-iter", "1", "--out", str(out)])
+        assert rc == EXIT_NONCONVERGED
+        assert (out / "approx_report.json").exists() and (out / "run_config.json").exists()
+
+    def test_not_written_on_failure(self, tmp_path):
+        bad = tmp_path / "bad.tns"
+        bad.write_text("dims 2 2 1\n1 x 1 2.0\n", encoding="utf-8")
+        runs = [(bad, EXIT_VALIDATION), (tmp_path / "nope.tns", EXIT_IO)]
+        for n, (src, want) in enumerate(runs):
+            out = tmp_path / f"out{n}"
+            assert main(["ingest", str(src), "--format", "tns", "--out", str(out)]) == want
+            assert out.is_dir() and not any(out.iterdir())
 
 
 class TestNormalize:

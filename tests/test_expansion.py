@@ -29,7 +29,7 @@ from tenspart import (
 from tenspart import expansion
 from tenspart.expansion import save_expansion_report
 
-from conftest import planted_bipartite, random_symmetric
+from conftest import planted_bipartite, pow2_scaled, random_symmetric
 
 TIGHT = SolverConfig(rel_tol=1e-12, max_iters=500)
 BENCH_INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
@@ -115,6 +115,15 @@ class TestBipartitePlantedTerm:
         l1, l2 = t.eigenvalues
         assert l1 * l2 < 0
         assert t.lambda_sum_ratio <= 0.05
+
+    @pytest.mark.parametrize("s", [531, -545])
+    def test_structure_flag_at_any_scale(self, s):
+        # the product of the two eigenvalues overflows or underflows; their signs do not
+        w = np.array([3.0, 4.0]) / 5.0
+        T, _, _, _ = planted_bipartite(4, 5, 2, tau=2.0, w=w, seed=11)
+        terms, _ = expand(pow2_scaled(T, s), 1, theta=0.0, mode="absolute", cfg=TIGHT)
+        assert terms[0].structured
+        assert terms[0].lambda_sum_ratio <= 0.05
 
     def test_unstructured_positive_blocks(self):
         # two same-sign diagonal blocks: eigenvalues both positive

@@ -23,7 +23,7 @@ from tenspart import (
 )
 from tenspart.partition import save_partition_report
 
-from conftest import random_sparse
+from conftest import BEYOND_SQUARE_RANGE, pow2_scaled, random_sparse
 
 TIGHT = SolverConfig(rel_tol=1e-12, max_iters=500)
 
@@ -156,6 +156,15 @@ class TestBlockNorms:
         assert b1 == [0, 3, 17, 20]
         with pytest.raises(ValueError):
             corner_block_norms(T, 10)
+
+    @pytest.mark.parametrize("s", BEYOND_SQUARE_RANGE)
+    def test_scale_with_entries(self, rng, s):
+        # squared entries leave the float range; the norms are the unscaled ones times 2**s bitwise
+        T = random_sparse(rng, (9, 8, 4), density=0.5)
+        want = np.ldexp(block_norms(T, [0, 3, 9], [0, 2, 5, 8]), s)
+        got = block_norms(pow2_scaled(T, s), [0, 3, 9], [0, 2, 5, 8])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.all((0.0 < got) & (got < math.inf))
 
 
 class TestSignificanceRanking:
@@ -314,3 +323,25 @@ class TestSavePartitionReport:
         assert np.array_equal(perm, report.mode1_perm)
         text = (tmp_path / "partition_tables.txt").read_text()
         assert "total norm" in text and "block norms" in text
+
+    @pytest.mark.parametrize("s", BEYOND_SQUARE_RANGE)
+    def test_json_scales_with_entries(self, tmp_path, s):
+        # total and block norms times 2**s bitwise, mass fractions unchanged,
+        # and no NaN or Infinity anywhere in the file
+        T, _ = two_block_tensor((6, 6), 2, seed=2)
+        ap = hooi_symmetric(T, (2, 2, 1), TIGHT)
+
+        def load(path):
+            def reject(name):
+                raise ValueError(f"{name} in report")
+
+            return json.loads((path / "partition_report.json").read_text(), parse_constant=reject)
+
+        for sub, tensor in (("plain", T), ("scaled", pow2_scaled(T, s))):
+            save_partition_report(partition_tensor(tensor, ap)[0], tmp_path / sub)
+        want, got = load(tmp_path / "plain"), load(tmp_path / "scaled")
+        assert got["total_norm"] == math.ldexp(want["total_norm"], s) > 0.0
+        assert got["block_norm_table"] == np.ldexp(want["block_norm_table"], s).tolist()
+        assert got["block_mass_fractions"] == want["block_mass_fractions"]
+        for key in want.keys() - {"total_norm", "block_norm_table"}:
+            assert got[key] == want[key], key

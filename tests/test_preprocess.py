@@ -26,7 +26,7 @@ from tenspart.preprocess import (
     save_labels,
 )
 
-from conftest import random_sparse, random_symmetric
+from conftest import BEYOND_SQUARE_RANGE, pow2_scaled, random_sparse, random_symmetric
 
 
 def _save_coordinate_lines(T, path):
@@ -363,6 +363,15 @@ class TestNormalizationParity:
         with pytest.raises(ValueError, match="all-zero 3-slices at k="):
             normalize_slices_frobenius(T)
         assert np.array_equal(normalize_slices_frobenius(T, skip_empty=True).vals, vals)
+
+    @pytest.mark.parametrize("s", BEYOND_SQUARE_RANGE)
+    def test_frobenius_scale_invariant(self, rng, s):
+        # squared entries leave the float range; the slice norms scale with
+        # the entries, so the normalized values are the unscaled ones bitwise
+        T = random_sparse(rng, (7, 5, 6), density=0.3)
+        want = normalize_slices_frobenius(T, skip_empty=True)
+        got = normalize_slices_frobenius(pow2_scaled(T, s), skip_empty=True)
+        assert got == want
 
     def test_empty_tensor(self):
         T = SparseTensor3((3, 4, 2))

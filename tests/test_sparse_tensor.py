@@ -5,7 +5,9 @@ import pytest
 
 from tenspart import (
     SparseTensor3,
+    expand,
     frobenius_norm,
+    hooi_symmetric,
     inner,
     is_12_symmetric,
     mode_multiply,
@@ -15,10 +17,10 @@ from tenspart import (
     subtensor,
     symmetric_embed,
 )
-from tenspart.preprocess import nonsymmetric_normalize
+from tenspart.preprocess import nonsymmetric_normalize, normalize_slices_adjacency
 from tenspart.sparse_tensor import TensorShapeError, _exact_sum
 
-from conftest import random_orthogonal, random_sparse, random_symmetric
+from conftest import BEYOND_SQUARE_RANGE, pow2_scaled, random_orthogonal, random_sparse, random_symmetric
 
 
 def mode1_oracle(dense, M):
@@ -410,6 +412,68 @@ class TestInnerAndNorm:
             U, V, W = (random_orthogonal(rng, n) for n in T.dims)
             rotated = multi_multiply(T, U, V, W)
             assert abs(frobenius_norm(rotated) - nrm) <= 1e-12 * nrm
+
+
+def times_pow2(x, s):
+    """x * 2**s, inf or 0 where that leaves the float range."""
+    with np.errstate(over="ignore", under="ignore"):
+        return np.ldexp(x, s)
+
+
+@pytest.mark.parametrize("s", BEYOND_SQUARE_RANGE)
+class TestScaleCovariance:
+    """A tensor scaled by 2**s has its norms times 2**s and its squared norms
+    and inner products times 2**(2s), bit for bit; squares of its entries leave
+    the float range, the norms do not."""
+
+    def test_norm(self, rng, s):
+        T = random_sparse(rng, (7, 6, 5), density=0.4)
+        Ts = pow2_scaled(T, s)
+        assert 0.0 < Ts.norm() < math.inf
+        assert same_bits(Ts.norm(), math.ldexp(T.norm(), s))
+        assert same_bits(Ts.norm_squared(), times_pow2(T.norm_squared(), 2 * s))
+
+    def test_frobenius_norm(self, rng, s):
+        T = random_sparse(rng, (7, 6, 5), density=0.4)
+        Ts = pow2_scaled(T, s)
+        want = math.ldexp(frobenius_norm(T), s)
+        assert same_bits(frobenius_norm(Ts), want)
+        assert same_bits(frobenius_norm(Ts.to_dense()), want)
+
+    def test_inner(self, rng, s):
+        T, U = (random_sparse(rng, (7, 6, 5), density=0.6) for _ in range(2))
+        Ts, Us = pow2_scaled(T, s), pow2_scaled(U, s)
+        want = times_pow2(inner(T, U), 2 * s)
+        for a, b in ((Ts, Us), (Ts, Us.to_dense()), (Ts.to_dense(), Us), (Ts.to_dense(), Us.to_dense())):
+            assert same_bits(inner(a, b), want)
+        assert same_bits(inner(Ts, U), math.ldexp(inner(T, U), s))
+        assert same_bits(inner(Ts, Ts), times_pow2(T.norm_squared(), 2 * s))
+
+
+class TestSymmetryGate:
+    """hooi_symmetric, expand and normalize_slices_adjacency gate on
+    |a_ijk - a_jik| <= 1e-12 max|a|, whatever the scale of the entries."""
+
+    def test_tiny_asymmetric_tensor_rejected(self):
+        d = np.random.default_rng(8).random((5, 5, 2)) * 1e-13
+        T = SparseTensor3.from_dense(d)
+        with pytest.raises(ValueError, match="^tensor is not \\(1,2\\)-symmetric$"):
+            hooi_symmetric(T, (2, 2, 1))
+        with pytest.raises(ValueError, match="expansion needs a \\(1,2\\)-symmetric tensor"):
+            expand(T, 1, theta=0.1)
+        with pytest.raises(ValueError, match="use nonsymmetric_normalize"):
+            normalize_slices_adjacency(T)
+
+    @pytest.mark.parametrize("s", [531, -531])
+    def test_rounding_asymmetry_accepted_at_any_scale(self, s):
+        rng = np.random.default_rng(21)
+        S = random_symmetric(rng, 8, 3, density=0.6)
+        N = nonsymmetric_normalize(SparseTensor3.from_dense(np.abs(S.to_dense())))
+        assert not is_12_symmetric(N)  # normalized entries differ in their last bits
+        Ns = pow2_scaled(N, s)
+        assert hooi_symmetric(Ns, (2, 2, 1)).U.shape == (8, 2)
+        assert len(expand(Ns, 1, theta=0.1)[0]) == 1
+        assert normalize_slices_adjacency(Ns).nnz == Ns.nnz
 
 
 class TestSymmetry:
