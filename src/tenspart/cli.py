@@ -114,15 +114,25 @@ def cmd_approx(args) -> int:
     return EXIT_OK if approx.converged else EXIT_NONCONVERGED
 
 
+def _load_index_sets(path) -> dict:
+    sets = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(sets, dict):
+        raise ValueError(f"{path}: expected a JSON object with index sets I and J")
+    missing = [key for key in ("I", "J") if key not in sets]
+    if missing:
+        raise ValueError(f"{path}: missing index set {' and '.join(missing)}")
+    return sets
+
+
 def cmd_partition(args) -> int:
+    index_sets = None if args.recurse is None else _load_index_sets(args.recurse)
     T = _load_tensor(args)
     labels = _load_labels(args, T.dims[0])
     approx = _run_approx(args, T)
     report, _ = partition.partition_tensor(
         T, approx, labels=labels, corner_width=args.corner_width
     )
-    if args.recurse is not None:
-        index_sets = json.loads(Path(args.recurse).read_text(encoding="utf-8"))
+    if index_sets is not None:
         nested, _ = partition.restrict_and_recurse(
             T,
             index_sets["I"],

@@ -336,22 +336,23 @@ def expand(
 
     Returns (terms, residual_norms) where residual_norms[v] is ||R^(v)||
     before term v is removed and residual_norms[q] is the final residual
-    norm.  Solver failures on individual terms are flagged on the term and
-    the expansion continues.
+    norm.  A term whose solve does not converge is flagged on the term,
+    the solver's warning reaches the caller, and the expansion continues.
+    An empty tensor raises, as in :func:`hooi_symmetric`.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
     if not is_12_symmetric(T, tol=_symmetry_tol(T)):
         raise ValueError("expansion needs a (1,2)-symmetric tensor")
+    if T.nnz == 0:
+        raise ValueError("cannot approximate an empty tensor")
     cfg = cfg or SolverConfig()
 
     R = DeflatedOperator(T)
     terms: list[ExpansionTerm] = []
     residual_norms = [R.norm()]
     for _ in range(q):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            approx = rank221_term(R, cfg)
+        approx = rank221_term(R, cfg)
         G = approx.core[:, :, 0]
         w = approx.W[:, 0].copy()
         b_raw_max, b_raw_min = _extremes((approx.U, G))

@@ -17,10 +17,10 @@ index arrays with its source.
 Tensors are immutable after construction: the ``i``, ``j``, ``k`` and
 ``vals`` arrays are read-only (``writeable=False``), and every operation
 returns a new tensor or a dense array.  Immutability is what makes the
-per-tensor caches safe: the slice stacks that every contraction reads (the
-3-slices stacked as one CSR matrix in canonical order, and on first use the
-stacked transposed slices) and the result of :func:`is_12_symmetric` for
-each tolerance are computed at most once.
+per-tensor cache safe: the slice stacks that every contraction and the
+(1,2)-symmetry check read (the 3-slices stacked as one CSR matrix in
+canonical order, and on first use the stacked transposed slices) are
+computed at most once.
 
 Dense factor matrices, vectors and small core tensors are plain numpy
 arrays.  Contractions that shrink a mode (multiplication by a matrix with
@@ -191,7 +191,7 @@ class SparseTensor3:
         (k, i, j) order.
     """
 
-    __slots__ = ("dims", "i", "j", "k", "vals", "_stacks", "_sym_cache")
+    __slots__ = ("dims", "i", "j", "k", "vals", "_stacks")
 
     def __init__(self, dims, i=(), j=(), k=(), vals=()):
         dims = tuple(int(d) for d in dims)
@@ -242,7 +242,6 @@ class SparseTensor3:
         self.dims = dims
         self.i, self.j, self.k, self.vals = i, j, k, vals
         self._stacks: dict[int, sp.csr_matrix] = {}
-        self._sym_cache: dict[float, bool] = {}
 
     @classmethod
     def _canonical(cls, dims, i, j, k, vals) -> "SparseTensor3":
@@ -468,46 +467,25 @@ def frobenius_norm(A) -> float:
 def is_12_symmetric(T: SparseTensor3, tol: float = 0.0) -> bool:
     """True iff every 3-slice is symmetric: |a_ijk - a_jik| <= tol.
 
-    Missing entries count as zero; requires equal mode-1/2 extents.  The
-    transposed codes are sorted once; when they give back the pattern
-    itself, the values are compared position by position, otherwise both
-    patterns are looked up on their union.  The result is cached on the
-    tensor per ``tol``.
+    Missing entries count as zero; requires equal mode-1/2 extents.  Compares
+    the two cached slice stacks, which hold a_ijk and a_jik at the same
+    (row, column): rows k*l + i of the canonical stack against rows k*m + j
+    of the transposed one.  On equal patterns the values are compared
+    position by position, otherwise their sparse difference is.
     """
     l, m, _ = T.dims
     if l != m:
         return False
-    cached = T._sym_cache.get(tol)
-    if cached is not None:
-        return cached
-    lin = (T.k * l + T.i) * m + T.j
-    lin_t = (T.k * l + T.j) * m + T.i
-    order = np.argsort(lin_t)  # codes are unique, so any sort gives this order
-    lin_t, vals_t = lin_t[order], T.vals[order]
-    if np.array_equal(lin, lin_t):
-        va, vb = T.vals, vals_t
+    S, St = T._slice_stack(2), T._slice_stack(1)
+    if np.array_equal(S.indptr, St.indptr) and np.array_equal(S.indices, St.indices):
+        diff = S.data - St.data
     else:
-        # values at positions present in both / only one of the patterns
-        union = np.union1d(lin, lin_t)
-        va = _lookup(union, lin, T.vals)
-        vb = _lookup(union, lin_t, vals_t)
-    result = bool(np.all(np.abs(va - vb) <= tol))
-    T._sym_cache[tol] = result
-    return result
+        diff = (S - St).data
+    return bool(np.all(np.abs(diff, out=diff) <= tol))
 
 
 def _symmetry_tol(T: SparseTensor3) -> float:
     return 1e-12 * float(max(T.vals.max(initial=0.0), -T.vals.min(initial=0.0)))
-
-
-def _lookup(codes, sorted_codes, sorted_vals):
-    """Values at ``codes`` of a sorted code/value table; 0 where absent."""
-    out = np.zeros(len(codes))
-    if len(sorted_codes):
-        pos = np.minimum(np.searchsorted(sorted_codes, codes), len(sorted_codes) - 1)
-        hit = sorted_codes[pos] == codes
-        out[hit] = sorted_vals[pos[hit]]
-    return out
 
 
 def symmetric_embed(T: SparseTensor3) -> SparseTensor3:

@@ -235,6 +235,21 @@ class TestPartition:
         assert rc == EXIT_OK
         assert (out / "partition_nested_report.json").exists()
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [('{"I": [0, 1, 2]}', "missing index set J"), ("[[0, 1], [0, 1]]", "expected a JSON object")],
+    )
+    def test_recurse_malformed_index_file(self, tmp_path, capsys, content, message):
+        src = tmp_path / "in.tns"
+        write_symmetric_tensor(src, l=12)
+        sets = tmp_path / "sets.json"
+        sets.write_text(content)
+        argv = ["partition", str(src), "--rank", "2", "2", "1", "--symmetric",
+                "--recurse", str(sets), "--out", str(tmp_path / "out")]
+        assert main(argv) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(sets) in err and message in err
+
 
 class TestExpand:
     def test_end_to_end(self, tmp_path):

@@ -456,12 +456,13 @@ class TestExpand:
     def test_norm_B_hat_keeps_scipy_bits(self, rng):
         # the scaled norm gives scipy's sparse Frobenius norm bit for bit, so
         # written reports do not change
-        for _ in range(6):
-            T = random_symmetric(rng, 100, 3, density=0.3)
-            terms, _ = expand(T, 2, theta=0.0, mode="absolute", cfg=TIGHT)
-            for t in terms:
-                assert t.B_hat.nnz > 5000
-                assert t.norm_B_hat == float(scipy.sparse.linalg.norm(t.B_hat))
+        with pytest.warns(RuntimeWarning, match="did not converge"):  # most of these terms stall
+            for _ in range(6):
+                T = random_symmetric(rng, 100, 3, density=0.3)
+                terms, _ = expand(T, 2, theta=0.0, mode="absolute", cfg=TIGHT)
+                for t in terms:
+                    assert t.B_hat.nnz > 5000
+                    assert t.norm_B_hat == float(scipy.sparse.linalg.norm(t.B_hat))
 
     def test_residual_norms_length(self, rng):
         T = random_symmetric(rng, 6, 3, density=0.6)
@@ -482,6 +483,18 @@ class TestExpand:
         T = SparseTensor3.from_dense(d)
         with pytest.warns(UserWarning, match="empty"):
             expand(T, 1, theta=0.9, mode="positive", cfg=TIGHT)
+
+    def test_solver_warnings_reach_caller(self, rng):
+        # each term whose solve stops at max_iters warns once, as hooi_symmetric does
+        T = random_symmetric(rng, 12, 3, density=0.5)
+        with pytest.warns(RuntimeWarning, match="HOOI did not converge within max_iters") as record:
+            terms, _ = expand(T, 2, theta=0.2, cfg=SolverConfig(max_iters=1))
+        unconverged = [w for w in record if "did not converge" in str(w.message)]
+        assert len(unconverged) == sum(not t.converged for t in terms) == 2
+
+    def test_empty_tensor_rejected(self):
+        with pytest.raises(ValueError, match="^cannot approximate an empty tensor$"):
+            expand(SparseTensor3((6, 6, 2)), 1, theta=0.1)
 
     def test_invalid_q(self, rng):
         T = random_symmetric(rng, 5, 2, density=0.5)
@@ -507,8 +520,9 @@ class TestExpand:
         k = rng.integers(0, n, i.size)
         T = SparseTensor3((m, m, n), np.concatenate((i, j)), np.concatenate((j, i)),
                           np.concatenate((k, k)), np.ones(2 * i.size))
-        # a short run builds the cached slice layouts and symmetry check
-        expand(T, 1, 0.25, cfg=SolverConfig(max_iters=2))
+        # a short run builds the cached slice layouts
+        with pytest.warns(RuntimeWarning, match="did not converge"):
+            expand(T, 1, 0.25, cfg=SolverConfig(max_iters=2))
         tracemalloc.start()
         try:
             expand(T, 1, 0.25)

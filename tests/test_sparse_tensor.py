@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -551,14 +552,21 @@ class TestSymmetry:
         assert results == [self.union_oracle(T, tol) for T in cases]
         assert True in results and False in results
 
-    def test_result_cached_per_tol(self):
-        T = SparseTensor3((2, 2, 1), [0, 1], [1, 0], [0, 0], [2.0, 2.0 + 1e-6])
-        assert not is_12_symmetric(T, tol=1e-9)
-        assert is_12_symmetric(T, tol=1e-3)
-        assert T._sym_cache == {1e-9: False, 1e-3: True}
-        assert not is_12_symmetric(T, tol=1e-9)
-        T._sym_cache[1e-9] = True  # later calls read the cache, not the entries
-        assert is_12_symmetric(T, tol=1e-9)
+    def test_check_memory_per_entry(self):
+        # once both slice stacks exist, the check allocates one difference
+        # array (8 B per stored entry) and one mask (1 B): bound 12 B per entry
+        rng = np.random.default_rng(5)
+        T = random_symmetric(rng, 200, 12, density=0.45)
+        assert T.nnz >= 200_000
+        for col_mode in (1, 2):
+            T._slice_stack(col_mode)
+        tracemalloc.start()
+        try:
+            assert is_12_symmetric(T)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * T.nnz
 
 
 class TestSymmetricEmbed:
