@@ -169,8 +169,6 @@ def cmd_expand(args) -> int:
             f"eig {l1:.4g}/{l2:.4g}  structured {term.structured}"
         )
     print(f"final residual norm {residual_norms[-1]:.6g}")
-    if any(t.B_hat.nnz == 0 for t in terms):
-        print("warning: at least one term has an empty B_hat", file=sys.stderr)
     return EXIT_OK if all(t.converged for t in terms) else EXIT_NONCONVERGED
 
 

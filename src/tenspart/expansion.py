@@ -25,9 +25,9 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .lowrank import RankApproximation, SolverConfig, _frobenius, hooi_symmetric
+from .lowrank import RankApproximation, SolverConfig, hooi_symmetric
 from .preprocess import LabelTable
-from .sparse_tensor import SparseTensor3, _exponent, _ldexp, _scaled_sum, _symmetry_tol, is_12_symmetric
+from .sparse_tensor import SparseTensor3, _ldexp, _norm, _scaled_sum, _symmetry_tol, is_12_symmetric
 
 __all__ = [
     "ExpansionTerm",
@@ -78,12 +78,12 @@ class DeflatedOperator:
     CSR form (a user-supplied matrix with duplicate or unsorted entries is
     copied first).  ||R||^2 is cached as parts (s, e) standing for
     s * 2**e: a row [||base||^2], then per term t a row [-2<base, t>,
-    2<a, t> for each earlier a, <t, t>], every factor of an inner product
-    scaled by its own power of two.  So :func:`deflate` adds O(q) sparse
-    products for the new term only, and no part leaves the float range.
-    Reading a norm puts the parts on one scale and adds them with the exact
-    ``math.fsum``: the bits of fsum of the unscaled parts wherever those
-    are finite and no factor is subnormal.
+    2<a, t> for each earlier a, <t, t>].  Every sum behind a part (the
+    base norm, the base-term products, and the w and B_hat Gram products)
+    comes from :func:`_scaled_sum`, correctly rounded at exact power-of-two
+    scales.  So :func:`deflate` adds O(q) sparse products for the new term
+    only, and no part leaves the float range.  Reading a norm puts the
+    parts on one scale and adds them with the exact ``math.fsum``.
     """
 
     base: SparseTensor3
@@ -138,13 +138,11 @@ class DeflatedOperator:
             self._parts.append(row + [self._inner_terms(t, t)])
 
     def _inner_terms(self, a: int, b: int) -> tuple[float, int]:
-        """<term a, term b> as (s, e)."""
+        """<term a, term b> = <wa, wb> <Ba, Bb> as (s, e)."""
         (wa, Ba), (wb, Bb) = self.terms[a], self.terms[b]
-        ea, eb = _exponent(wa), _exponent(wb)
-        fa, fb = _exponent(Ba.data), _exponent(Bb.data)
-        w_dot = float(np.ldexp(wa, -ea) @ np.ldexp(wb, -eb))
-        B_dot = float(_scaled(Ba, -fa).multiply(_scaled(Bb, -fb)).sum())
-        return w_dot * B_dot, ea + eb + fa + fb
+        (sw, ew), (sb, eb) = _scaled_sum(wa, wb), _inner_B(Ba, Bb)
+        (mw, xw), (mb, xb) = math.frexp(sw), math.frexp(sb)  # each s may be near 2**1000
+        return mw * mb, xw + ew + xb + eb
 
     def _norm_squared_parts(self) -> tuple[float, int]:
         """||R||^2 as (s, e) with an even e and |s| <= the number of parts."""
@@ -171,8 +169,7 @@ class DeflatedOperator:
         in_cols[B.indices] = True
         # only base entries inside B's row and column support can be stored in B
         cand = np.flatnonzero((row_nnz > 0)[T.i] & in_cols[T.j])
-        b_codes = np.repeat(np.arange(B.shape[0], dtype=np.int64), row_nnz) * m + B.indices
-        where, at = _find(b_codes, T.i[cand] * m + T.j[cand])
+        where, at = _find(_codes(B), T.i[cand] * m + T.j[cand])
         where = cand[where]
         return _scaled_sum(T.vals[where], w[T.k[where]], B.data[at])
 
@@ -183,9 +180,16 @@ class DeflatedOperator:
         return out
 
 
-def _scaled(B: sp.csr_matrix, e: int) -> sp.csr_matrix:
-    """B times 2**e, exactly (a power-of-two scale)."""
-    return sp.csr_matrix((np.ldexp(B.data, e), B.indices, B.indptr), shape=B.shape)
+def _codes(B: sp.csr_matrix) -> np.ndarray:
+    """Row-major codes row * m + column of the entries of a canonical CSR B; sorted."""
+    rows = np.repeat(np.arange(B.shape[0], dtype=np.int64), np.diff(B.indptr))
+    return rows * B.shape[1] + B.indices
+
+
+def _inner_B(Ba: sp.csr_matrix, Bb: sp.csr_matrix) -> tuple[float, int]:
+    """<Ba, Bb> of two canonical CSR matrices as (s, e), from :func:`_scaled_sum`."""
+    where, at = _find(_codes(Ba), _codes(Bb))
+    return _scaled_sum(Ba.data[at], Bb.data[where])
 
 
 def _find(sorted_codes: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -196,13 +200,6 @@ def _find(sorted_codes: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.n
     np.minimum(at, sorted_codes.size - 1, out=at)
     where = np.flatnonzero(sorted_codes[at] == codes)
     return where, at[where]
-
-
-def _norm_of_data(data: np.ndarray) -> float:
-    """``np.linalg.norm(data)`` (scipy's sparse Frobenius norm), summed at an exact
-    power-of-two scale: the same bits, and finite near the top of the float range."""
-    e = _exponent(data)
-    return math.ldexp(float(np.linalg.norm(np.ldexp(data, -e))), e)
 
 
 def _canonical_csr(B: sp.spmatrix) -> sp.csr_matrix:
@@ -277,6 +274,11 @@ def threshold_B(B, theta: float, mode: str = "positive") -> sp.csr_matrix:
     once for its extremes and once for the kept entries, so the working
     memory is O(block + nnz(B-hat)) and no m x m temporary is allocated.
     """
+    return _threshold(B, theta, mode)[0]
+
+
+def _threshold(B, theta: float, mode: str) -> tuple[sp.csr_matrix, float, float]:
+    """(B-hat, max(B), min(B)) as :func:`threshold_B` computes them, in its two passes."""
     if not 0 <= theta < 1:
         raise ValueError("theta must satisfy 0 <= theta < 1")
     if mode not in ("positive", "absolute"):
@@ -295,7 +297,7 @@ def threshold_B(B, theta: float, mode: str = "positive") -> sp.csr_matrix:
     scale = max(b_max, -b_min)  # max|B|
     if m == 0 or (mode == "positive" and b_max <= 1e-12 * scale):
         # no meaningful positive part; roundoff positives are not entries
-        return sp.csr_matrix((m, m))
+        return sp.csr_matrix((m, m)), b_max, b_min
     rows, cols, vals = [], [], []
     for a, blk in _row_blocks(B):
         if mode == "positive":
@@ -312,7 +314,7 @@ def threshold_B(B, theta: float, mode: str = "positive") -> sp.csr_matrix:
     both, _ = _find(i * m + j, j * m + i)
     i, j, v = i[both], j[both], v[both]
     indptr = np.concatenate(([0], np.cumsum(np.bincount(i, minlength=m))))
-    return sp.csr_matrix((v, j, indptr), shape=(m, m))
+    return sp.csr_matrix((v, j, indptr), shape=(m, m)), b_max, b_min
 
 
 def deflate(R: DeflatedOperator, w: np.ndarray, B_hat: sp.spmatrix) -> DeflatedOperator:
@@ -355,8 +357,7 @@ def expand(
         approx = rank221_term(R, cfg)
         G = approx.core[:, :, 0]
         w = approx.W[:, 0].copy()
-        b_raw_max, b_raw_min = _extremes((approx.U, G))
-        B_hat = threshold_B((approx.U, G), theta, mode)
+        B_hat, b_raw_max, b_raw_min = _threshold((approx.U, G), theta, mode)
         evals = np.sort(np.linalg.eigvalsh(0.5 * (G + G.T)))[::-1]
         l1, l2 = float(evals[0]), float(evals[1])
         structured = l1 > 0 > l2 and abs(l1 + l2) <= structure_margin * abs(l1)
@@ -369,32 +370,39 @@ def expand(
                 b_raw_max=b_raw_max,
                 b_raw_min=b_raw_min,
                 eigenvalues=(l1, l2),
-                norm_B_hat=_norm_of_data(B_hat.data),
-                norm_F=_frobenius(G),
+                norm_B_hat=_norm(B_hat.data),
+                norm_F=_norm(G),
                 structured=structured,
                 converged=approx.converged,
             )
         )
         if B_hat.nnz == 0:
-            warnings.warn("thresholding removed every element of B; term is empty")
+            warnings.warn("thresholding removed every element of B; term is empty", stacklevel=2)
         R = deflate(R, w, B_hat)
         residual_norms.append(R.norm())
     return terms, residual_norms
 
 
 def overlap_cosines(terms: list[ExpansionTerm]) -> np.ndarray:
-    """Pairwise cosines <B_hat_a, B_hat_b> / (||B_hat_a|| ||B_hat_b||)."""
+    """Pairwise cosines <B_hat_a, B_hat_b> / (||B_hat_a|| ||B_hat_b||).
+
+    Each inner product is a scaled sum (s, e) standing for s * 2**e, and
+    the cosine is formed from the s parts with the exponents added apart,
+    so it is the same at any power-of-two scale of the B_hat entries.
+    """
     if not terms:
         raise ValueError("need at least one term")
-    q = len(terms)
+    B = [_canonical_csr(t.B_hat) for t in terms]
+    q = len(B)
     C = np.eye(q)
-    norms = [t.norm_B_hat for t in terms]
-    if any(n == 0 for n in norms):
+    sq = [_inner_B(x, x) for x in B]
+    if any(s == 0 for s, _ in sq):
         raise ValueError("zero-norm term; cosines undefined")
     for a in range(q):
         for b in range(a + 1, q):
-            dot = float(terms[a].B_hat.multiply(terms[b].B_hat).sum())
-            C[a, b] = C[b, a] = dot / (norms[a] * norms[b])
+            s, e = _inner_B(B[a], B[b])
+            (sa, ea), (sb, eb) = sq[a], sq[b]
+            C[a, b] = C[b, a] = math.ldexp(s / (math.sqrt(sa) * math.sqrt(sb)), e - ea // 2 - eb // 2)
     return C
 
 

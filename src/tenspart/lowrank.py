@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .sparse_tensor import SparseTensor3, _exponent, _symmetry_tol, is_12_symmetric, symmetric_embed
+from .sparse_tensor import SparseTensor3, _exponent, _norm, _symmetry_tol, is_12_symmetric, symmetric_embed
 
 __all__ = [
     "SolverConfig",
@@ -148,18 +148,6 @@ def _leading(M: np.ndarray, r: int) -> tuple[np.ndarray, bool]:
     return _fix_column_signs(Q), deficient
 
 
-def _frobenius(A: np.ndarray) -> float:
-    """sqrt(sum(A*A)), summed at an exact power-of-two scale.
-
-    Bitwise equal to ``math.sqrt(float(np.sum(A * A)))`` whenever that
-    neither overflows nor underflows, and finite for entries near the top
-    of the float range, where that formula returns inf.
-    """
-    e = _exponent(A)
-    A = np.ldexp(A, -e)
-    return math.ldexp(math.sqrt(float(np.sum(A * A))), e)
-
-
 def _random_orthonormal(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     Q, _ = np.linalg.qr(rng.standard_normal((rows, cols)))
     return Q
@@ -194,7 +182,7 @@ def _sweeps(T, U, V, W, ranks, cfg: SolverConfig, shared: bool) -> RankApproxima
         W, low_w = _leading(C12.reshape(C12.shape[0], -1), r3)
         deficient = deficient or low_u or low_v or low_w
         core = _core_from_c12(C12, W)
-        obj = _frobenius(core)
+        obj = _norm(core)
         if history and abs(obj - history[-1]) <= cfg.rel_tol * max(obj, 1e-300):
             history.append(obj)
             converged = True

@@ -1,11 +1,18 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tenspart
 from tenspart import SparseTensor3, load_coordinate_file, save_coordinate_file
 from tenspart.cli import EXIT_IO, EXIT_NONCONVERGED, EXIT_OK, EXIT_VALIDATION, main
+
+from conftest import pow2_scaled
 
 
 def write_symmetric_tensor(path, seed=0, l=10, n=3, base=0.2):
@@ -289,6 +296,41 @@ class TestExpand:
             ["expand", str(src), "--terms", "1", "--theta", "1.5", "--out", str(tmp_path / "o")]
         )
         assert rc == EXIT_VALIDATION
+
+    def test_one_empty_term_message(self, tmp_path):
+        # theta close to 1 in positive mode on an all-negative B empties B_hat;
+        # the library's warning, pointing at the caller, is the only message
+        d = np.zeros((6, 6, 2))
+        d[0:3, 3:6, :] = -1.0
+        d[3:6, 0:3, :] = -1.0
+        src = tmp_path / "in.tns"
+        save_coordinate_file(SparseTensor3.from_dense(d), src)
+        path = [str(Path(tenspart.__file__).parents[1])] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+        proc = subprocess.run(
+            [sys.executable, "-m", "tenspart.cli", "expand", str(src), "--terms", "1",
+             "--theta", "0.9", "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        lines = [line for line in proc.stderr.splitlines() if "empty" in line]
+        assert len(lines) == 1 and "cli.py" in lines[0] and "UserWarning" in lines[0]
+
+    @pytest.mark.parametrize("s", [531, -545])
+    def test_extreme_scales(self, tmp_path, s):
+        # squares of the entries, and products of two B_hat norms, leave the
+        # float range; the report stays finite and its cosines do not move
+        def no_constant(name):
+            raise ValueError(f"{name} in expansion_report.json")
+
+        src, scaled = tmp_path / "in.tns", tmp_path / "scaled.tns"
+        save_coordinate_file(pow2_scaled(write_symmetric_tensor(src), s), scaled)
+        cosines = []
+        for path, out in ((src, tmp_path / "a"), (scaled, tmp_path / "b")):
+            argv = ["expand", str(path), "--terms", "2", "--theta", "0.1", "--threshold-mode", "absolute"]
+            assert main(argv + ["--out", str(out)]) == EXIT_OK
+            report = json.loads((out / "expansion_report.json").read_text(), parse_constant=no_constant)
+            cosines.append(report["overlap_cosines"])
+        np.testing.assert_allclose(cosines[1], cosines[0], rtol=1e-12)
 
 
 class TestReproducibility:

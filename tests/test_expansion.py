@@ -9,7 +9,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
-import scipy.sparse.linalg
 
 from tenspart import (
     DeflatedOperator,
@@ -314,7 +313,8 @@ class TestDeflatedOperator:
 
 
 def norm_squared_from_scratch(R):
-    """fsum of ||base||^2, -2<base, term> by fancy indexing, and every term Gram product."""
+    """fsum of ||base||^2, -2<base, term> by fancy indexing, and every term Gram
+    product as the product of the fsums over w and over B."""
     T = R.base
     parts = [T.norm_squared()]
     for w, B in R.terms:
@@ -322,7 +322,7 @@ def norm_squared_from_scratch(R):
         parts.append(-2.0 * math.fsum(T.vals * w[T.k] * bvals))
     for wa, Ba in R.terms:
         for wb, Bb in R.terms:
-            parts.append(float(wa @ wb) * float(Ba.multiply(Bb).sum()))
+            parts.append(math.fsum(wa * wb) * math.fsum(Ba.multiply(Bb).data))
     return math.fsum(parts)
 
 
@@ -432,8 +432,8 @@ class TestExpand:
             lhs = residuals[v + 1] ** 2
             rhs = residuals[v] ** 2 - t.norm_F**2
             assert abs(lhs - rhs) <= 1e-9 * residuals[0] ** 2
-            # the scaled norm gives the unscaled formula's bits where that is finite
-            assert t.norm_F == math.sqrt(float(np.sum(t.core * t.core)))
+            # the scaled norm gives the fsum formula's bits where that is finite
+            assert t.norm_F == math.sqrt(math.fsum((t.core * t.core).ravel()))
 
     def test_residual_norms_finite_near_float_max(self, rng):
         # squares of entries near 1e160 pass the float range; the norm parts
@@ -453,16 +453,19 @@ class TestExpand:
         R = deflate(DeflatedOperator(big), terms[0].w, terms[0].B_hat)
         assert R.norm_squared() == math.inf and math.isfinite(R.norm())
 
-    def test_norm_B_hat_keeps_scipy_bits(self, rng):
-        # the scaled norm gives scipy's sparse Frobenius norm bit for bit, so
-        # written reports do not change
+    def test_norm_B_hat_is_correctly_rounded(self, rng):
+        # norm_B_hat is the root of the fsum of the squares, and it scales
+        # exactly with the tensor, past the range of the squares
         with pytest.warns(RuntimeWarning, match="did not converge"):  # most of these terms stall
-            for _ in range(6):
+            for v in range(6):
                 T = random_symmetric(rng, 100, 3, density=0.3)
                 terms, _ = expand(T, 2, theta=0.0, mode="absolute", cfg=TIGHT)
                 for t in terms:
                     assert t.B_hat.nnz > 5000
-                    assert t.norm_B_hat == float(scipy.sparse.linalg.norm(t.B_hat))
+                    assert t.norm_B_hat == math.sqrt(math.fsum(t.B_hat.data * t.B_hat.data))
+                if v == 0:
+                    big, _ = expand(pow2_scaled(T, 531), 2, theta=0.0, mode="absolute", cfg=TIGHT)
+                    assert [t.norm_B_hat for t in big] == [math.ldexp(t.norm_B_hat, 531) for t in terms]
 
     def test_residual_norms_length(self, rng):
         T = random_symmetric(rng, 6, 3, density=0.6)
@@ -562,6 +565,21 @@ class TestOverlapCosines:
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
             overlap_cosines([])
+
+    @pytest.mark.parametrize("scales", [(531, 531, 531), (-545, -545, -545), (531, -545, 0)])
+    def test_exact_at_extreme_scales(self, rng, scales):
+        # products of two B_hat norms pass the float range at 2**531 and
+        # underflow at 2**-545; the cosines are computed from scaled parts,
+        # so scaling any term by a power of two leaves them bit for bit
+        T = random_symmetric(rng, 10, 4, density=0.6)
+        terms, _ = expand(T, 3, theta=0.1, mode="absolute", cfg=SolverConfig(max_iters=500))
+        scaled = []
+        for t, s in zip(terms, scales):
+            B = sp.csr_matrix((np.ldexp(t.B_hat.data, s), t.B_hat.indices, t.B_hat.indptr), shape=t.B_hat.shape)
+            scaled.append(dataclasses.replace(t, B_hat=B, norm_B_hat=math.ldexp(t.norm_B_hat, s)))
+        want = overlap_cosines(terms)
+        assert np.all(np.abs(want[~np.eye(3, dtype=bool)]) > 1e-3)
+        assert overlap_cosines(scaled).tobytes() == want.tobytes()
 
 
 class TestSubgraphExport:

@@ -24,8 +24,9 @@ from tenspart import (
     symmetric_embed,
 )
 from tenspart.lowrank import save_approximation
+from tenspart.sparse_tensor import _norm
 
-from conftest import planted_bipartite, random_orthogonal, random_sparse, random_symmetric
+from conftest import planted_bipartite, pow2_scaled, random_orthogonal, random_sparse, random_symmetric
 
 TIGHT = SolverConfig(rel_tol=1e-12, max_iters=500)
 
@@ -143,19 +144,25 @@ class TestLeading:
 
 
 class TestFrobenius:
+    """The objective ||core||, summed by the one scaled-sum kernel."""
+
     @pytest.mark.parametrize("exponent", [0, -150, 150])  # squares stay normal
     def test_bitwise_equal_to_unscaled_formula(self, rng, exponent):
         for _ in range(200):
             shape = tuple(int(d) for d in rng.integers(1, 6, size=3))
             core = rng.standard_normal(shape) * 10.0**exponent
-            assert lowrank._frobenius(core) == math.sqrt(float(np.sum(core * core)))
+            assert _norm(core) == math.sqrt(math.fsum((core * core).ravel()))
+        ap = hooi(SparseTensor3.from_dense(rng.standard_normal((6, 5, 4)) * 10.0**exponent), (2, 2, 2))
+        assert ap.objective_history[-1] == math.sqrt(math.fsum((ap.core * ap.core).ravel()))
 
     def test_finite_where_unscaled_overflows(self, rng):
         core = rng.standard_normal((2, 2, 2))
         with np.errstate(over="raise"):
-            assert lowrank._frobenius(np.ldexp(core, 531)) == np.ldexp(
-                lowrank._frobenius(core), 531
-            )
+            assert _norm(np.ldexp(core, 531)) == np.ldexp(_norm(core), 531)
+        # a whole solve scales exactly, so its objective history does too
+        T = random_sparse(rng, (6, 5, 4), density=0.6)
+        want = [math.ldexp(x, 531) for x in hooi(T, (2, 2, 2)).objective_history]
+        assert hooi(pow2_scaled(T, 531), (2, 2, 2)).objective_history == want
 
 
 def test_solvers_take_no_svd(rng, monkeypatch):
