@@ -72,11 +72,12 @@ class ExpansionTerm:
 class DeflatedOperator:
     """Implicit residual  base - sum_v w^(v) x B_hat^(v)  (outer in mode 3).
 
-    Supports the same contraction interface as a sparse tensor, so the
-    symmetric solver runs on it directly; the base tensor is never
-    modified.  ``terms`` is stored as a tuple with each B_hat in canonical
-    CSR form (a user-supplied matrix with duplicate or unsorted entries is
-    copied first).  ||R||^2 is cached as parts (s, e) standing for
+    Supports the same contraction interface as a sparse tensor, half
+    product included (the base's, plus each B_hat V), so the symmetric
+    solver runs on it directly; the base tensor is never modified.
+    ``terms`` is stored as a tuple with each B_hat in canonical CSR form (a
+    user-supplied matrix with duplicate or unsorted entries is copied
+    first).  ||R||^2 is cached as parts (s, e) standing for
     s * 2**e: a row [||base||^2], then per term t a row [-2<base, t>,
     2<a, t> for each earlier a, <t, t>].  Every sum behind a part (the
     base norm, the base-term products, and the w and B_hat Gram products)
@@ -107,11 +108,23 @@ class DeflatedOperator:
 
     # contraction interface --------------------------------------------------
 
-    def contract_modes23(self, V: np.ndarray, W: np.ndarray) -> np.ndarray:
-        out = self.base.contract_modes23(V, W)
-        for w, B in self.terms:
-            out -= np.einsum("iq,r->iqr", B @ V, W.T @ w)
+    def half_product(self, V: np.ndarray):
+        """The base tensor's half product with V and each term's B_hat V."""
+        return self.base.half_product(V), tuple(B @ V for _, B in self.terms)
+
+    def reduce_half(self, P, mode: int, X: np.ndarray) -> np.ndarray:
+        """The base reduction of P (as on a sparse tensor) less each term's part."""
+        base_P, BV = P
+        out = self.base.reduce_half(base_P, mode, X)
+        for (w, _), BVt in zip(self.terms, BV):
+            if mode == 3:
+                out -= np.einsum("k,pq->kpq", w, X.T @ BVt)
+            else:
+                out -= np.einsum("iq,r->iqr", BVt, X.T @ w)
         return out
+
+    def contract_modes23(self, V: np.ndarray, W: np.ndarray) -> np.ndarray:
+        return self.reduce_half(self.half_product(V), 1, W)
 
     def contract_modes13(self, U: np.ndarray, W: np.ndarray) -> np.ndarray:
         out = self.base.contract_modes13(U, W)
@@ -120,10 +133,7 @@ class DeflatedOperator:
         return out
 
     def contract_modes12(self, U: np.ndarray, V: np.ndarray) -> np.ndarray:
-        out = self.base.contract_modes12(U, V)
-        for w, B in self.terms:
-            out -= np.einsum("k,pq->kpq", w, U.T @ (B @ V))
-        return out
+        return self.reduce_half(self.half_product(V), 3, U)
 
     # norms ------------------------------------------------------------------
 

@@ -7,9 +7,10 @@ best approximation is B = (U, V, W) . F.
 
 The solver here is HOOI with a deterministic sketched truncated-HOSVD
 start and optional seeded random restarts.  Solver and start touch the
-data only through mode contractions against matrices with few columns, so
-an implicit operator (see :mod:`tenspart.expansion`) can stand in for a
-sparse tensor and gets the same start.
+data only through mode contractions against matrices with few columns
+(``half_product`` and ``reduce_half``, plus ``contract_modes13`` in an
+unshared solve), so an implicit operator (see :mod:`tenspart.expansion`)
+can stand in for a sparse tensor and gets the same start.
 """
 
 from __future__ import annotations
@@ -52,8 +53,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.rel_tol <= 0:
-            raise ValueError("rel_tol must be positive")
+        if not (math.isfinite(self.rel_tol) and self.rel_tol > 0):
+            raise ValueError(f"rel_tol must be positive and finite, got {self.rel_tol!r}")
         if self.num_restarts < 1:
             raise ValueError("num_restarts must be >= 1")
 
@@ -164,21 +165,32 @@ def _sweeps(T, U, V, W, ranks, cfg: SolverConfig, shared: bool) -> RankApproxima
     With ``shared`` the mode-1 and mode-2 factors are one matrix U = V,
     updated from the mode-1 contraction (equal to the mode-2 one on a
     (1,2)-symmetric operator), so the starting V is not read.
+
+    Each factor update makes one sparse product.  The half product
+    P = ``T.half_product(V)`` that the modes-(1,2) contraction ends a sweep
+    with is the one the next sweep's modes-(2,3) contraction needs, since V
+    has not changed since; it is carried over and dropped right after that
+    reduction, so at most one P is alive.  A shared sweep thus makes one
+    canonical-stack product; an unshared one adds the modes-(1,3)
+    contraction, the only read of the transposed stack.
     """
     r1, r2, r3 = ranks
+    if shared:
+        V = U
     history: list[float] = []
     converged = deficient = False
+    P = T.half_product(V)
     for _ in range(cfg.max_iters):
+        C = T.reduce_half(P, 1, W)  # contract_modes23(V, W): (l, r2, r3)
+        P = None  # dropped before the next product
+        U, low_u = _leading(C.reshape(C.shape[0], -1), r1)
         if shared:
-            C = T.contract_modes23(U, W)  # (l, r1, r3)
-            U, low_u = _leading(C.reshape(C.shape[0], -1), r1)
             V, low_v = U, False
         else:
-            C = T.contract_modes23(V, W)  # (l, r2, r3)
-            U, low_u = _leading(C.reshape(C.shape[0], -1), r1)
             C = T.contract_modes13(U, W)  # (m, r1, r3)
             V, low_v = _leading(C.reshape(C.shape[0], -1), r2)
-        C12 = T.contract_modes12(U, V)  # (n, r1, r2)
+        P = T.half_product(V)
+        C12 = T.reduce_half(P, 3, U)  # contract_modes12(U, V): (n, r1, r2)
         W, low_w = _leading(C12.reshape(C12.shape[0], -1), r3)
         deficient = deficient or low_u or low_v or low_w
         core = _core_from_c12(C12, W)
@@ -209,7 +221,9 @@ def _check_ranks(ranks, dims) -> None:
             )
 
 
-def hosvd_init(T, ranks: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def hosvd_init(
+    T, ranks: tuple[int, int, int], shared: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sketched truncated-HOSVD starting factors.
 
     Two HOOI sweeps at oversampled ranks p_i = min(d_i, r_i + 8, d_j d_k)
@@ -219,29 +233,41 @@ def hosvd_init(T, ranks: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray, 
     only through its contractions, so sparse tensors and implicit
     operators get the same deterministic start.  The result is the exact
     truncated HOSVD when every p_i equals d_i or d_j d_k.
+
+    With ``shared`` (a (1,2)-symmetric operator and r1 == r2) the sketch
+    sweeps keep V = U, as the shared-factor solver does, and the mode-1
+    factor is returned as V too; the sketch then never makes a modes-(1,3)
+    contraction, so it does not read a sparse tensor's transposed stack.
     """
     dims = T.dims
     _check_ranks(ranks, dims)
+    if shared and (dims[0] != dims[1] or ranks[0] != ranks[1]):
+        raise ValueError("a shared start needs equal mode-1/2 extents and r1 == r2")
     size = math.prod(dims)
     p = tuple(min(d, r + _OVERSAMPLE, size // d) for d, r in zip(dims, ranks))
     rng = np.random.default_rng(0)
     U, V, W = (_random_orthonormal(rng, d, pi) for d, pi in zip(dims, p))
-    sketch = _sweeps(T, U, V, W, p, SolverConfig(max_iters=2), shared=False)
-    factors = []
-    for mode, (Q, r) in enumerate(zip((sketch.U, sketch.V, sketch.W), ranks)):
+    sketch = _sweeps(T, U, V, W, p, SolverConfig(max_iters=2), shared)
+    bases = (sketch.U, sketch.V, sketch.W)
+
+    def lift(mode: int) -> np.ndarray:
         unfold = np.moveaxis(sketch.core, mode, 0).reshape(p[mode], -1)
-        factors.append(_fix_column_signs(Q @ _leading(unfold, r)[0]))
-    return tuple(factors)
+        return _fix_column_signs(bases[mode] @ _leading(unfold, ranks[mode])[0])
+
+    U = lift(0)
+    return U, U if shared else lift(1), lift(2)
 
 
 def _solve(T, ranks, cfg: SolverConfig, shared: bool) -> RankApproximation:
     """Best of ``cfg.num_restarts`` sweep runs.
 
     The first run starts from :func:`hosvd_init` on every operator, sparse
-    tensor or implicit; the others start from orthonormal factors drawn
-    from ``cfg.seed``.  A later run replaces the best only when its
-    objective is larger by more than ``cfg.rel_tol`` relative, so runs that
-    reach the same optimum (and tie up to rounding) return the earliest.
+    tensor or implicit, sketched with the same ``shared`` as the sweeps; so
+    a shared solve makes no modes-(1,3) contraction and reads only the
+    canonical stack.  The others start from orthonormal factors drawn from
+    ``cfg.seed``.  A later run replaces the best only when its objective is
+    larger by more than ``cfg.rel_tol`` relative, so runs that reach the
+    same optimum (and tie up to rounding) return the earliest.
     """
     if isinstance(T, SparseTensor3) and T.nnz == 0:
         raise ValueError("cannot approximate an empty tensor")
@@ -250,7 +276,7 @@ def _solve(T, ranks, cfg: SolverConfig, shared: bool) -> RankApproximation:
     best: RankApproximation | None = None
     for restart in range(cfg.num_restarts):
         if restart == 0:
-            U, V, W = hosvd_init(T, ranks)
+            U, V, W = hosvd_init(T, ranks, shared=shared)
         else:
             U = _random_orthonormal(rng, l, ranks[0])
             V = U if shared else _random_orthonormal(rng, m, ranks[1])

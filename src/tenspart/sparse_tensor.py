@@ -25,7 +25,13 @@ computed at most once.
 Dense factor matrices, vectors and small core tensors are plain numpy
 arrays.  Contractions that shrink a mode (multiplication by a matrix with
 few rows) always produce dense arrays, since in the intended workloads the
-small side is never larger than a handful of columns.
+small side is never larger than a handful of columns.  Each contraction is
+one sparse product, the half product of a stack with one factor, and one
+dense reduction of it with the other.  The canonical stack's half product
+with V, ``half_product(V)``, serves both the modes-(2,3) contraction with
+V and the modes-(1,2) one, so the solver forms it once and finishes both
+from it with ``reduce_half``.  Only the modes-(1,3) contraction, which
+the symmetric solver never makes, reads the transposed stack.
 
 Inner products, Frobenius norms and the grouped sums of squares behind
 block norms and slice normalization all come from :func:`_scaled_sum`:
@@ -347,21 +353,47 @@ class SparseTensor3:
             self._stacks[col_mode] = S
         return self._stacks[col_mode]
 
+    def _half(self, col_mode: int, X: np.ndarray) -> np.ndarray:
+        """The stack with mode ``col_mode`` as columns times X, as (n, rows per slice, X.cols).
+
+        The one sparse product of a contraction; the result is dense.
+        """
+        return (self._slice_stack(col_mode) @ X).reshape(self.dims[2], -1, X.shape[1])
+
+    def half_product(self, V: np.ndarray) -> np.ndarray:
+        """P[k, i, q] = sum_j a_ijk V[j, q], shape (n, l, V.cols).
+
+        The sparse half that ``contract_modes23(V, .)`` and
+        ``contract_modes12(., V)`` share; :meth:`reduce_half` finishes
+        either from it.
+        """
+        return self._half(2, V)
+
+    def reduce_half(self, P: np.ndarray, mode: int, X: np.ndarray) -> np.ndarray:
+        """Finish a contraction from a half product P[k, a, q] with the dense X.
+
+        Mode 1 contracts the slice axis: c[a, q, r] = sum_k P[k, a, q] X[k, r].
+        Mode 3 contracts the row axis: c[k, p, q] = sum_a X[a, p] P[k, a, q].
+        One batched matmul either way.  Batched because OpenBLAS threads one
+        big gemm here: 8x slower at hosvd_init sizes on 2 vCPUs, and a 5 MB
+        higher expand_sym peak RSS.
+        """
+        if mode == 3:
+            return np.matmul(X.T, P)
+        return np.matmul(P.transpose(1, 2, 0), X)
+
     def _contract(self, mode: int, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """Contract the two modes other than ``mode`` with X and Y, lower mode first.
 
-        Returns the dense (extent of ``mode``, X.cols, Y.cols) array: one CSR
-        product with the factor of the stack's column mode, then one batched
-        matmul over the slice axis (modes 1, 2) or each slice's rows (mode 3).
-        Batched because OpenBLAS threads one big gemm here: 8x slower at
-        hosvd_init sizes on 2 vCPUs, and a 5 MB higher expand_sym peak RSS.
+        Returns the dense (extent of ``mode``, X.cols, Y.cols) array: the half
+        product of the stack whose column mode meets its factor (Y for mode
+        3, X otherwise), then :meth:`reduce_half` over the slice axis (modes
+        1, 2) or each slice's rows (mode 3).  Modes 1 and 3 read the
+        canonical stack, mode 2 the transposed one.
         """
-        n = self.dims[2]
         if mode == 3:
-            P = self._slice_stack(2) @ Y  # P[k*l + i, q] = sum_j a_ijk Y[j, q]
-            return np.matmul(X.T, P.reshape(n, -1, Y.shape[1]))
-        P = self._slice_stack(3 - mode) @ X  # rows k*extent + (i or j)
-        return np.matmul(P.reshape(n, -1, X.shape[1]).transpose(1, 2, 0), Y)
+            return self.reduce_half(self._half(2, Y), 3, X)
+        return self.reduce_half(self._half(3 - mode, X), 1, Y)
 
     # -- contraction shorthands used by the solvers ---------------------------
 

@@ -181,6 +181,15 @@ class TestApprox:
         )
         assert rc == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tol_rejected(self, tmp_path, tol):
+        # a nan tolerance never stops the sweeps: it ran all of them and then
+        # exited as not converged
+        src = tmp_path / "in.tns"
+        write_symmetric_tensor(src)
+        rc = main(["approx", str(src), "--tol", tol, "--out", str(tmp_path / "o")])
+        assert rc == EXIT_VALIDATION
+
 
 class TestPartition:
     def test_end_to_end(self, tmp_path):

@@ -180,6 +180,14 @@ def test_solvers_take_no_svd(rng, monkeypatch):
         expand(S, 2, theta=0.1)
 
 
+@pytest.mark.parametrize("rel_tol", [math.nan, math.inf, 0.0, -1e-8])
+def test_solver_config_rejects_bad_rel_tol(rel_tol):
+    # nan <= 0 is False, so a sign test alone let nan through, and a nan
+    # tolerance never stops the sweeps
+    with pytest.raises(ValueError, match="rel_tol"):
+        SolverConfig(rel_tol=rel_tol)
+
+
 class TestHosvdInit:
     def test_exact_rank_one(self, rng):
         a, b, c = rng.random(4), rng.random(5), rng.random(3)
@@ -248,9 +256,155 @@ class TestHosvdInit:
         for Q, ref in zip(implicit, dense):
             assert subspace_distance(Q, ref) <= 1e-10
 
+    # p_i reaches the extent in every mode, so the shared sketch is exact too
+    @pytest.mark.parametrize("ranks", [(2, 2, 2), (2, 2, 1), (3, 3, 2)])
+    def test_shared_start_matches_unfolding_svd_oracle(self, rng, ranks):
+        T = random_symmetric(rng, 6, 4, density=0.5)
+        U, V, W = hosvd_init(T, ranks, shared=True)
+        assert V is U
+        for Q, ref in zip((U, U, W), self.unfolding_svd_oracle(T, ranks)):
+            assert subspace_distance(Q, ref) <= 1e-10
+
+    def test_shared_start_needs_square_ranks(self, rng):
+        with pytest.raises(ValueError, match="shared"):
+            hosvd_init(random_sparse(rng, (6, 5, 4)), (2, 2, 1), shared=True)
+        with pytest.raises(ValueError, match="shared"):
+            hosvd_init(random_symmetric(rng, 6, 4), (2, 1, 2), shared=True)
+
     def test_rank_exceeds_extent(self, rng):
         with pytest.raises(ValueError):
             hosvd_init(random_sparse(rng, (3, 3, 3)), (4, 1, 1))
+
+
+def reference_sweeps(T, U, V, W, ranks, cfg, shared):
+    """The sweep loop written from the three contraction shorthands.
+
+    Every contraction makes its own sparse product; this is the loop the
+    carried half product of ``lowrank._sweeps`` must reproduce bit for bit.
+    """
+    r1, r2, r3 = ranks
+    history = []
+    converged = deficient = False
+    for _ in range(cfg.max_iters):
+        C = T.contract_modes23(U if shared else V, W)
+        U, low_u = lowrank._leading(C.reshape(C.shape[0], -1), r1)
+        if shared:
+            V, low_v = U, False
+        else:
+            C = T.contract_modes13(U, W)
+            V, low_v = lowrank._leading(C.reshape(C.shape[0], -1), r2)
+        C12 = T.contract_modes12(U, V)
+        W, low_w = lowrank._leading(C12.reshape(C12.shape[0], -1), r3)
+        deficient = deficient or low_u or low_v or low_w
+        core = lowrank._core_from_c12(C12, W)
+        obj = _norm(core)
+        converged = bool(history) and abs(obj - history[-1]) <= cfg.rel_tol * max(obj, 1e-300)
+        history.append(obj)
+        if converged:
+            break
+    return lowrank.RankApproximation(U, V, W, core, history, converged, deficient)
+
+
+def assert_same_bits(a, b):
+    for x, y in ((a.U, b.U), (a.V, b.V), (a.W, b.W), (a.core, b.core)):
+        assert x.tobytes() == y.tobytes()
+    assert a.objective_history == b.objective_history
+    assert (a.converged, a.rank_deficient) == (b.converged, b.rank_deficient)
+
+
+def two_term_operator(rng, T):
+    """T deflated by two random symmetric terms."""
+    m, _, n = T.dims
+    R = DeflatedOperator(T)
+    for _ in range(2):
+        upper = np.triu(rng.random((m, m)))
+        upper[upper < 0.5] = 0.0
+        R = deflate(R, rng.random(n), sp.csr_matrix(upper + np.triu(upper, 1).T))
+    return R
+
+
+class TestCarriedHalfProduct:
+    """The sweeps carry one half product per factor update; the results are
+    those of one sparse product per contraction.  Tolerance: exact (bitwise)."""
+
+    @pytest.mark.parametrize(
+        "dims, ranks", [((7, 6, 5), (2, 2, 2)), ((12, 9, 4), (3, 2, 2)), ((20, 15, 6), (2, 3, 2))]
+    )
+    def test_hooi_bitwise_equals_reference(self, rng, monkeypatch, dims, ranks):
+        T = random_sparse(rng, dims, density=0.4)
+        cfg = SolverConfig(seed=5, num_restarts=3)
+        carried = hooi(T, ranks, cfg)
+        monkeypatch.setattr(lowrank, "_sweeps", reference_sweeps)  # the start's sketch too
+        assert_same_bits(carried, hooi(T, ranks, cfg))
+
+    def test_hooi_on_deflated_operator_bitwise_equals_reference(self, rng, monkeypatch):
+        R = two_term_operator(rng, random_symmetric(rng, 9, 5, density=0.5))
+        cfg = SolverConfig(seed=1, num_restarts=2)
+        carried = hooi(R, (2, 2, 1), cfg)
+        monkeypatch.setattr(lowrank, "_sweeps", reference_sweeps)
+        assert_same_bits(carried, hooi(R, (2, 2, 1), cfg))
+
+    @pytest.mark.parametrize("deflated", [False, True])
+    @pytest.mark.parametrize("ranks", [(2, 2, 1), (3, 3, 2)])
+    def test_shared_sweeps_bitwise_equal_reference(self, rng, deflated, ranks):
+        T = random_symmetric(rng, 10, 5, density=0.5)
+        if deflated:
+            T = two_term_operator(rng, T)
+        U = np.linalg.qr(rng.standard_normal((10, ranks[0])))[0]
+        W = np.linalg.qr(rng.standard_normal((5, ranks[2])))[0]
+        cfg = SolverConfig(max_iters=50, rel_tol=1e-12)
+        got = lowrank._sweeps(T, U, U, W, ranks, cfg, shared=True)
+        assert got.V is got.U
+        assert_same_bits(got, reference_sweeps(T, U, U, W, ranks, cfg, shared=True))
+
+
+class TestProductCount:
+    """Sparse products per sweep, counted as slice-stack reads (one per product):
+    2 is the canonical stack, 1 the transposed one."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        reads = []
+        stack = SparseTensor3._slice_stack
+
+        def counted(self, col_mode):
+            reads.append(col_mode)
+            return stack(self, col_mode)
+
+        monkeypatch.setattr(SparseTensor3, "_slice_stack", counted)
+        return reads
+
+    @pytest.mark.parametrize("deflated", [False, True])
+    @pytest.mark.parametrize("max_iters", [1, 4])
+    def test_shared_sweep_makes_one_product(self, rng, reads, deflated, max_iters):
+        T = random_symmetric(rng, 8, 5, density=0.5)
+        if deflated:
+            T = two_term_operator(rng, T)
+        U, W = random_orthogonal(rng, 8)[:, :2], random_orthogonal(rng, 5)[:, :1]
+        cfg = SolverConfig(max_iters=max_iters, rel_tol=1e-15)
+        sweeps = len(lowrank._sweeps(T, U, U, W, (2, 2, 1), cfg, shared=True).objective_history)
+        # one product to start, then one per sweep, carried into the next
+        assert reads == [2] * (1 + sweeps)
+
+    @pytest.mark.parametrize("max_iters", [1, 4])
+    def test_unshared_sweep_makes_two_products(self, rng, reads, max_iters):
+        T = random_sparse(rng, (8, 7, 5), density=0.5)
+        U, V, W = (random_orthogonal(rng, d)[:, :2] for d in (8, 7, 5))
+        cfg = SolverConfig(max_iters=max_iters, rel_tol=1e-15)
+        sweeps = len(lowrank._sweeps(T, U, V, W, (2, 2, 2), cfg, shared=False).objective_history)
+        # one sweep alone: 2 canonical and 1 transposed; each further sweep
+        # adds one of each
+        assert reads == [2] + [1, 2] * sweeps
+
+    def test_shared_start_reads_no_transposed_stack(self, rng):
+        T = random_symmetric(rng, 12, 5, density=0.4)
+        U, V, _ = hosvd_init(T, (2, 2, 1), shared=True)
+        assert V is U
+        assert 1 not in T._stacks
+        fresh = SparseTensor3(T.dims, T.i, T.j, T.k, T.vals)
+        R = two_term_operator(rng, fresh)
+        hosvd_init(R, (2, 2, 1), shared=True)
+        assert 1 not in fresh._stacks
 
 
 class TestRankCheck:
