@@ -3,8 +3,12 @@
 Each expansion step computes a best rank-(2,2,1) approximation of the
 current residual, turns it into a symmetric rank-2 matrix B = U G U',
 thresholds B into a sparse nonnegative (or signed) B-hat, and deflates.
-B is thresholded from its factors in row blocks and never formed densely,
-so an expansion step holds O(block + nnz(B-hat)) memory, not O(m^2).
+B is thresholded from its factors in blocks and never formed densely, so
+an expansion step holds O(block + nnz(B-hat)) memory, not O(m^2).  The
+blocks cover only the pairs (i, j) whose bound |(U G)_i| |U_j| >= |b_ij|
+can pass B's extremes or the cut, so a step takes O(m log m + pairs
+passing the bound) time; that is O(m^2) only when the norms are all
+equal, B has one sign, or theta = 0.
 Deflation is lazy: the residual is kept as the original tensor minus the
 accumulated terms, so contractions stay sparse and there is no fill-in,
 and the residual norm is kept from cached per-term inner products.
@@ -16,6 +20,7 @@ opposite sign and nearly equal magnitude.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import warnings
@@ -44,6 +49,11 @@ __all__ = [
 
 # entries of B computed at once while thresholding (2 MB of float64)
 _BLOCK_ENTRIES = 1 << 18
+# |b_ij| <= |a_i| |x_j| * _BOUND_SLACK + _BOUND_FLOOR for the computed norms and
+# b_ij: the slack covers their relative rounding (about 6 ulp), the floor
+# the absolute rounding of products below the normal range
+_BOUND_SLACK = 1 + 8 * np.finfo(float).eps
+_BOUND_FLOOR = 4 * np.finfo(float).smallest_subnormal
 
 
 @dataclass
@@ -246,29 +256,69 @@ def form_B(U: np.ndarray, core: np.ndarray) -> np.ndarray:
     return U @ G @ U.T
 
 
-def _row_blocks(B):
-    """Yield (first row, rows) blocks of B, about ``_BLOCK_ENTRIES`` entries each.
-
-    B is a dense square matrix, or a pair (U, G) standing for U G U', whose
-    blocks are computed as (U G)[a:b] U' without forming the whole matrix.
-    """
-    factored = isinstance(B, tuple)
-    if factored:
-        U, G = B
-        UG = U @ G
-    m = U.shape[0] if factored else B.shape[0]
+def _dense_blocks(B):
+    """Yield (rows, columns, block) over every entry of the dense B, in row blocks
+    of about ``_BLOCK_ENTRIES`` entries."""
+    m = B.shape[0]
     step = max(1, _BLOCK_ENTRIES // max(m, 1))
+    cols = np.arange(m)
     for a in range(0, m, step):
-        yield a, UG[a : a + step] @ U.T if factored else B[a : a + step]
+        yield np.arange(a, min(a + step, m)), cols, B[a : a + step]
+
+
+def _bounded_blocks(B, need):
+    """Yield (rows, columns, block) of B = U G U' over the pairs whose bound reaches ``need()``.
+
+    b_ij = a_i . x_j with a_i = (U G)_i and x_j = U_j, so |b_ij| <= |a_i| |x_j|.
+    Rows and columns are taken in order of descending norm.  Each block
+    takes the next rows whose bound with the largest column still reaches
+    ``need()``, and the prefix of columns whose bound with the block's
+    first (largest) row reaches it; ``need()`` is read before each block,
+    and the scan stops at an empty prefix.  Each block has at most
+    ``_BLOCK_ENTRIES`` entries (one row if the prefix is longer) and is
+    computed as (U G)[rows] U[cols]', the formula of a full block scan.  A
+    pair whose |b_ij| can reach ``need()`` is in some block: the bound is
+    widened by ``_BOUND_SLACK`` and ``_BOUND_FLOOR`` to cover the rounding
+    of the norms, of their product and of b_ij.
+    """
+    U, G = B
+    A = U @ G
+    row_norm, col_norm = np.hypot(A[:, 0], A[:, 1]), np.hypot(U[:, 0], U[:, 1])
+    ro, co = np.argsort(-row_norm, kind="stable"), np.argsort(-col_norm, kind="stable")
+    A, X, row_norm, col_norm = A[ro], U[co], row_norm[ro], col_norm[co]
+    m = A.shape[0]
+
+    def below(row, col):
+        return row_norm[row] * _BOUND_SLACK * col_norm[col] + _BOUND_FLOOR < floor
+
+    r = 0
+    while r < m:
+        floor = need()
+        p = bisect.bisect_left(range(m), True, key=lambda j: below(r, j))
+        if p == 0:
+            return
+        # no more rows than reach floor against the largest column
+        stop = bisect.bisect_left(range(m), True, lo=r, key=lambda i: below(i, 0))
+        stop = min(stop, r + max(1, _BLOCK_ENTRIES // p))
+        yield ro[r:stop], co[:p], A[r:stop] @ X[:p].T
+        r = stop
+
+
+def _blocks(B, need):
+    """The blocks of a dense B (every entry) or of a pair (U, G) (those that can reach ``need()``)."""
+    return _bounded_blocks(B, need) if isinstance(B, tuple) else _dense_blocks(B)
 
 
 def _extremes(B) -> tuple[float, float]:
-    """(max, min) over the entries of B, read through :func:`_row_blocks`."""
-    his, los = [], []
-    for _, blk in _row_blocks(B):
-        his.append(blk.max())
-        los.append(blk.min())
-    return (float(np.max(his)), float(np.min(los))) if his else (0.0, 0.0)
+    """(max, min) over the entries of B, read through :func:`_blocks`.
+
+    A pair (U, G) is scanned for pairs that can pass the running extremes:
+    need = min(max, -min), which is 0 while either has no sign yet.
+    """
+    ext = [-math.inf, math.inf]
+    for _, _, blk in _blocks(B, lambda: max(0.0, min(ext[0], -ext[1]))):
+        ext[0], ext[1] = max(ext[0], blk.max()), min(ext[1], blk.min())
+    return (float(ext[0]), float(ext[1])) if ext[0] >= ext[1] else (0.0, 0.0)
 
 
 def threshold_B(B, theta: float, mode: str = "positive") -> sp.csr_matrix:
@@ -280,9 +330,14 @@ def threshold_B(B, theta: float, mode: str = "positive") -> sp.csr_matrix:
     (i, j) and (j, i) pass, which matters only for exact ties at the cut.
 
     B is a dense square matrix or a pair (U, G) standing for U G U' (an
-    m x 2 factor and a 2x2 core slice).  Either way B is read in row blocks,
-    once for its extremes and once for the kept entries, so the working
-    memory is O(block + nnz(B-hat)) and no m x m temporary is allocated.
+    m x 2 factor and a 2x2 core slice), with finite entries.  It is read in
+    blocks, once for its extremes and once for the kept entries, so the
+    working memory is O(block + nnz(B-hat)) and no m x m temporary is
+    allocated.  A dense B is read whole, in row blocks.  A pair is read
+    only where the bound |b_ij| <= |(U G)_i| |U_j| can pass the running
+    extremes or the cut, so it costs O(m log m + pairs passing the bound);
+    that is O(m^2) when the norms are all equal, when B has one sign (its
+    extremes need every entry) or when theta = 0.
     """
     return _threshold(B, theta, mode)[0]
 
@@ -297,32 +352,42 @@ def _threshold(B, theta: float, mode: str) -> tuple[sp.csr_matrix, float, float]
         U, G = (np.asarray(x, dtype=float) for x in B)
         if U.ndim != 2 or U.shape[1] != 2 or G.shape != (2, 2):
             raise ValueError("B as a pair needs an mx2 factor and a 2x2 core slice")
+        if not (np.isfinite(U).all() and np.isfinite(G).all()):
+            raise ValueError("B's factors contain non-finite values")
         B, m = (U, G), U.shape[0]
     else:
         B = np.asarray(B, dtype=float)
         if B.ndim != 2 or B.shape[0] != B.shape[1]:
             raise ValueError(f"B must be a square matrix, got shape {B.shape}")
+        if not np.isfinite(B).all():
+            raise ValueError("B contains non-finite values")
         m = B.shape[0]
     b_max, b_min = _extremes(B)
     scale = max(b_max, -b_min)  # max|B|
     if m == 0 or (mode == "positive" and b_max <= 1e-12 * scale):
         # no meaningful positive part; roundoff positives are not entries
         return sp.csr_matrix((m, m)), b_max, b_min
-    rows, cols, vals = [], [], []
-    for a, blk in _row_blocks(B):
+    cut = theta * (b_max if mode == "positive" else scale)
+    codes, vals = [], []
+    for ri, ci, blk in _blocks(B, lambda: cut):
         if mode == "positive":
-            r, c = np.nonzero(blk > theta * b_max)
+            keep = blk > cut
         elif theta == 0.0:
-            r, c = np.nonzero(blk)
+            keep = blk != 0
         else:
-            r, c = np.nonzero(np.abs(blk) > theta * scale)
-        rows.append(r + a)
-        cols.append(c)
-        vals.append(blk[r, c])
-    i, j, v = (np.concatenate(x) for x in (rows, cols, vals))
-    # row-major codes are sorted; keep (i, j) only when (j, i) passed too
-    both, _ = _find(i * m + j, j * m + i)
-    i, j, v = i[both], j[both], v[both]
+            keep = np.abs(blk) > cut
+        r, c = np.nonzero(keep)
+        codes.append(ri[r] * m + ci[c])
+        vals.append(blk[keep])
+    codes, v = np.concatenate(codes), np.concatenate(vals)
+    order = np.argsort(codes, kind="stable")
+    codes, v = codes[order], v[order]  # row-major
+    i, j = np.divmod(codes, m)
+    # keep (i, j) only when (j, i) passed too, i.e. when i * m + j is the mirror
+    # code of a passing entry; sorted queries make the search cache-friendly
+    both, _ = _find(np.sort(j * m + i), codes)
+    if both.size < codes.size:
+        i, j, v = i[both], j[both], v[both]
     indptr = np.concatenate(([0], np.cumsum(np.bincount(i, minlength=m))))
     return sp.csr_matrix((v, j, indptr), shape=(m, m)), b_max, b_min
 

@@ -17,10 +17,11 @@ index arrays with its source.
 Tensors are immutable after construction: the ``i``, ``j``, ``k`` and
 ``vals`` arrays are read-only (``writeable=False``), and every operation
 returns a new tensor or a dense array.  Immutability is what makes the
-per-tensor cache safe: the slice stacks that every contraction and the
-(1,2)-symmetry check read (the 3-slices stacked as one CSR matrix in
-canonical order, and on first use the stacked transposed slices) are
-computed at most once.
+per-tensor cache safe: the slice stacks that every contraction reads (the
+3-slices stacked as one CSR matrix in canonical order, and on first use
+by a modes-(1,3) contraction the stacked transposed slices) are computed
+at most once.  The (1,2)-symmetry check reads both but adds only the
+canonical one to the cache.
 
 Dense factor matrices, vectors and small core tensors are plain numpy
 arrays.  Contractions that shrink a mode (multiplication by a matrix with
@@ -221,26 +222,27 @@ class SparseTensor3:
         lin = lin[order]
         first = np.ones(lin.size, dtype=bool)  # first entry of each run of equal codes
         np.not_equal(lin[1:], lin[:-1], out=first[1:])
-        start = np.flatnonzero(first)
-        if start.size < lin.size:
+        if not first.all():
+            start = np.flatnonzero(first)
             # input order inside each run of duplicates makes order the stable
-            # permutation, so duplicates are summed left to right; the key
-            # run start * nnz + input position is below nnz**2
+            # permutation, so each run is reduced in input order (reduceat adds
+            # the sum of the rest to the first); the key run start * nnz +
+            # input position is below nnz**2
             dup = ~first
             dup[:-1] |= ~first[1:]
             pos = np.flatnonzero(dup)
             run = start[np.searchsorted(start, pos, side="right") - 1]
             order[pos] = np.sort(run * lin.size + order[pos]) % lin.size
-        vals = vals[order]
-        # sum duplicates, then drop explicit zeros
-        uniq = lin[start]
-        summed = np.add.reduceat(vals, start) if vals.size else vals
-        keep = summed != 0.0
-        uniq, summed = uniq[keep], summed[keep]
+            lin, vals = lin[start], np.add.reduceat(vals[order], start)  # sum duplicates
+        else:
+            vals = vals[order]
+        keep = vals != 0.0  # drop explicit zeros
+        if not keep.all():
+            lin, vals = lin[keep], vals[keep]
 
-        k, rem = np.divmod(uniq, l * m)
+        k, rem = np.divmod(lin, l * m)
         i, j = np.divmod(rem, m)
-        self._set(dims, i, j, k, summed)
+        self._set(dims, i, j, k, vals)
 
     def _set(self, dims, i, j, k, vals) -> None:
         for arr in (i, j, k, vals):
@@ -503,12 +505,17 @@ def is_12_symmetric(T: SparseTensor3, tol: float = 0.0) -> bool:
     the two cached slice stacks, which hold a_ijk and a_jik at the same
     (row, column): rows k*l + i of the canonical stack against rows k*m + j
     of the transposed one.  On equal patterns the values are compared
-    position by position, otherwise their sparse difference is.
+    position by position, otherwise their sparse difference is.  A
+    transposed stack built for the check is not kept in the cache: a
+    symmetric solve never reads it.
     """
     l, m, _ = T.dims
     if l != m:
         return False
+    cached = 1 in T._stacks
     S, St = T._slice_stack(2), T._slice_stack(1)
+    if not cached:
+        del T._stacks[1]
     if np.array_equal(S.indptr, St.indptr) and np.array_equal(S.indices, St.indices):
         diff = S.data - St.data
     else:

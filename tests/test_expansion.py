@@ -275,6 +275,131 @@ class TestStreamedThreshold:
 
 
 
+def planted_factor(m, rng, groups=(120, 150), noise=0.002):
+    """Orthonormal m x 2 factor of a bipartite pair of planted groups: (u + v, u - v) plus noise."""
+    u, v = np.zeros(m), np.zeros(m)
+    cut = groups[0] + groups[1]
+    u[: groups[0]] = rng.random(groups[0]) + 0.5
+    v[groups[0] : cut] = rng.random(groups[1]) + 0.5
+    u, v = u / np.linalg.norm(u), v / np.linalg.norm(v)
+    U = np.column_stack((u + v, u - v)) + noise * rng.standard_normal((m, 2))
+    return np.linalg.qr(U[rng.permutation(m)])[0]
+
+
+class TestBoundedScan:
+    """The pair (U, G) is scanned only where |b_ij| <= |(U G)_i| |U_j| can pass
+    the running extremes or the cut; masks of the dense B = form_B(U, G) are
+    the oracle, with TestStreamedThreshold's tolerance model (supports equal
+    except within 4 ulp * max|B| of the cut, values and extremes within
+    1e-15 * max|B|)."""
+
+    THETAS = (0.0, 0.1, 0.25, 0.9)
+
+    @classmethod
+    def check(cls, U, G):
+        """Every mode and theta on one factor pair, against masks of the dense B."""
+        B = form_B(U, G)
+        m, scale = B.shape[0], np.abs(B).max()
+        tol, near = 1e-15 * scale, 4 * np.finfo(float).eps * scale
+        b_max, b_min = expansion._extremes((U, G))
+        assert abs(b_max - B.max()) <= tol and abs(b_min - B.min()) <= tol
+        for mode in ("positive", "absolute"):
+            value = B if mode == "positive" else np.abs(B)
+            for theta in cls.THETAS:
+                got = threshold_B((U, G), theta, mode)
+                assert got.has_canonical_format or got.nnz == 0
+                cut = theta * (B.max() if mode == "positive" else scale)
+                if mode == "positive" and B.max() <= 1e-12 * scale:
+                    assert got.nnz == 0
+                    continue
+                mask = B != 0 if mode == "absolute" and theta == 0 else value > cut
+                mask &= mask.T
+                want = np.flatnonzero(mask)  # row-major codes of a symmetric pattern
+                codes = expansion._codes(got)
+                if np.array_equal(codes, want):
+                    assert np.abs(got.data - B.ravel()[want]).max(initial=0.0) <= tol
+                    continue
+                i, j = np.divmod(codes, m)
+                assert np.array_equal(np.sort(j * m + i), codes)  # a symmetric pattern
+                common = np.intersect1d(codes, want, assume_unique=True)
+                kept = got.data[np.searchsorted(codes, common)]
+                assert np.abs(kept - B.ravel()[common]).max(initial=0.0) <= tol
+                # an entry kept by one side only must sit at the cut, or its mirror must
+                i, j = np.divmod(np.setxor1d(codes, want, assume_unique=True), m)
+                assert np.all((np.abs(value[i, j] - cut) <= near) | (np.abs(value[j, i] - cut) <= near))
+
+    @staticmethod
+    def cases(m, rng):
+        U = planted_factor(m, rng)
+        Z = U.copy()
+        Z[rng.choice(m, m // 5, replace=False)] = 0.0
+        phi = rng.uniform(0, 2 * np.pi, m)
+        E = np.column_stack((np.cos(phi), np.sin(phi))) / np.sqrt(m)
+        return [
+            ("planted", U, np.array([[0.02, 5.3], [5.3, 0.01]])),
+            ("zero rows", Z, np.array([[0.4, 2.0], [2.0, -0.3]])),
+            # an orthogonal G keeps every |(U G)_i| equal: the worst case
+            ("equal norms", E, np.array([[0.6, 0.8], [0.8, -0.6]])),
+            ("no positive part", np.abs(U), -np.array([[1.0, 0.2], [0.2, 0.7]])),
+        ]
+
+    @pytest.mark.parametrize("case", range(4))
+    def test_matches_dense_oracle(self, case):
+        _, U, G = self.cases(3000, np.random.default_rng(17))[case]
+        self.check(U, G)
+
+    def test_single_vertex(self):
+        for G in (np.array([[2.0, 0.5], [0.5, -1.0]]), -np.eye(2), np.zeros((2, 2))):
+            for U in (np.array([[0.6, 0.8]]), np.zeros((1, 2))):
+                for mode in ("positive", "absolute"):
+                    for theta in self.THETAS:
+                        got = threshold_B((U, G), theta, mode).toarray()
+                        assert np.array_equal(got, threshold_oracle(form_B(U, G), theta, mode))
+                assert expansion._extremes((U, G)) == (form_B(U, G)[0, 0],) * 2
+
+    def test_planted_scan_is_output_sensitive(self, monkeypatch):
+        # m = 20000: a full scan reads 4e8 entries per pass; the planted
+        # groups' pairs (270^2 = 72900) and the noise that bounds the
+        # extremes stay far below 1% of m^2 over both passes
+        m = 20000
+        U = planted_factor(m, np.random.default_rng(3))
+        G = np.array([[0.02, 5.3], [5.3, 0.01]])
+        scanned = []
+        blocks = expansion._bounded_blocks
+
+        def counted(B, need):
+            for rows, cols, blk in blocks(B, need):
+                assert blk.shape == (rows.size, cols.size)
+                assert blk.size <= expansion._BLOCK_ENTRIES
+                scanned.append(blk.size)
+                yield rows, cols, blk
+
+        monkeypatch.setattr(expansion, "_bounded_blocks", counted)
+        B_hat = threshold_B((U, G), 0.25, "positive")
+        assert sum(scanned) < 0.01 * m * m
+        assert 0 < B_hat.nnz <= 2 * 120 * 150
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_dense_rejected(self, bad):
+        B = np.ones((5, 5))
+        B[1, 3] = bad
+        for mode in ("positive", "absolute"):
+            with pytest.raises(ValueError, match="non-finite"):
+                threshold_B(B, 0.25, mode)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["U", "G"])
+    def test_pair_rejected(self, bad, where):
+        U, G = np.linalg.qr(np.random.default_rng(4).standard_normal((6, 2)))[0], np.eye(2)
+        (U if where == "U" else G)[1, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            threshold_B((U, G), 0.25)
+        with pytest.raises(ValueError, match="non-finite"):
+            expansion._threshold((U, G), 0.0, "absolute")
+
+
 class TestDeflatedOperator:
     def test_matches_materialized_residual(self, rng):
         T = random_symmetric(rng, 7, 4, density=0.5)
@@ -511,6 +636,13 @@ class TestExpand:
         for a, b in zip(*runs):
             for x, y in ((a.U, b.U), (a.w, b.w), (a.core, b.core), (a.B_hat.data, b.B_hat.data)):
                 assert x.tobytes() == y.tobytes()
+
+    def test_caches_only_the_canonical_stack(self, rng):
+        # the symmetry check drops the transposed stack it builds, and the
+        # symmetric solves never read one
+        T = random_symmetric(rng, 12, 5, density=0.5)
+        expand(T, 2, theta=0.25)
+        assert set(T._stacks) == {2}
 
     def test_memory_below_dense_B(self):
         # a dense B alone is m^2 * 8 bytes (72 MB); the expansion path must

@@ -118,6 +118,36 @@ class TestConstruction:
             order_mattered += not np.array_equal(summed, backwards)
         assert order_mattered > 100
 
+    @pytest.mark.parametrize("dups", [False, True])
+    @pytest.mark.parametrize("zeros", [False, True])
+    def test_matches_dict_sum_oracle(self, dups, zeros):
+        # the constructor skips the duplicate sum and the zero filter when
+        # there is nothing to sum or drop; either way the result is the sum
+        # per (k, i, j) without zeros, from read-only input (the values are
+        # dyadic, so every order of summation is exact; test above covers order)
+        rng = np.random.default_rng(11)
+        dims = (7, 6, 5)
+        for _ in range(60):
+            codes = rng.choice(np.prod(dims), rng.integers(1, 60), replace=False)
+            if dups:
+                codes = rng.permutation(np.concatenate((codes, rng.choice(codes, 40))))
+            vals = rng.choice([1.0, -1.0, 0.5, 3.0, -2.5, 0.25], codes.size)
+            if zeros:
+                vals[rng.random(codes.size) < 0.3] = 0.0
+            i, j, k = np.unravel_index(codes, dims)
+            for a in (i, j, k, vals):
+                a.flags.writeable = False
+            T = SparseTensor3(dims, i, j, k, vals)
+
+            oracle = {}
+            for key, v in zip(zip(k.tolist(), i.tolist(), j.tolist()), vals.tolist()):
+                oracle[key] = oracle.get(key, 0.0) + v
+            want = sorted((key, v) for key, v in oracle.items() if v != 0.0)
+            got = list(zip(zip(T.k.tolist(), T.i.tolist(), T.j.tolist()), T.vals.tolist()))
+            assert got == want
+            assert all(not a.flags.writeable for a in (T.i, T.j, T.k, T.vals))
+            assert T.i.dtype == T.j.dtype == T.k.dtype == np.int64
+
 
 class TestModeMultiply:
     def test_identity_is_noop(self, rng):
@@ -551,6 +581,16 @@ class TestSymmetry:
         results = [is_12_symmetric(T, tol) for T in cases]
         assert results == [self.union_oracle(T, tol) for T in cases]
         assert True in results and False in results
+
+    def test_check_caches_no_transposed_stack(self, rng):
+        # the check builds the transposed stack for itself only; one a
+        # contraction cached before stays cached
+        T = random_symmetric(rng, 9, 4, density=0.4)
+        assert is_12_symmetric(T)
+        assert set(T._stacks) == {2}
+        St = T._slice_stack(1)
+        assert is_12_symmetric(T)
+        assert T._stacks[1] is St
 
     def test_check_memory_per_entry(self):
         # once both slice stacks exist, the check allocates one difference
