@@ -32,7 +32,16 @@ import scipy.sparse as sp
 
 from .lowrank import RankApproximation, SolverConfig, hooi_symmetric
 from .preprocess import LabelTable
-from .sparse_tensor import SparseTensor3, _ldexp, _norm, _scaled_sum, _symmetry_tol, is_12_symmetric
+from .sparse_tensor import (
+    SparseTensor3,
+    _check_size,
+    _ldexp,
+    _norm,
+    _scaled_sum,
+    _stable_sort,
+    _symmetry_tol,
+    is_12_symmetric,
+)
 
 __all__ = [
     "ExpansionTerm",
@@ -54,6 +63,10 @@ _BLOCK_ENTRIES = 1 << 18
 # the absolute rounding of products below the normal range
 _BOUND_SLACK = 1 + 8 * np.finfo(float).eps
 _BOUND_FLOOR = 4 * np.finfo(float).smallest_subnormal
+# peak bytes per kept entry of B while thresholding: the kept codes and
+# values, their sort and the symmetric-pair search (tracemalloc: 80.4-81.4
+# at m = 3000 with 0.9M to 9M kept entries)
+_KEPT_BYTES = 80
 
 
 @dataclass
@@ -83,8 +96,8 @@ class DeflatedOperator:
     """Implicit residual  base - sum_v w^(v) x B_hat^(v)  (outer in mode 3).
 
     Supports the same contraction interface as a sparse tensor, half
-    product included (the base's, plus each B_hat V), so the symmetric
-    solver runs on it directly; the base tensor is never modified.
+    products included (the base's, plus each B_hat V), so the solvers run
+    on it directly; the base tensor is never modified.
     ``terms`` is stored as a tuple with each B_hat in canonical CSR form (a
     user-supplied matrix with duplicate or unsorted entries is copied
     first).  ||R||^2 is cached as parts (s, e) standing for
@@ -108,6 +121,11 @@ class DeflatedOperator:
     def dims(self):
         return self.base.dims
 
+    @property
+    def nnz(self) -> int:
+        """Stored entries: the base tensor's and every B_hat's."""
+        return self.base.nnz + sum(B.nnz for _, B in self.terms)
+
     def _check_term(self, w: np.ndarray, B_hat: sp.spmatrix):
         m = self.base.dims[0]
         n = self.base.dims[2]
@@ -118,15 +136,18 @@ class DeflatedOperator:
 
     # contraction interface --------------------------------------------------
 
-    def half_product(self, V: np.ndarray):
-        """The base tensor's half product with V and each term's B_hat V."""
-        return self.base.half_product(V), tuple(B @ V for _, B in self.terms)
+    def half_product(self, V: np.ndarray, transposed: bool = False):
+        """The base tensor's half product with V and each term's B_hat V (B_hat' V
+        with ``transposed``, the same up to rounding for a symmetric B_hat)."""
+        BV = tuple((B.T if transposed else B) @ V for _, B in self.terms)
+        return self.base.half_product(V, transposed), BV
 
-    def reduce_half(self, P, mode: int, X: np.ndarray) -> np.ndarray:
+    def reduce_half(self, P, mode: int, X: np.ndarray, cols=slice(None)) -> np.ndarray:
         """The base reduction of P (as on a sparse tensor) less each term's part."""
         base_P, BV = P
-        out = self.base.reduce_half(base_P, mode, X)
+        out = self.base.reduce_half(base_P, mode, X, cols)
         for (w, _), BVt in zip(self.terms, BV):
+            BVt = np.ascontiguousarray(BVt[:, cols])
             if mode == 3:
                 out -= np.einsum("k,pq->kpq", w, X.T @ BVt)
             else:
@@ -137,10 +158,7 @@ class DeflatedOperator:
         return self.reduce_half(self.half_product(V), 1, W)
 
     def contract_modes13(self, U: np.ndarray, W: np.ndarray) -> np.ndarray:
-        out = self.base.contract_modes13(U, W)
-        for w, B in self.terms:
-            out -= np.einsum("jp,r->jpr", B.T @ U, W.T @ w)
-        return out
+        return self.reduce_half(self.half_product(U, transposed=True), 1, W)
 
     def contract_modes12(self, U: np.ndarray, V: np.ndarray) -> np.ndarray:
         return self.reduce_half(self.half_product(V), 3, U)
@@ -194,6 +212,8 @@ class DeflatedOperator:
         return _scaled_sum(T.vals[where], w[T.k[where]], B.data[at])
 
     def to_dense(self) -> np.ndarray:
+        l, m, n = self.dims
+        _check_size("a dense residual", 2 * l * m * n + m * m)  # the result, a term, its B_hat
         out = self.base.to_dense()
         for w, B in self.terms:
             out -= B.toarray()[:, :, None] * w[None, None, :]
@@ -244,7 +264,8 @@ def form_B(U: np.ndarray, core: np.ndarray) -> np.ndarray:
     """Dense symmetric rank-<=2 matrix B = U G U' from the 2x2 core slice G.
 
     ||B|| equals ||F|| because U has orthonormal columns.  This builds all
-    m^2 entries (O(m^2) time and memory); :func:`expand` never calls it but
+    m^2 entries (O(m^2) time and memory), and raises ``ValueError`` when they
+    would not fit in physical memory; :func:`expand` never calls it but
     thresholds the pair (U, G) in row blocks instead.  It is kept as the
     dense oracle for that path.
     """
@@ -253,6 +274,7 @@ def form_B(U: np.ndarray, core: np.ndarray) -> np.ndarray:
         G = G[:, :, 0]
     if G.shape != (2, 2) or U.shape[1] != 2:
         raise ValueError("form_B expects a mx2 factor and a 2x2 core slice")
+    _check_size("form_B", U.shape[0] ** 2)
     return U @ G @ U.T
 
 
@@ -337,7 +359,9 @@ def threshold_B(B, theta: float, mode: str = "positive") -> sp.csr_matrix:
     only where the bound |b_ij| <= |(U G)_i| |U_j| can pass the running
     extremes or the cut, so it costs O(m log m + pairs passing the bound);
     that is O(m^2) when the norms are all equal, when B has one sign (its
-    extremes need every entry) or when theta = 0.
+    extremes need every entry) or when theta = 0.  Once the kept entries
+    found so far would not fit in physical memory (at ``_KEPT_BYTES``
+    each), a ``ValueError`` names their count.
     """
     return _threshold(B, theta, mode)[0]
 
@@ -368,7 +392,7 @@ def _threshold(B, theta: float, mode: str) -> tuple[sp.csr_matrix, float, float]
         # no meaningful positive part; roundoff positives are not entries
         return sp.csr_matrix((m, m)), b_max, b_min
     cut = theta * (b_max if mode == "positive" else scale)
-    codes, vals = [], []
+    codes, vals, kept = [], [], 0
     for ri, ci, blk in _blocks(B, lambda: cut):
         if mode == "positive":
             keep = blk > cut
@@ -377,11 +401,12 @@ def _threshold(B, theta: float, mode: str) -> tuple[sp.csr_matrix, float, float]
         else:
             keep = np.abs(blk) > cut
         r, c = np.nonzero(keep)
+        kept += r.size
+        _check_size("thresholded B", kept, _KEPT_BYTES)
         codes.append(ri[r] * m + ci[c])
         vals.append(blk[keep])
-    codes, v = np.concatenate(codes), np.concatenate(vals)
-    order = np.argsort(codes, kind="stable")
-    codes, v = codes[order], v[order]  # row-major
+    order, codes = _stable_sort(np.concatenate(codes), m * m)  # row-major
+    v = np.concatenate(vals)[order]
     i, j = np.divmod(codes, m)
     # keep (i, j) only when (j, i) passed too, i.e. when i * m + j is the mirror
     # code of a passing entry; sorted queries make the search cache-friendly

@@ -8,9 +8,10 @@ best approximation is B = (U, V, W) . F.
 The solver here is HOOI with a deterministic sketched truncated-HOSVD
 start and optional seeded random restarts.  Solver and start touch the
 data only through mode contractions against matrices with few columns
-(``half_product`` and ``reduce_half``, plus ``contract_modes13`` in an
-unshared solve), so an implicit operator (see :mod:`tenspart.expansion`)
-can stand in for a sparse tensor and gets the same start.
+(``half_product``, of the transposed stack too in an unshared solve, and
+``reduce_half``), so an implicit operator (see :mod:`tenspart.expansion`)
+can stand in for a sparse tensor and gets the same start.  Restarts sweep
+in lockstep and share each sparse product.
 """
 
 from __future__ import annotations
@@ -23,7 +24,15 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .sparse_tensor import SparseTensor3, _exponent, _norm, _symmetry_tol, is_12_symmetric, symmetric_embed
+from .sparse_tensor import (
+    SparseTensor3,
+    _check_size,
+    _exponent,
+    _norm,
+    _symmetry_tol,
+    is_12_symmetric,
+    symmetric_embed,
+)
 
 __all__ = [
     "SolverConfig",
@@ -159,48 +168,66 @@ def _core_from_c12(C12: np.ndarray, W: np.ndarray) -> np.ndarray:
     return np.einsum("kpq,kr->pqr", C12, W)
 
 
-def _sweeps(T, U, V, W, ranks, cfg: SolverConfig, shared: bool) -> RankApproximation:
-    """Alternating HOOI updates from given starting factors.
+def _block(a: int, r: int) -> slice:
+    """The columns of the a-th of several r-column factors side by side."""
+    return slice(a * r, (a + 1) * r)
+
+
+def _sweeps(T, starts, ranks, cfg: SolverConfig, shared: bool) -> list[RankApproximation]:
+    """Alternating HOOI updates from each of the (U, V, W) ``starts``, in lockstep.
 
     With ``shared`` the mode-1 and mode-2 factors are one matrix U = V,
     updated from the mode-1 contraction (equal to the mode-2 one on a
     (1,2)-symmetric operator), so the starting V is not read.
 
-    Each factor update makes one sparse product.  The half product
-    P = ``T.half_product(V)`` that the modes-(1,2) contraction ends a sweep
-    with is the one the next sweep's modes-(2,3) contraction needs, since V
-    has not changed since; it is carried over and dropped right after that
-    reduction, so at most one P is alive.  A shared sweep thus makes one
-    canonical-stack product; an unshared one adds the modes-(1,3)
-    contraction, the only read of the transposed stack.
+    The runs share every sparse product: it takes the factors of the runs
+    still sweeping side by side, and each run reduces its own block of
+    columns with its own factors, so it gets the bits it would get alone.
+    A run leaves once it converges.  Each factor update makes one product.
+    The half product P = ``T.half_product(V)`` that the modes-(1,2)
+    contraction ends a sweep with is the one the next sweep's modes-(2,3)
+    contraction needs, since V has not changed since; it is carried over
+    and dropped right after that reduction, so at most one half product is
+    alive.  A shared sweep thus makes one canonical-stack product; an
+    unshared one adds the modes-(1,3) contraction, the only read of the
+    transposed stack.
     """
     r1, r2, r3 = ranks
-    if shared:
-        V = U
-    history: list[float] = []
-    converged = deficient = False
-    P = T.half_product(V)
+    runs = [RankApproximation(U, U if shared else V, W, None, converged=False) for U, V, W in starts]
+    active = runs
+    blocks = range(len(active))  # each active run's block of columns in P
+    P = T.half_product(np.hstack([run.V for run in active]))
     for _ in range(cfg.max_iters):
-        C = T.reduce_half(P, 1, W)  # contract_modes23(V, W): (l, r2, r3)
+        for a, run in zip(blocks, active):
+            C = T.reduce_half(P, 1, run.W, _block(a, r2))  # contract_modes23(V, W): (l, r2, r3)
+            run.U, low = _leading(C.reshape(C.shape[0], -1), r1)
+            run.rank_deficient |= low
         P = None  # dropped before the next product
-        U, low_u = _leading(C.reshape(C.shape[0], -1), r1)
         if shared:
-            V, low_v = U, False
+            for run in active:
+                run.V = run.U
         else:
-            C = T.contract_modes13(U, W)  # (m, r1, r3)
-            V, low_v = _leading(C.reshape(C.shape[0], -1), r2)
-        P = T.half_product(V)
-        C12 = T.reduce_half(P, 3, U)  # contract_modes12(U, V): (n, r1, r2)
-        W, low_w = _leading(C12.reshape(C12.shape[0], -1), r3)
-        deficient = deficient or low_u or low_v or low_w
-        core = _core_from_c12(C12, W)
-        obj = _norm(core)
-        if history and abs(obj - history[-1]) <= cfg.rel_tol * max(obj, 1e-300):
+            Q = T.half_product(np.hstack([run.U for run in active]), transposed=True)
+            for a, run in enumerate(active):
+                C = T.reduce_half(Q, 1, run.W, _block(a, r1))  # contract_modes13(U, W): (m, r1, r3)
+                run.V, low = _leading(C.reshape(C.shape[0], -1), r2)
+                run.rank_deficient |= low
+            Q = None
+        P = T.half_product(np.hstack([run.V for run in active]))
+        for a, run in enumerate(active):
+            C12 = T.reduce_half(P, 3, run.U, _block(a, r2))  # contract_modes12(U, V): (n, r1, r2)
+            run.W, low = _leading(C12.reshape(C12.shape[0], -1), r3)
+            run.rank_deficient |= low
+            run.core = _core_from_c12(C12, run.W)
+            obj = _norm(run.core)
+            history = run.objective_history
+            run.converged = bool(history) and abs(obj - history[-1]) <= cfg.rel_tol * max(obj, 1e-300)
             history.append(obj)
-            converged = True
+        blocks = [a for a, run in enumerate(active) if not run.converged]
+        active = [active[a] for a in blocks]
+        if not active:
             break
-        history.append(obj)
-    return RankApproximation(U, V, W, core, history, converged, deficient)
+    return runs
 
 
 def _check_ranks(ranks, dims) -> None:
@@ -247,7 +274,7 @@ def hosvd_init(
     p = tuple(min(d, r + _OVERSAMPLE, size // d) for d, r in zip(dims, ranks))
     rng = np.random.default_rng(0)
     U, V, W = (_random_orthonormal(rng, d, pi) for d, pi in zip(dims, p))
-    sketch = _sweeps(T, U, V, W, p, SolverConfig(max_iters=2), shared)
+    sketch = _sweeps(T, [(U, V, W)], p, SolverConfig(max_iters=2), shared)[0]
     bases = (sketch.U, sketch.V, sketch.W)
 
     def lift(mode: int) -> np.ndarray:
@@ -258,32 +285,56 @@ def hosvd_init(
     return U, U if shared else lift(1), lift(2)
 
 
+def _batch_size(T, ranks, shared: bool) -> int:
+    """Restarts per lockstep batch of :func:`_sweeps`.
+
+    As many as keep every half product within the operator's stored entries
+    (n*l*r2 per run on the canonical stack, n*m*r1 on the transposed one),
+    and at least one: a lone run's products are as wide as they ever were.
+    """
+    l, m, n = T.dims
+    width = n * l * ranks[1] if shared else n * max(l * ranks[1], m * ranks[0])
+    return max(1, T.nnz // width)
+
+
+def _best(runs: list[RankApproximation], rel_tol: float) -> RankApproximation:
+    """The run with the largest objective, the earliest among near ties.
+
+    A later run replaces the best only when its objective is larger by more
+    than ``rel_tol`` relative, so runs that reach the same optimum (and tie
+    up to rounding) return the earliest.
+    """
+    best = runs[0]
+    for cand in runs[1:]:
+        if cand.objective - best.objective > rel_tol * best.objective:
+            best = cand
+    return best
+
+
 def _solve(T, ranks, cfg: SolverConfig, shared: bool) -> RankApproximation:
-    """Best of ``cfg.num_restarts`` sweep runs.
+    """Best of ``cfg.num_restarts`` sweep runs, by :func:`_best`.
 
     The first run starts from :func:`hosvd_init` on every operator, sparse
     tensor or implicit, sketched with the same ``shared`` as the sweeps; so
     a shared solve makes no modes-(1,3) contraction and reads only the
     canonical stack.  The others start from orthonormal factors drawn from
-    ``cfg.seed``.  A later run replaces the best only when its objective is
-    larger by more than ``cfg.rel_tol`` relative, so runs that reach the
-    same optimum (and tie up to rounding) return the earliest.
+    ``cfg.seed``.  The runs sweep in lockstep, in batches of
+    :func:`_batch_size`, and share each batch's sparse products.
     """
     if isinstance(T, SparseTensor3) and T.nnz == 0:
         raise ValueError("cannot approximate an empty tensor")
     l, m, n = T.dims
     rng = np.random.default_rng(cfg.seed)
-    best: RankApproximation | None = None
-    for restart in range(cfg.num_restarts):
-        if restart == 0:
-            U, V, W = hosvd_init(T, ranks, shared=shared)
-        else:
-            U = _random_orthonormal(rng, l, ranks[0])
-            V = U if shared else _random_orthonormal(rng, m, ranks[1])
-            W = _random_orthonormal(rng, n, ranks[2])
-        cand = _sweeps(T, U, V, W, ranks, cfg, shared)
-        if best is None or cand.objective - best.objective > cfg.rel_tol * best.objective:
-            best = cand
+    starts = [hosvd_init(T, ranks, shared=shared)]
+    for _ in range(1, cfg.num_restarts):
+        U = _random_orthonormal(rng, l, ranks[0])
+        V = U if shared else _random_orthonormal(rng, m, ranks[1])
+        starts.append((U, V, _random_orthonormal(rng, n, ranks[2])))
+    size = _batch_size(T, ranks, shared)
+    runs = []
+    for b in range(0, len(starts), size):
+        runs += _sweeps(T, starts[b : b + size], ranks, cfg, shared)
+    best = _best(runs, cfg.rel_tol)
     if not best.converged:
         warnings.warn("HOOI did not converge within max_iters", RuntimeWarning)
     return best
@@ -371,11 +422,12 @@ def approx_nonsymmetric_via_embedding(
     W = _leading(C12.reshape(n, -1), r3)[0]
 
     # polish to a stationary point of the direct problem
-    return _sweeps(T, U, V, W, ranks, cfg, shared=False)
+    return _sweeps(T, [(U, V, W)], ranks, cfg, shared=False)[0]
 
 
 def reconstruct(approx: RankApproximation) -> np.ndarray:
     """Dense best-approximation tensor B = (U, V, W) . F."""
+    _check_size("reconstruct", approx.U.shape[0] * approx.V.shape[0] * approx.W.shape[0])
     return np.einsum("pqr,ip,jq,kr->ijk", approx.core, approx.U, approx.V, approx.W)
 
 

@@ -281,7 +281,8 @@ def normalize_slices_frobenius(T: SparseTensor3, skip_empty: bool = False) -> Sp
     """Scale every 3-slice to Frobenius norm 1.
 
     All-zero slices raise unless ``skip_empty`` is set (then left zero).
-    Only values change, so the result keeps the input's index arrays.
+    Only values change, so the result keeps the input's index arrays and
+    its canonical stack's pattern, if built.
     """
     n = T.dims[2]
     if not skip_empty:
@@ -289,7 +290,7 @@ def normalize_slices_frobenius(T: SparseTensor3, skip_empty: bool = False) -> Sp
         if empty.size:
             raise ValueError(f"all-zero 3-slices at k={empty.tolist()} (pass skip_empty=True)")
     norms = _norm(T.vals, T.k, n)
-    return SparseTensor3._canonical(T.dims, T.i, T.j, T.k, T.vals / norms[T.k])
+    return T._with_values(T.vals / norms[T.k])
 
 
 def _inv_sqrt(d: np.ndarray) -> np.ndarray:
@@ -307,7 +308,8 @@ def nonsymmetric_normalize(T: SparseTensor3) -> SparseTensor3:
     and columns stay zero.  The degrees of all slices come from one
     ``bincount`` per side over the codes k*l + i and k*m + j, which adds
     each degree's terms in entry order; only values change, so the result
-    keeps the input's index arrays.
+    keeps the input's index arrays and its canonical stack's pattern, if
+    built (the symmetry check of :func:`normalize_slices_adjacency` builds it).
     """
     _check_nonnegative(T)
     l, m, n = T.dims
@@ -316,7 +318,7 @@ def nonsymmetric_normalize(T: SparseTensor3) -> SparseTensor3:
     ir = _inv_sqrt(np.bincount(row, weights=T.vals, minlength=n * l))
     ic = _inv_sqrt(np.bincount(col, weights=T.vals, minlength=n * m))
     vals = T.vals * ir[row] * ic[col]
-    return SparseTensor3._canonical(T.dims, T.i, T.j, T.k, vals)
+    return T._with_values(vals)
 
 
 # ---------------------------------------------------------------------------
@@ -365,4 +367,4 @@ def bin_and_symmetrize(
         (m, m, n), np.concatenate((a, b)), np.concatenate((b, a)),
         np.concatenate((bins, bins)), np.ones(2 * a.size),
     )
-    return SparseTensor3._canonical(T.dims, T.i, T.j, T.k, np.ones(T.nnz)), labels
+    return T._with_values(np.ones(T.nnz)), labels

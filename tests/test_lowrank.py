@@ -29,6 +29,7 @@ from tenspart.sparse_tensor import _norm
 from conftest import planted_bipartite, pow2_scaled, random_orthogonal, random_sparse, random_symmetric
 
 TIGHT = SolverConfig(rel_tol=1e-12, max_iters=500)
+SWEEPS = lowrank._sweeps  # the lockstep sweep loop, before any test patches it
 
 
 def subspace_distance(A, B):
@@ -305,6 +306,11 @@ def reference_sweeps(T, U, V, W, ranks, cfg, shared):
     return lowrank.RankApproximation(U, V, W, core, history, converged, deficient)
 
 
+def reference_runs(T, starts, ranks, cfg, shared):
+    """``lowrank._sweeps`` as separate reference runs, one per start."""
+    return [reference_sweeps(T, U, V, W, ranks, cfg, shared) for U, V, W in starts]
+
+
 def assert_same_bits(a, b):
     for x, y in ((a.U, b.U), (a.V, b.V), (a.W, b.W), (a.core, b.core)):
         assert x.tobytes() == y.tobytes()
@@ -334,14 +340,14 @@ class TestCarriedHalfProduct:
         T = random_sparse(rng, dims, density=0.4)
         cfg = SolverConfig(seed=5, num_restarts=3)
         carried = hooi(T, ranks, cfg)
-        monkeypatch.setattr(lowrank, "_sweeps", reference_sweeps)  # the start's sketch too
+        monkeypatch.setattr(lowrank, "_sweeps", reference_runs)  # the start's sketch too
         assert_same_bits(carried, hooi(T, ranks, cfg))
 
     def test_hooi_on_deflated_operator_bitwise_equals_reference(self, rng, monkeypatch):
         R = two_term_operator(rng, random_symmetric(rng, 9, 5, density=0.5))
         cfg = SolverConfig(seed=1, num_restarts=2)
         carried = hooi(R, (2, 2, 1), cfg)
-        monkeypatch.setattr(lowrank, "_sweeps", reference_sweeps)
+        monkeypatch.setattr(lowrank, "_sweeps", reference_runs)
         assert_same_bits(carried, hooi(R, (2, 2, 1), cfg))
 
     @pytest.mark.parametrize("deflated", [False, True])
@@ -353,9 +359,85 @@ class TestCarriedHalfProduct:
         U = np.linalg.qr(rng.standard_normal((10, ranks[0])))[0]
         W = np.linalg.qr(rng.standard_normal((5, ranks[2])))[0]
         cfg = SolverConfig(max_iters=50, rel_tol=1e-12)
-        got = lowrank._sweeps(T, U, U, W, ranks, cfg, shared=True)
+        got = lowrank._sweeps(T, [(U, U, W)], ranks, cfg, shared=True)[0]
         assert got.V is got.U
         assert_same_bits(got, reference_sweeps(T, U, U, W, ranks, cfg, shared=True))
+
+
+class TestLockstepRestarts:
+    """Restarts sweep in lockstep and share every sparse product, yet each run
+    has the bits it has alone from the same start.  Tolerance: exact (bitwise)."""
+
+    @pytest.fixture
+    def batches(self, monkeypatch):
+        """(ranks, starts, runs) of every ``_sweeps`` call, the start's sketch included."""
+        calls = []
+
+        def recorded(T, starts, ranks, cfg, shared):
+            runs = SWEEPS(T, starts, ranks, cfg, shared)
+            calls.append((tuple(ranks), starts, runs))
+            return runs
+
+        monkeypatch.setattr(lowrank, "_sweeps", recorded)
+        return calls
+
+    def check_runs_alone(self, T, batches, ranks, cfg, shared):
+        (_, _, _), (got_ranks, starts, runs) = batches  # the sketch, then one batch
+        assert got_ranks == ranks and len(starts) == cfg.num_restarts
+        alone = [SWEEPS(T, [s], ranks, cfg, shared)[0] for s in starts]
+        for a, b in zip(runs, alone):
+            assert_same_bits(a, b)
+        # the runs leave the batch at different sweeps
+        assert len({len(a.objective_history) for a in alone}) > 1
+        return lowrank._best(alone, cfg.rel_tol)
+
+    @pytest.mark.parametrize("dims, ranks", [((9, 8, 6), (2, 2, 2)), ((10, 7, 5), (3, 2, 2))])
+    def test_hooi(self, batches, dims, ranks):
+        T = random_sparse(np.random.default_rng(21), dims, density=1.0)
+        cfg = SolverConfig(rel_tol=1e-10, seed=2, num_restarts=3)
+        assert lowrank._batch_size(T, ranks, shared=False) >= 3
+        got = hooi(T, ranks, cfg)
+        assert_same_bits(got, self.check_runs_alone(T, batches, ranks, cfg, False))
+
+    @pytest.mark.parametrize("deflated", [False, True])
+    @pytest.mark.parametrize("ranks", [(2, 2, 2), (2, 2, 1)])
+    def test_hooi_symmetric(self, batches, deflated, ranks):
+        rng = np.random.default_rng(22)
+        T = random_symmetric(rng, 9, 6, density=0.7)
+        if deflated:
+            T = two_term_operator(rng, T)
+        cfg = SolverConfig(rel_tol=1e-10, seed=3, num_restarts=3)
+        assert lowrank._batch_size(T, ranks, shared=True) >= 3
+        got = hooi_symmetric(T, ranks, cfg)
+        best = self.check_runs_alone(T, batches, ranks, cfg, True)
+        if ranks == (2, 2, 1):
+            best = lowrank._fix_rotation_221(T, best)
+        assert_same_bits(got, best)
+
+    def test_runs_do_not_batch_past_nnz(self, rng, batches):
+        # n*l*r = 20*30*2 = 1200 entries per run's half product, above nnz
+        T = random_sparse(rng, (30, 25, 20), density=0.01)
+        assert 0 < T.nnz < 1200 and lowrank._batch_size(T, (2, 2, 2), shared=False) == 1
+        hooi(T, (2, 2, 2), SolverConfig(num_restarts=3))
+        assert [len(starts) for _, starts, _ in batches] == [1, 1, 1, 1]  # the sketch, then one run each
+
+    def test_wide_products_within_nnz(self, rng, monkeypatch, batches):
+        T = random_sparse(rng, (12, 10, 6), density=0.8)
+        products = []  # (columns, entries) of every half product
+        half = SparseTensor3.half_product
+
+        def recorded(self, X, transposed=False):
+            P = half(self, X, transposed)
+            products.append((X.shape[1], P.size))
+            return P
+
+        monkeypatch.setattr(SparseTensor3, "half_product", recorded)
+        hooi(T, (2, 2, 2), SolverConfig(num_restarts=3))
+        assert [len(starts) for _, starts, _ in batches] == [1, 3]
+        # the sketch's products have p = 10 columns; the batch's 6, then 4 and 2
+        # as runs leave it, and each holds at most nnz entries
+        wide = [size for cols, size in products if cols in (4, 6)]
+        assert wide and max(wide) <= T.nnz
 
 
 class TestProductCount:
@@ -382,7 +464,7 @@ class TestProductCount:
             T = two_term_operator(rng, T)
         U, W = random_orthogonal(rng, 8)[:, :2], random_orthogonal(rng, 5)[:, :1]
         cfg = SolverConfig(max_iters=max_iters, rel_tol=1e-15)
-        sweeps = len(lowrank._sweeps(T, U, U, W, (2, 2, 1), cfg, shared=True).objective_history)
+        sweeps = len(lowrank._sweeps(T, [(U, U, W)], (2, 2, 1), cfg, shared=True)[0].objective_history)
         # one product to start, then one per sweep, carried into the next
         assert reads == [2] * (1 + sweeps)
 
@@ -391,7 +473,7 @@ class TestProductCount:
         T = random_sparse(rng, (8, 7, 5), density=0.5)
         U, V, W = (random_orthogonal(rng, d)[:, :2] for d in (8, 7, 5))
         cfg = SolverConfig(max_iters=max_iters, rel_tol=1e-15)
-        sweeps = len(lowrank._sweeps(T, U, V, W, (2, 2, 2), cfg, shared=False).objective_history)
+        sweeps = len(lowrank._sweeps(T, [(U, V, W)], (2, 2, 2), cfg, shared=False)[0].objective_history)
         # one sweep alone: 2 canonical and 1 transposed; each further sweep
         # adds one of each
         assert reads == [2] + [1, 2] * sweeps
@@ -469,19 +551,18 @@ class TestHooi:
     @pytest.mark.parametrize("gain, taken", [(2.0, True), (0.5, False)])
     def test_restart_must_beat_best_by_rel_tol(self, rng, monkeypatch, gain, taken):
         # the second run's objective is set to the first's times (1 + gain * rel_tol)
+        # before the selection step sees the runs
         cfg = SolverConfig(rel_tol=1e-8, num_restarts=2)
         runs = []
-        sweeps = lowrank._sweeps
+        best = lowrank._best
 
-        def patched(T, U, V, W, ranks, c, shared):
-            ap = sweeps(T, U, V, W, ranks, c, shared)
-            if c is cfg:
-                if runs:
-                    ap = replace(ap, objective_history=[runs[0].objective * (1 + gain * cfg.rel_tol)])
-                runs.append(ap)
-            return ap
+        def patched(got, rel_tol):
+            first, second = got
+            second = replace(second, objective_history=[first.objective * (1 + gain * rel_tol)])
+            runs.extend((first, second))
+            return best([first, second], rel_tol)
 
-        monkeypatch.setattr(lowrank, "_sweeps", patched)
+        monkeypatch.setattr(lowrank, "_best", patched)
         got = hooi(random_sparse(rng, (5, 4, 3), density=0.8), (2, 2, 1), cfg)
         assert len(runs) == 2
         assert got is runs[1 if taken else 0]

@@ -18,8 +18,10 @@ from tenspart import (
     subtensor,
     symmetric_embed,
 )
-from tenspart.preprocess import nonsymmetric_normalize, normalize_slices_adjacency
-from tenspart.sparse_tensor import TensorShapeError, _exact_sum
+from tenspart import lowrank, sparse_tensor
+from tenspart.expansion import DeflatedOperator, form_B, threshold_B
+from tenspart.preprocess import nonsymmetric_normalize, normalize_slices_adjacency, normalize_slices_frobenius
+from tenspart.sparse_tensor import TensorShapeError, _exact_sum, _norm, _stable_sort
 
 from conftest import BEYOND_SQUARE_RANGE, pow2_scaled, random_orthogonal, random_sparse, random_symmetric
 
@@ -87,6 +89,31 @@ class TestConstruction:
         assert np.shares_memory(N.i, T.i) and np.shares_memory(N.k, T.k)
         assert not np.shares_memory(N.vals, T.vals)
 
+    @pytest.mark.parametrize(
+        "normalize", [nonsymmetric_normalize, normalize_slices_adjacency, normalize_slices_frobenius]
+    )
+    def test_value_only_map_shares_canonical_stack(self, rng, normalize):
+        T = random_symmetric(rng, 9, 4, density=0.5)
+        T = SparseTensor3(T.dims, T.i, T.j, T.k, np.abs(T.vals))
+        S = T._slice_stack(2)
+        N = normalize(T)
+        NS = N._stacks[2]  # there before any contraction of N
+        assert np.shares_memory(NS.indptr, S.indptr) and np.shares_memory(NS.indices, S.indices)
+        assert np.shares_memory(NS.data, N.vals)
+        V = rng.standard_normal((9, 3))
+        fresh = SparseTensor3(N.dims, N.i, N.j, N.k, N.vals)
+        assert N.half_product(V).tobytes() == fresh.half_product(V).tobytes()
+
+    def test_value_only_map_shares_only_a_built_stack_of_the_same_pattern(self, rng):
+        T = SparseTensor3.from_dense(np.abs(random_sparse(rng, (5, 4, 3), density=0.6).to_dense()))
+        assert nonsymmetric_normalize(T)._stacks == {}  # the source has built none
+        T._slice_stack(2)
+        vals = T.vals.copy()
+        vals[0] = 0.0  # a zero drops an entry: a new pattern
+        Z = T._with_values(vals)
+        assert Z.nnz == T.nnz - 1 and Z._stacks == {}
+        assert Z == SparseTensor3(T.dims, T.i, T.j, T.k, vals)
+
     def test_duplicates_summed_in_input_order(self):
         # runs of 3-6 duplicates whose left-to-right sum depends on the order
         # (1e16 + 1.0 rounds back to 1e16); the oracle is the stable sort
@@ -147,6 +174,102 @@ class TestConstruction:
             assert got == want
             assert all(not a.flags.writeable for a in (T.i, T.j, T.k, T.vals))
             assert T.i.dtype == T.j.dtype == T.k.dtype == np.int64
+
+
+class TestStableSort:
+    """The packed-key sort against a stable argsort, and the constructor on both
+    of its paths: packed keys of up to 63 bits, and the argsort fallback."""
+
+    @pytest.mark.parametrize("n, bound", [(0, 5), (1, 1), (1, 2**63), (5, 1), (1000, 7), (1000, 2**40)])
+    def test_equals_stable_argsort(self, n, bound):
+        rng = np.random.default_rng(n)
+        codes = rng.integers(0, bound, n, dtype=np.int64)
+        order, got = _stable_sort(codes, bound)
+        want = np.argsort(codes, kind="stable")
+        assert np.array_equal(order, want) and np.array_equal(got, codes[want])
+
+    def test_fallback_past_63_bits(self, monkeypatch):
+        calls = []
+        argsort = np.argsort
+        monkeypatch.setattr(np, "argsort", lambda *a, **kw: calls.append(kw) or argsort(*a, **kw))
+        codes = np.array([2**54, 3, 2**54, 0, 3], dtype=np.int64)
+        _stable_sort(codes, 2**55)  # 55 + 3 bits: packed
+        assert calls == []
+        order, got = _stable_sort(np.repeat(codes, 100), 2**55)  # 55 + 9 bits: fallback
+        assert calls == [{"kind": "stable"}]
+        assert np.array_equal(got, np.sort(np.repeat(codes, 100)))
+        assert np.array_equal(order, argsort(np.repeat(codes, 100), kind="stable"))
+
+    @pytest.mark.parametrize("huge", [False, True])
+    def test_constructor_fuzz(self, monkeypatch, huge):
+        # runs of duplicates whose sum depends on their order (1e16 + 1.0 rounds
+        # back to 1e16) summed in input order, zeros dropped; with extents of
+        # 2**21 the codes take 63 bits and the packed keys would need more
+        argsort = np.argsort
+        fallbacks = []
+        monkeypatch.setattr(np, "argsort", lambda *a, **kw: fallbacks.append(1) or argsort(*a, **kw))
+        rng = np.random.default_rng(99)
+        for trial in range(200):
+            dims = tuple(int(d) for d in rng.integers(1, 2**21 if huge else 7, 3))
+            cells = rng.integers(0, np.prod(dims), rng.integers(1, 30))
+            codes = rng.permutation(np.repeat(cells, rng.integers(1, 5, cells.size)))
+            vals = rng.choice([1e16, 1.0, -1e16, 0.5, 0.0, -2.0], codes.size)
+            i, j, k = np.unravel_index(codes, dims)
+            T = SparseTensor3(dims, i, j, k, vals)
+
+            l, m, _ = dims
+            lin = (k * l + i) * m + j
+            order = argsort(lin, kind="stable")
+            uniq, start = np.unique(lin[order], return_index=True)
+            summed = np.add.reduceat(vals[order], start)
+            keep = summed != 0.0
+            assert np.array_equal(T.vals, summed[keep]), trial
+            assert np.array_equal((T.k * l + T.i) * m + T.j, uniq[keep]), trial
+        assert bool(fallbacks) == huge
+
+
+class TestSizeCheck:
+    """Dense results past physical memory raise before anything is allocated;
+    every case here would need terabytes."""
+
+    BIG = (100_000, 100_000, 10_000)
+    MATCH = r"needs \d+ entries \(\d+ bytes\), more than the \d+ bytes of physical memory"
+
+    def test_to_dense(self):
+        with pytest.raises(ValueError, match=self.MATCH):
+            SparseTensor3(self.BIG).to_dense()
+        with pytest.raises(ValueError, match=self.MATCH):
+            DeflatedOperator(SparseTensor3(self.BIG)).to_dense()
+
+    def test_mode3_mode_multiply(self):
+        with pytest.raises(ValueError, match=self.MATCH):
+            mode_multiply(SparseTensor3(self.BIG), np.broadcast_to(1.0, (2, self.BIG[2])), 3)
+
+    def test_reconstruct(self):
+        l, m, n = self.BIG
+        ap = lowrank.RankApproximation(
+            *(np.broadcast_to(1.0, (d, 1)) for d in (l, m, n)), core=np.ones((1, 1, 1))
+        )
+        with pytest.raises(ValueError, match=self.MATCH):
+            lowrank.reconstruct(ap)
+
+    def test_form_B(self):
+        with pytest.raises(ValueError, match=self.MATCH):
+            form_B(np.broadcast_to(1.0, (10**7, 2)), np.eye(2))
+
+    def test_names_count_and_bytes(self, monkeypatch):
+        monkeypatch.setattr(sparse_tensor, "_physical_memory", lambda: 1000.0)
+        with pytest.raises(ValueError, match=r"a dense tensor needs 150 entries \(1200 bytes\)"):
+            SparseTensor3((5, 5, 6)).to_dense()
+        assert SparseTensor3((5, 5, 5)).to_dense().shape == (5, 5, 5)  # 1000 bytes fit
+
+    def test_threshold_kept_entries(self, monkeypatch):
+        # at theta = 0 every nonzero of the 100 x 100 B is kept, at 80 B each
+        U = np.linalg.qr(np.random.default_rng(0).standard_normal((100, 2)))[0]
+        monkeypatch.setattr(sparse_tensor, "_physical_memory", lambda: 80.0 * 5000)
+        with pytest.raises(ValueError, match=r"thresholded B needs \d+ entries \(\d+ bytes\)"):
+            threshold_B((U, np.eye(2)), 0.0, "absolute")
+        assert threshold_B((U, np.eye(2)), 0.6, "absolute").nnz < 5000
 
 
 class TestModeMultiply:
@@ -387,6 +510,32 @@ class TestExactSum:
             else:
                 assert isinstance(got, np.ndarray) and got.shape == (count,)
                 assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64)), (n, x, groups)
+
+    def test_norm_memory(self):
+        # the scaled squares are the one array the extraction works in: one
+        # more temporary of their size (8 B per entry each), nothing else of it
+        x = np.random.default_rng(1).standard_normal(1_000_000)
+        want = math.sqrt(math.fsum(x * x))
+        tracemalloc.start()
+        try:
+            got = _norm(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak <= 2 * 8 * x.size + 64 * 1024
+
+    def test_overwrite_same_bits(self):
+        # in place or not, the same sum (or error) for all nine kinds of input
+        rng = np.random.default_rng(8)
+        for n in range(2_000):
+            x = sum_cases(rng, n)
+            want = exact_sum_or_error(x)
+            try:
+                got = _exact_sum(x.copy(), overwrite=True)
+            except (OverflowError, ValueError) as exc:
+                got = type(exc), str(exc)
+            assert got == want if isinstance(want, tuple) else same_bits(got, want), (n, x)
 
     def test_grouped_empty(self):
         assert np.array_equal(_exact_sum(np.zeros(0), np.zeros(0, dtype=np.int64), 3), np.zeros(3))
