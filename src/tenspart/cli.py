@@ -84,9 +84,9 @@ def cmd_ingest(args) -> int:
         T, labels = preprocess.bin_and_symmetrize(
             log, args.bin_size, restrict_bidirectional=args.bidirectional_only
         )
-    preprocess.save_coordinate_file(T, args.out / "tensor.tns")
-    if labels is not None:
+    if labels is not None:  # first: a label that cannot be written leaves no tensor behind
         preprocess.save_labels(labels, args.out / "labels.txt")
+    preprocess.save_coordinate_file(T, args.out / "tensor.tns")
     print(f"dims {T.dims[0]} {T.dims[1]} {T.dims[2]}  nnz {T.nnz}")
     return EXIT_OK
 

@@ -8,11 +8,16 @@ non-comment line ``dims l m n`` fixes the extents (otherwise the maximum
 index per mode is used).
 
 Label file: UTF-8 text, one label per line; line N names index N (1-based
-on disk, 0-based in memory).
+on disk, 0-based in memory).  Lines end in LF or CRLF; no other character
+(CR alone, U+0085, U+2028, ...) breaks a line, so a label may hold it.
 
-Record log: CSV with a header row and columns ``source,destination,timestamp``.
-Ids are arbitrary strings, mapped to a contiguous vocabulary in first-seen
-order.
+Record log: CSV with a header row and columns ``source,destination,timestamp``
+(further columns are ignored).  Ids are arbitrary strings, mapped to a
+contiguous vocabulary in first-seen order.  The file is read once and split
+into three columns of strings, with no object per record: a plain file (no
+``"``, no NUL, no CR outside a CRLF line end, and exactly three fields on
+every line after the header) in one ``str.split`` pass, any other file by
+``csv.reader``, the reference, whose errors name the line.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import math
 import re
 import warnings
 from dataclasses import dataclass, field
-from pathlib import Path
+from itertools import repeat
 
 import numpy as np
 
@@ -68,12 +73,22 @@ class LabelTable:
 
 @dataclass
 class RecordLog:
-    """Ordered (source-id, destination-id, timestamp) records."""
+    """Ordered records as three equal-length columns of strings.
 
-    records: list[tuple[str, str, str]] = field(default_factory=list)
+    Record r is ``(sources[r], destinations[r], timestamps[r])``; no tuple
+    per record is kept.
+    """
+
+    sources: list[str] = field(default_factory=list)
+    destinations: list[str] = field(default_factory=list)
+    timestamps: list[str] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        if not len(self.sources) == len(self.destinations) == len(self.timestamps):
+            raise ValueError("record log columns differ in length")
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.sources)
 
 
 # ---------------------------------------------------------------------------
@@ -198,31 +213,56 @@ def _tokens(column: np.ndarray, fmt, end: str) -> tuple[np.ndarray, np.ndarray]:
     return table[inverse], used[inverse]
 
 
+def _digits(column: np.ndarray, rows: np.ndarray, used: np.ndarray) -> None:
+    """Fill ``rows`` with the decimal digits of ``column`` (all >= 1) and a blank.
+
+    Row p holds byte p of every entry's token: the digits right-aligned in
+    all rows but the last, which is the blank.  ``used`` marks the bytes to
+    keep, i.e. all but the leading zeros.
+    """
+    rows[-1] = ord(" ")
+    used[-1] = True
+    rest = column
+    for p in range(rows.shape[0] - 2, -1, -1):
+        used[p] = rest > 0
+        rest, rows[p] = np.divmod(rest, 10)
+    rows[:-1] += ord("0")
+
+
 def save_coordinate_file(T: SparseTensor3, path) -> None:
     """Write canonical ``.tns`` output (dims header, 1-based, canonical order).
 
     Each entry is the line ``f"{i+1} {j+1} {k+1} {v!r}\\n"``.  The lines are
-    built chunk by chunk: ``str``/``repr`` run once per distinct number of a
-    column in the chunk, and one masked gather from the padded token tables
-    gives the chunk's bytes.
+    built chunk by chunk in a byte table with one row per byte position:
+    the three index tokens by digit arithmetic (one ``divmod`` by 10 per
+    digit), the value tokens by ``repr`` once per distinct value of the
+    chunk.  One masked gather of the table's transpose gives the chunk's
+    bytes.
     """
     with open(path, "wb") as fh:
         fh.write(f"dims {T.dims[0]} {T.dims[1]} {T.dims[2]}\n".encode())
         for a in range(0, T.nnz, _WRITE_CHUNK):
             b = a + _WRITE_CHUNK
-            fields = [
-                _tokens(T.i[a:b] + 1, str, " "),
-                _tokens(T.j[a:b] + 1, str, " "),
-                _tokens(T.k[a:b] + 1, str, " "),
-                _tokens(T.vals[a:b], repr, "\n"),
-            ]
-            rows = np.concatenate([table for table, _ in fields], axis=1)
-            used = np.concatenate([mask for _, mask in fields], axis=1)
-            fh.write(rows[used])
+            indices = [T.i[a:b] + 1, T.j[a:b] + 1, T.k[a:b] + 1]
+            values, value_used = _tokens(T.vals[a:b], repr, "\n")
+            widths = [len(str(int(x.max()))) + 1 for x in indices]
+            rows = np.empty((sum(widths) + values.shape[1], values.shape[0]), np.uint8)
+            used = np.empty(rows.shape, bool)
+            top = 0
+            for x, w in zip(indices, widths):
+                _digits(x, rows[top : top + w], used[top : top + w])
+                top += w
+            rows[top:] = values.T
+            used[top:] = value_used.T
+            fh.write(rows.T[used.T])
 
 
 def load_labels(path, extent: int | None = None) -> LabelTable:
-    labels = Path(path).read_text(encoding="utf-8").splitlines()
+    """Read one label per line; only LF and CRLF end a line."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        labels = fh.read().replace("\r\n", "\n").split("\n")
+    if labels[-1] == "":
+        labels.pop()  # the last line's end
     if extent is not None and len(labels) != extent:
         raise TensorFileError(
             f"{path}: {len(labels)} labels but mode extent is {extent}"
@@ -231,26 +271,84 @@ def load_labels(path, extent: int | None = None) -> LabelTable:
 
 
 def save_labels(table: LabelTable, path) -> None:
-    Path(path).write_text("\n".join(table.labels) + "\n", encoding="utf-8")
+    """Write one label per line; a label holding a line end cannot be written."""
+    for label in table.labels:
+        if "\n" in label or "\r" in label:
+            raise ValueError(f"label {label!r} holds a line end; a label file cannot store it")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("".join(label + "\n" for label in table.labels))
 
 
 def load_record_log(path) -> RecordLog:
+    """Read a ``source,destination,timestamp`` CSV log into three columns.
+
+    The file is read once.  A plain file (see :func:`_split_plain_log`) is
+    split in one pass; any other goes through ``csv.reader``, which names
+    the offending line of a malformed file.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise TensorFileError(f"{path}: empty record log") from None
+        text = fh.read()
+    log = _split_plain_log(text)
+    return log if log is not None else _read_log_rows(path, text)
+
+
+def _split_plain_log(text: str) -> RecordLog | None:
+    """The log of a plain file in one ``str.split`` pass, or None.
+
+    Plain: no ``"``, no NUL, no CR outside a CRLF line end, a header of at
+    least three fields, and exactly three fields on every later line, none
+    longer than ``csv.field_size_limit()``.  ``csv.reader`` reads such a
+    file to the same columns; every other file, the malformed ones
+    included, is left to it (None).
+    """
+    if '"' in text or "\0" in text:
+        return None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+        if "\r" in text:
+            return None
+    if not text.endswith("\n"):
+        text += "\n"
+    header, _, body = text.partition("\n")
+    limit = csv.field_size_limit()
+    if header.count(",") < 2 or len(header) > limit:
+        return None
+    # two commas on line t are commas 2t and 2t+1: with 2L commas in all,
+    # each between its line's start and end, every line holds exactly two
+    raw = np.frombuffer(body.encode("utf-8"), np.uint8)
+    ends = np.flatnonzero(raw == ord("\n"))
+    commas = np.flatnonzero(raw == ord(","))
+    starts = np.concatenate(([0], ends + 1))[:-1]
+    if commas.size != 2 * ends.size or np.any(commas[0::2] < starts) or np.any(commas[1::2] > ends):
+        return None
+    if ends.size and (ends - starts).max() > limit:  # UTF-8 bytes bound a field's characters
+        return None
+    fields = body.replace("\n", ",").split(",")
+    fields.pop()  # after the last line end
+    return RecordLog(fields[0::3], fields[1::3], fields[2::3])
+
+
+def _read_log_rows(path, text: str) -> RecordLog:
+    """``csv.reader`` over the log; the reference semantics of :func:`load_record_log`."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    log = RecordLog()
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise TensorFileError(f"{path}: empty record log")
         if len(header) < 3:
-            raise TensorFileError(f"{path}:1: header must have 3 columns")
-        records = []
-        for lineno, row in enumerate(reader, start=2):
+            raise TensorFileError(f"{path}:{reader.line_num}: header must have 3 columns")
+        for row in reader:
             if not row:
                 continue
             if len(row) < 3:
-                raise TensorFileError(f"{path}:{lineno}: expected 3 fields")
-            records.append((row[0], row[1], row[2]))
-    return RecordLog(records)
+                raise TensorFileError(f"{path}:{reader.line_num}: expected 3 fields")
+            log.sources.append(row[0])
+            log.destinations.append(row[1])
+            log.timestamps.append(row[2])
+    except csv.Error as exc:
+        raise TensorFileError(f"{path}:{reader.line_num}: {exc}") from None
+    return log
 
 
 # ---------------------------------------------------------------------------
@@ -340,13 +438,16 @@ def bin_and_symmetrize(
     """
     if bin_size < 1:
         raise ValueError("bin_size must be >= 1")
-    if not log.records:
+    if not log:
         raise ValueError("record log is empty")
 
-    records = log.records
-    vocab = dict.fromkeys(ident for src, dst, _ in records for ident in (src, dst))
+    # both ids of every record in record order: s0, d0, s1, d1, ...
+    ids = [None] * (2 * len(log))
+    ids[0::2] = log.sources
+    ids[1::2] = log.destinations
+    vocab = dict.fromkeys(ids)
     if restrict_bidirectional:
-        both = {src for src, _, _ in records} & {dst for _, dst, _ in records}
+        both = set(log.sources).intersection(log.destinations)
         if not both:
             raise ValueError("no id both sent and received; nothing left after restriction")
         vocab = dict.fromkeys(v for v in vocab if v in both)
@@ -354,11 +455,14 @@ def bin_and_symmetrize(
     labels = LabelTable(tuple(vocab))
     table = {ident: pos for pos, ident in enumerate(vocab)}
     m = len(table)
-    n = -(-len(records) // bin_size)  # ceil
+    n = -(-len(log) // bin_size)  # ceil
 
     # codes -1 mark ids left out by the restriction; such records are dropped
-    a = np.fromiter((table.get(src, -1) for src, _, _ in records), np.int64, len(records))
-    b = np.fromiter((table.get(dst, -1) for _, dst, _ in records), np.int64, len(records))
+    if restrict_bidirectional:
+        codes = np.fromiter(map(table.get, ids, repeat(-1)), np.int64, len(ids))
+    else:
+        codes = np.fromiter(map(table.__getitem__, ids), np.int64, len(ids))
+    a, b = codes[0::2], codes[1::2]
     kept = (a >= 0) & (b >= 0)
     a, b = a[kept], b[kept]
     bins = np.flatnonzero(kept) // bin_size

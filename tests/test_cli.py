@@ -61,6 +61,36 @@ class TestIngest:
         T = load_coordinate_file(out / "tensor.tns")
         assert T.dims[2] == 2
 
+    def test_csv_error_exits_validation(self, tmp_path, capsys):
+        src = tmp_path / "log.csv"
+        src.write_text('source,destination,timestamp\n"' + "x" * 131073 + '",b,1\n', encoding="utf-8")
+        argv = ["ingest", str(src), "--format", "log-csv", "--out", str(tmp_path / "o")]
+        assert main(argv) == EXIT_VALIDATION
+        assert "log.csv:2: field larger than field limit" in capsys.readouterr().err
+
+    def test_labels_roundtrip_into_partition(self, tmp_path):
+        # ids holding U+0085 and U+2028, which str.splitlines takes for line ends
+        group_a = ["a\x85", "b\u2028", "\u2028c"]
+        group_b = ["d", "e\x85\u2028", "f"]
+        rows = [f"{s},{d},0" for g in (group_a, group_b) for s in g for d in g if s != d]
+        src = tmp_path / "log.csv"
+        src.write_text("source,destination,timestamp\n" + "\n".join(rows * 2) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        argv = ["ingest", str(src), "--format", "log-csv", "--bin-size", str(len(rows)), "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        assert tenspart.load_labels(out / "labels.txt").labels == tuple(group_a + group_b)
+        argv = ["partition", str(out / "tensor.tns"), "--symmetric", "--rank", "2", "2", "1",
+                "--labels", str(out / "labels.txt"), "--out", str(tmp_path / "part")]
+        assert main(argv) == EXIT_OK
+
+    def test_label_with_line_end_exits_validation(self, tmp_path, capsys):
+        src = tmp_path / "log.csv"
+        src.write_text('source,destination,timestamp\n"x\ry",b,1\n', encoding="utf-8", newline="")
+        argv = ["ingest", str(src), "--format", "log-csv", "--out", str(tmp_path / "o")]
+        assert main(argv) == EXIT_VALIDATION
+        assert "'x\\ry'" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "tensor.tns").exists()
+
     def test_malformed_line_exits_validation(self, tmp_path):
         src = tmp_path / "bad.tns"
         src.write_text("dims 2 2 1\n1 1 1 1.0\n1 x 1 2.0\n", encoding="utf-8")

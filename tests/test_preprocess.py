@@ -1,4 +1,6 @@
+import csv
 import math
+import re
 
 import numpy as np
 import pytest
@@ -27,6 +29,11 @@ from tenspart.preprocess import (
 )
 
 from conftest import BEYOND_SQUARE_RANGE, pow2_scaled, random_sparse, random_symmetric
+
+
+def log_of(records):
+    """The RecordLog of a list of (source, destination, timestamp) tuples."""
+    return RecordLog([r[0] for r in records], [r[1] for r in records], [r[2] for r in records])
 
 
 def _save_coordinate_lines(T, path):
@@ -69,7 +76,7 @@ class TestCoordinateFile:
         save_coordinate_file(load_coordinate_file(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    @pytest.mark.parametrize("chunk", [3, 1 << 15])
+    @pytest.mark.parametrize("chunk", [1, 3, 1 << 15])
     def test_writer_matches_line_oracle(self, tmp_path, rng, monkeypatch, chunk):
         monkeypatch.setattr(preprocess, "_WRITE_CHUNK", chunk)
         hard = [1.0, -1.0, 0.1 + 0.2, 1e-300, 5e-324, 1.7976931348623157e308, -2.5e16, 1e22,
@@ -81,6 +88,15 @@ class TestCoordinateFile:
             SparseTensor3((9, 9, 2), rng.integers(0, 9, 25), rng.integers(0, 9, 25),
                           rng.integers(0, 2, 25), np.ones(25)),
         ]
+        # written indices 1, 9/10, 99/100, ..., 10**13 - 1/10**13 in each mode in turn,
+        # the other two modes small; the large extent is above 10**12
+        written = np.array([1] + [10**e + d for e in range(1, 14) for d in (-1, 0)])
+        for mode in range(3):
+            dims = [7, 12, 3]
+            dims[mode] = 10**13
+            idx = [rng.integers(0, d, written.size) for d in dims]
+            idx[mode] = written - 1
+            tensors.append(SparseTensor3(dims, *idx, rng.choice(hard, written.size)))
         p, ref = tmp_path / "t.tns", tmp_path / "ref.tns"
         for T in tensors:
             save_coordinate_file(T, p)
@@ -223,6 +239,26 @@ class TestLabels:
         p = tmp_path / "labels.txt"
         save_labels(table, p)
         assert load_labels(p) == table
+
+    def test_roundtrip_other_line_breaks(self, tmp_path):
+        # str.splitlines would split at every one of these
+        table = LabelTable(("a\x85b", "\u2028", "c\u2029", "\x0b", "\x0c", "\x1c\x1d\x1e", "", "é", ""))
+        p = tmp_path / "labels.txt"
+        save_labels(table, p)
+        assert load_labels(p, extent=len(table)) == table
+
+    @pytest.mark.parametrize(
+        "text", ["a\r\nb\r\n", "a\nb", "a\r\nb"], ids=["CRLF", "LF_no_final_end", "CRLF_no_final_end"]
+    )
+    def test_crlf_and_no_final_line_end(self, tmp_path, text):
+        p = tmp_path / "labels.txt"
+        p.write_bytes(text.encode())
+        assert load_labels(p, extent=2) == LabelTable(("a", "b"))
+
+    @pytest.mark.parametrize("label", ["x\ny", "x\ry", "\r\n"], ids=["LF", "CR", "CRLF"])
+    def test_label_with_line_end_rejected(self, tmp_path, label):
+        with pytest.raises(ValueError, match=re.escape(repr(label))):
+            save_labels(LabelTable(("ok", label)), tmp_path / "labels.txt")
 
     def test_extent_check(self, tmp_path):
         p = tmp_path / "labels.txt"
@@ -401,14 +437,14 @@ class TestNonsymmetricNormalization:
 
 class TestBinAndSymmetrize:
     def test_single_record(self):
-        T, labels = bin_and_symmetrize(RecordLog([("a", "b", "0")]), bin_size=1)
+        T, labels = bin_and_symmetrize(log_of([("a", "b", "0")]), bin_size=1)
         assert T.dims == (2, 2, 1)
         d = T.to_dense()
         assert d[0, 1, 0] == 1 and d[1, 0, 0] == 1 and d.sum() == 2
         assert labels.labels == ("a", "b")
 
     def test_duplicate_record_is_indicator(self):
-        log = RecordLog([("a", "b", "0"), ("a", "b", "1")])
+        log = log_of([("a", "b", "0"), ("a", "b", "1")])
         T, _ = bin_and_symmetrize(log, bin_size=2)
         assert T.to_dense().sum() == 2  # still 0/1, both directions
 
@@ -417,7 +453,7 @@ class TestBinAndSymmetrize:
         records = [
             (ids[rng.integers(4)], ids[rng.integers(4)], str(t)) for t in range(10)
         ]
-        T, labels = bin_and_symmetrize(RecordLog(records), bin_size=3)
+        T, labels = bin_and_symmetrize(log_of(records), bin_size=3)
         assert T.dims[2] == 4
         lookup = {lab: idx for idx, lab in enumerate(labels.labels)}
         expected = set()
@@ -430,46 +466,51 @@ class TestBinAndSymmetrize:
 
     def test_symmetric_binary_output(self, rng):
         records = [(f"s{rng.integers(5)}", f"s{rng.integers(5)}", "t") for _ in range(30)]
-        T, _ = bin_and_symmetrize(RecordLog(records), bin_size=7)
+        T, _ = bin_and_symmetrize(log_of(records), bin_size=7)
         assert is_12_symmetric(T)
         assert set(np.unique(T.vals)) <= {1.0}
 
     def test_bidirectional_restriction(self):
-        log = RecordLog([("a", "b", "0"), ("b", "a", "1"), ("c", "a", "2")])
+        log = log_of([("a", "b", "0"), ("b", "a", "1"), ("c", "a", "2")])
         T, labels = bin_and_symmetrize(log, bin_size=3, restrict_bidirectional=True)
         assert set(labels.labels) == {"a", "b"}
         assert T.dims[0] == 2
 
     def test_empty_log_rejected(self):
         with pytest.raises(ValueError):
-            bin_and_symmetrize(RecordLog([]), bin_size=1)
+            bin_and_symmetrize(RecordLog(), bin_size=1)
+
+    def test_unequal_columns_rejected(self):
+        with pytest.raises(ValueError, match="columns differ in length"):
+            RecordLog(["a", "b"], ["b"], ["0", "1"])
 
     @staticmethod
     def loop_oracle(log, bin_size, restrict_bidirectional=False):
         """The per-record set loop that bin_and_symmetrize replaced."""
+        records = list(zip(log.sources, log.destinations, log.timestamps))
         if bin_size < 1:
             raise ValueError("bin_size must be >= 1")
-        if not log.records:
+        if not records:
             raise ValueError("record log is empty")
         vocab = {}
-        for src, dst, _ in log.records:
+        for src, dst, _ in records:
             for ident in (src, dst):
                 if ident not in vocab:
                     vocab[ident] = len(vocab)
         keep = None
         if restrict_bidirectional:
-            senders = {src for src, _, _ in log.records}
-            receivers = {dst for _, dst, _ in log.records}
+            senders = {src for src, _, _ in records}
+            receivers = {dst for _, dst, _ in records}
             both = senders & receivers
             if not both:
                 raise ValueError("no id both sent and received; nothing left after restriction")
             keep = {ident: pos for pos, ident in enumerate(v for v in vocab if v in both)}
         table = keep if keep is not None else vocab
         m = len(table)
-        n = -(-len(log.records) // bin_size)
+        n = -(-len(records) // bin_size)
         seen = set()
         i, j, k = [], [], []
-        for pos, (src, dst, _) in enumerate(log.records):
+        for pos, (src, dst, _) in enumerate(records):
             if keep is not None and (src not in keep or dst not in keep):
                 continue
             a, b = table[src], table[dst]
@@ -495,7 +536,7 @@ class TestBinAndSymmetrize:
                 (ids[rng.integers(len(ids))], ids[rng.integers(len(ids))], "t")
                 for _ in range(int(rng.integers(0, 25)))
             ]
-            log = RecordLog(records)
+            log = log_of(records)
             for bin_size in (0, 1, 2, 3, 7):
                 for restrict in (False, True):
                     got = outcome(bin_and_symmetrize, log, bin_size, restrict)
@@ -512,10 +553,123 @@ class TestRecordLogFile:
         p = tmp_path / "log.csv"
         p.write_text("source,destination,timestamp\na,b,1\nb,c,2\n")
         log = load_record_log(p)
-        assert log.records == [("a", "b", "1"), ("b", "c", "2")]
+        assert log == RecordLog(["a", "b"], ["b", "c"], ["1", "2"])
 
     def test_short_row_rejected(self, tmp_path):
         p = tmp_path / "log.csv"
         p.write_text("source,destination,timestamp\na,b\n")
         with pytest.raises(TensorFileError, match=":2"):
             load_record_log(p)
+
+    def test_error_names_line_not_row(self, tmp_path):
+        # the quoted id spans lines 2 and 3, so the short row is line 4 (row 3)
+        p = tmp_path / "log.csv"
+        p.write_text('source,destination,timestamp\n"two\nlines",b,1\na,b\n')
+        with pytest.raises(TensorFileError, match=r"log\.csv:4: expected 3 fields"):
+            load_record_log(p)
+
+    def test_csv_error_is_file_error(self, tmp_path):
+        p = tmp_path / "log.csv"
+        p.write_text('source,destination,timestamp\na,b,1\n"' + "x" * (csv.field_size_limit() + 1) + '",b,2\n')
+        with pytest.raises(TensorFileError, match=r"log\.csv:3: field larger than field limit"):
+            load_record_log(p)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "source,destination,timestamp\na,b,1\nb,c,2\n",
+            "s,d,t\r\na,b,1\r\nb,c,2",
+            "s,d,t,extra\nü,\u2028x,\x85\n,,\n a , b ,\t\n",
+            "s,d,t\n",
+            "s,d,t",
+        ],
+        ids=["LF", "CRLF_no_final_end", "odd_ids", "header_only", "header_no_end"],
+    )
+    def test_plain_file_takes_fast_path(self, tmp_path, monkeypatch, text):
+        p = tmp_path / "log.csv"
+        p.write_bytes(text.encode("utf-8"))
+        expected = preprocess._read_log_rows(p, text)
+
+        def no_fallback(path, text):
+            raise AssertionError("csv.reader used on a plain file")
+
+        monkeypatch.setattr(preprocess, "_read_log_rows", no_fallback)
+        assert load_record_log(p) == expected
+
+    @staticmethod
+    def random_log(rng):
+        """CSV text: a log of mostly three-field lines, then up to two edits.
+
+        Some files have quoted fields (holding a comma, line end, quote or
+        NUL), stray quotes or NULs, lone CR line ends, blank, short or long
+        lines, or no final line end.  The edits move a comma to another
+        line, turn a line end into a lone CR, or insert a special character.
+        """
+
+        def pick(options):  # not rng.choice: numpy strings drop a trailing NUL
+            return options[int(rng.integers(len(options)))]
+
+        chars = ["a", "b", "7", " ", "\t", "é", "\u2028", "\x85", "\x0b", "\x1c"]
+        odd_field, odd_count, odd_end = (pick([0.0, 0.0, 0.0, 0.2]) for _ in range(3))
+
+        def field(longest):
+            text = "".join(pick(chars) for _ in range(int(rng.integers(0, longest + 1))))
+            if rng.random() < odd_field:
+                if rng.random() < 0.7:  # quoted
+                    inner = pick([",", "\n", "\r\n", "\r", '""', "\0"])
+                    text = '"' + text + inner + text + '"'
+                else:
+                    text += pick(['"', "\0"])
+            return text
+
+        def line(longest):
+            count = pick([0, 1, 2, 4]) if rng.random() < odd_count else 3
+            return ",".join(field(longest) for _ in range(count))
+
+        ends = ["\n", "\r\n", "\r"] if odd_end else [pick(["\n", "\r\n"])]
+        # short header fields, so that a header can pass a field limit that a body field fails
+        lengths = ([2] + [6] * 5)[: int(rng.integers(0, 7))]
+        text = "".join(line(longest) + pick(ends) for longest in lengths)
+        if rng.random() < 0.2:  # no final line end
+            text = text.rstrip("\r\n")
+        for _ in range(pick([0, 0, 0, 1, 2])):
+            edit = pick(["move comma", "lone CR", "insert"])
+            if edit == "move comma" and "," in text:
+                cut = pick([t for t, c in enumerate(text) if c == ","])
+                text = text[:cut] + text[cut + 1 :]
+                at = int(rng.integers(len(text) + 1))
+                text = text[:at] + "," + text[at:]
+            elif edit == "lone CR" and "\n" in text:
+                at = pick([t for t, c in enumerate(text) if c == "\n"])
+                text = text[:at] + "\r" + text[at + 1 :]
+            elif edit == "insert":
+                at = int(rng.integers(len(text) + 1))
+                text = text[:at] + pick([",", "\n", "\r", '"', "\0"]) + text[at:]
+        return text
+
+    def test_plain_split_matches_csv_reference_fuzzed(self, tmp_path):
+        def outcome(fn, *args):
+            try:
+                return fn(*args)
+            except TensorFileError as exc:
+                return str(exc)
+
+        rng = np.random.default_rng(19)
+        p = tmp_path / "log.csv"
+        default = csv.field_size_limit()
+        plain = 0
+        try:
+            for case in range(1000):
+                text = self.random_log(rng)
+                p.write_bytes(text.encode("utf-8"))
+                # small field limits, so that some fields and lines pass them
+                csv.field_size_limit([default, default, 4, 12][case % 4])
+                want = outcome(preprocess._read_log_rows, p, text)
+                split = preprocess._split_plain_log(text)
+                if split is not None:
+                    plain += 1
+                    assert split == want
+                assert outcome(load_record_log, p) == want
+        finally:
+            csv.field_size_limit(default)
+        assert 150 <= plain <= 850  # both paths are exercised
