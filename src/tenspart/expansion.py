@@ -251,13 +251,15 @@ def _canonical_csr(B: sp.spmatrix) -> sp.csr_matrix:
     return B
 
 
-def rank221_term(R, cfg: SolverConfig | None = None) -> RankApproximation:
+def rank221_term(R, cfg: SolverConfig | None = None, *, sketch: list | None = None) -> RankApproximation:
     """Best rank-(2,2,1) approximation of a residual operator or tensor.
 
     The temporal vector is sign-fixed so its largest-|entry| component is
     positive; for planted nonnegative structure this makes w nonnegative.
+    ``sketch`` recycles the start's range finder, as in
+    :func:`tenspart.lowrank.hosvd_init`.
     """
-    return hooi_symmetric(R, (2, 2, 1), cfg)
+    return hooi_symmetric(R, (2, 2, 1), cfg, sketch=sketch)
 
 
 def form_B(U: np.ndarray, core: np.ndarray) -> np.ndarray:
@@ -441,6 +443,12 @@ def expand(
     norm.  A term whose solve does not converge is flagged on the term,
     the solver's warning reaches the caller, and the expansion continues.
     An empty tensor raises, as in :func:`hooi_symmetric`.
+
+    Term 1 starts from the fixed-seed sketch of
+    :func:`tenspart.lowrank.hosvd_init`.  Each later residual differs from
+    the one before by a single known term, so its sketch recycles the
+    previous term's oversampled bases and makes one sweep instead of two
+    (subspace recycling for a randomized range finder).
     """
     if q < 1:
         raise ValueError("q must be >= 1")
@@ -453,8 +461,9 @@ def expand(
     R = DeflatedOperator(T)
     terms: list[ExpansionTerm] = []
     residual_norms = [R.norm()]
+    sketch = []  # the last term's sketch bases
     for _ in range(q):
-        approx = rank221_term(R, cfg)
+        approx = rank221_term(R, cfg, sketch=sketch)
         G = approx.core[:, :, 0]
         w = approx.W[:, 0].copy()
         B_hat, b_raw_max, b_raw_min = _threshold((approx.U, G), theta, mode)

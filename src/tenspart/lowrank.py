@@ -11,7 +11,9 @@ data only through mode contractions against matrices with few columns
 (``half_product``, of the transposed stack too in an unshared solve, and
 ``reduce_half``), so an implicit operator (see :mod:`tenspart.expansion`)
 can stand in for a sparse tensor and gets the same start.  Restarts sweep
-in lockstep and share each sparse product.
+in lockstep and share each sparse product.  A sequence of solves on
+nearby operators (the terms of an expansion) can recycle the start's
+range finder: each sketch then makes one sweep from the last one's bases.
 """
 
 from __future__ import annotations
@@ -98,14 +100,15 @@ class RankApproximation:
         return self.objective_history[-1] if self.objective_history else float("nan")
 
 
+def _column_signs(Q: np.ndarray) -> np.ndarray:
+    """The sign (+1 or -1) of the largest-|entry| element of each column (ties: lowest index)."""
+    pivots = Q[np.argmax(np.abs(Q), axis=0), np.arange(Q.shape[1])]
+    return np.where(pivots < 0, -1.0, 1.0)
+
+
 def _fix_column_signs(Q: np.ndarray) -> np.ndarray:
     """Make the largest-|entry| element of each column positive (ties: lowest index)."""
-    Q = Q.copy()
-    for c in range(Q.shape[1]):
-        pivot = Q[np.argmax(np.abs(Q[:, c])), c]
-        if pivot < 0:
-            Q[:, c] = -Q[:, c]
-    return Q
+    return Q * _column_signs(Q)
 
 
 def dominant_subspace(M: np.ndarray, r: int) -> np.ndarray:
@@ -249,7 +252,7 @@ def _check_ranks(ranks, dims) -> None:
 
 
 def hosvd_init(
-    T, ranks: tuple[int, int, int], shared: bool = False
+    T, ranks: tuple[int, int, int], shared: bool = False, *, sketch: list | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sketched truncated-HOSVD starting factors.
 
@@ -265,6 +268,13 @@ def hosvd_init(
     sweeps keep V = U, as the shared-factor solver does, and the mode-1
     factor is returned as V too; the sketch then never makes a modes-(1,3)
     contraction, so it does not read a sparse tensor's transposed stack.
+
+    ``sketch`` recycles the range finder across a sequence of nearby
+    operators, such as the residuals of an expansion.  It is a list that
+    this call leaves holding its final bases (U, V, W); when it already
+    holds bases of the shapes (d_i, p_i), the sketch makes one sweep from
+    them instead of two from the random draw.  Without it (the default)
+    every call draws afresh.
     """
     dims = T.dims
     _check_ranks(ranks, dims)
@@ -272,13 +282,18 @@ def hosvd_init(
         raise ValueError("a shared start needs equal mode-1/2 extents and r1 == r2")
     size = math.prod(dims)
     p = tuple(min(d, r + _OVERSAMPLE, size // d) for d, r in zip(dims, ranks))
-    rng = np.random.default_rng(0)
-    U, V, W = (_random_orthonormal(rng, d, pi) for d, pi in zip(dims, p))
-    sketch = _sweeps(T, [(U, V, W)], p, SolverConfig(max_iters=2), shared)[0]
-    bases = (sketch.U, sketch.V, sketch.W)
+    if sketch and [b.shape for b in sketch[0]] == list(zip(dims, p)):
+        start, sweeps = sketch[0], 1
+    else:
+        rng = np.random.default_rng(0)
+        start, sweeps = tuple(_random_orthonormal(rng, d, pi) for d, pi in zip(dims, p)), 2
+    sketched = _sweeps(T, [start], p, SolverConfig(max_iters=sweeps), shared)[0]
+    bases = (sketched.U, sketched.V, sketched.W)
+    if sketch is not None:
+        sketch[:] = [bases]
 
     def lift(mode: int) -> np.ndarray:
-        unfold = np.moveaxis(sketch.core, mode, 0).reshape(p[mode], -1)
+        unfold = np.moveaxis(sketched.core, mode, 0).reshape(p[mode], -1)
         return _fix_column_signs(bases[mode] @ _leading(unfold, ranks[mode])[0])
 
     U = lift(0)
@@ -311,21 +326,22 @@ def _best(runs: list[RankApproximation], rel_tol: float) -> RankApproximation:
     return best
 
 
-def _solve(T, ranks, cfg: SolverConfig, shared: bool) -> RankApproximation:
+def _solve(T, ranks, cfg: SolverConfig, shared: bool, sketch: list | None = None) -> RankApproximation:
     """Best of ``cfg.num_restarts`` sweep runs, by :func:`_best`.
 
     The first run starts from :func:`hosvd_init` on every operator, sparse
-    tensor or implicit, sketched with the same ``shared`` as the sweeps; so
-    a shared solve makes no modes-(1,3) contraction and reads only the
-    canonical stack.  The others start from orthonormal factors drawn from
-    ``cfg.seed``.  The runs sweep in lockstep, in batches of
-    :func:`_batch_size`, and share each batch's sparse products.
+    tensor or implicit, sketched with the same ``shared`` as the sweeps
+    (and recycling ``sketch``, if given); so a shared solve makes no
+    modes-(1,3) contraction and reads only the canonical stack.  The
+    others start from orthonormal factors drawn from ``cfg.seed``.  The
+    runs sweep in lockstep, in batches of :func:`_batch_size`, and share
+    each batch's sparse products.
     """
     if isinstance(T, SparseTensor3) and T.nnz == 0:
         raise ValueError("cannot approximate an empty tensor")
     l, m, n = T.dims
     rng = np.random.default_rng(cfg.seed)
-    starts = [hosvd_init(T, ranks, shared=shared)]
+    starts = [hosvd_init(T, ranks, shared=shared, sketch=sketch)]
     for _ in range(1, cfg.num_restarts):
         U = _random_orthonormal(rng, l, ranks[0])
         V = U if shared else _random_orthonormal(rng, m, ranks[1])
@@ -352,13 +368,15 @@ def hooi(T, ranks: tuple[int, int, int], cfg: SolverConfig | None = None) -> Ran
     return _solve(T, ranks, cfg or SolverConfig(), shared=False)
 
 
-def _fix_rotation_221(T, ap: RankApproximation) -> RankApproximation:
+def _fix_rotation_221(ap: RankApproximation) -> RankApproximation:
     """Fix the rotational freedom of a shared rank-(2, 2, 1) factor.
 
     The shared factor is rotated onto the eigenvectors of the 2x2 core
     slice (mixed at 45 degrees when the eigenvalues have opposite signs),
-    column and temporal signs are fixed, and the core is recomputed in the
-    new basis.  The objective history is unchanged.
+    and column and temporal signs are fixed: U' = U R D with D the column
+    sign flips, and W' = s W.  The core in the new basis follows without
+    touching the operator: core' = s (RD)' G (RD) for the core slice G,
+    since core = A . (U, U, W).  The objective history is unchanged.
     """
     G = 0.5 * (ap.core[:, :, 0] + ap.core[:, :, 0].T)
     evals, P = np.linalg.eigh(G)
@@ -370,31 +388,37 @@ def _fix_rotation_221(T, ap: RankApproximation) -> RankApproximation:
         R = P @ mix.T
     else:
         R = P
-    U = _fix_column_signs(ap.U @ R)
-    W = -ap.W if ap.W[np.argmax(np.abs(ap.W[:, 0])), 0] < 0 else ap.W
-    core = _core_from_c12(T.contract_modes12(U, U), W)
-    return replace(ap, U=U, V=U, W=W, core=core)
+    UR = ap.U @ R
+    d, s = _column_signs(UR), _column_signs(ap.W)
+    U, RD = UR * d, R * d
+    core = (RD.T @ ap.core[:, :, 0] @ RD)[:, :, None] * s
+    return replace(ap, U=U, V=U, W=ap.W * s, core=core)
 
 
-def hooi_symmetric(T, ranks: tuple[int, int, int], cfg: SolverConfig | None = None) -> RankApproximation:
+def hooi_symmetric(
+    T, ranks: tuple[int, int, int], cfg: SolverConfig | None = None, *, sketch: list | None = None
+) -> RankApproximation:
     """Symmetric HOOI: one shared factor for modes 1 and 2.
 
     The shared factor is updated from the mode-1 contraction, which equals
     the mode-2 one on a (1,2)-symmetric operator.  The core of a converged
     run is (1,2)-symmetric.  For ranks (2, 2, 1) the rotational freedom of
     the shared factor is fixed deterministically from the
-    eigendecomposition of the 2x2 core slice.
+    eigendecomposition of the 2x2 core slice.  The ranks are checked
+    before the O(nnz) symmetry check of a sparse tensor.  ``sketch``
+    recycles the start's range finder, as in :func:`hosvd_init`.
     """
     l, m, _ = T.dims
     if l != m:
         raise ValueError("symmetric solver needs equal mode-1/2 extents")
-    if isinstance(T, SparseTensor3) and not is_12_symmetric(T, tol=_symmetry_tol(T)):
-        raise ValueError("tensor is not (1,2)-symmetric")
     if ranks[0] != ranks[1]:
         raise ValueError("symmetric solver needs r1 == r2")
-    best = _solve(T, ranks, cfg or SolverConfig(), shared=True)
+    _check_ranks(ranks, T.dims)
+    if isinstance(T, SparseTensor3) and not is_12_symmetric(T, tol=_symmetry_tol(T)):
+        raise ValueError("tensor is not (1,2)-symmetric")
+    best = _solve(T, ranks, cfg or SolverConfig(), shared=True, sketch=sketch)
     if tuple(ranks) == (2, 2, 1):
-        best = _fix_rotation_221(T, best)
+        best = _fix_rotation_221(best)
     return best
 
 

@@ -284,7 +284,9 @@ def load_record_log(path) -> RecordLog:
 
     The file is read once.  A plain file (see :func:`_split_plain_log`) is
     split in one pass; any other goes through ``csv.reader``, which names
-    the offending line of a malformed file.
+    the offending line of a malformed file.  A NUL anywhere in the file
+    raises :class:`TensorFileError` naming the line of the first one, on
+    every Python version (``csv.reader`` accepts NUL from 3.11 on).
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         text = fh.read()
@@ -329,7 +331,16 @@ def _split_plain_log(text: str) -> RecordLog | None:
 
 
 def _read_log_rows(path, text: str) -> RecordLog:
-    """``csv.reader`` over the log; the reference semantics of :func:`load_record_log`."""
+    """``csv.reader`` over the log; the reference semantics of :func:`load_record_log`.
+
+    A NUL is refused before ``csv.reader`` sees the text, with the line
+    ``csv.reader`` would count (line ends: LF, CRLF or a lone CR).
+    """
+    at = text.find("\0")
+    if at >= 0:
+        head = text[:at]
+        line = head.count("\n") + head.count("\r") - head.count("\r\n") + 1
+        raise TensorFileError(f"{path}:{line}: line contains NUL")
     reader = csv.reader(io.StringIO(text, newline=""))
     log = RecordLog()
     try:

@@ -68,6 +68,15 @@ class TestIngest:
         assert main(argv) == EXIT_VALIDATION
         assert "log.csv:2: field larger than field limit" in capsys.readouterr().err
 
+    def test_nul_in_id_exits_validation(self, tmp_path, capsys):
+        src = tmp_path / "log.csv"
+        src.write_bytes(b"source,destination,timestamp\na,b,1\nb,c\0,2\n")
+        out = tmp_path / "o"
+        argv = ["ingest", str(src), "--format", "log-csv", "--out", str(out)]
+        assert main(argv) == EXIT_VALIDATION
+        assert "log.csv:3: line contains NUL" in capsys.readouterr().err
+        assert not (out / "labels.txt").exists()
+
     def test_labels_roundtrip_into_partition(self, tmp_path):
         # ids holding U+0085 and U+2028, which str.splitlines takes for line ends
         group_a = ["a\x85", "b\u2028", "\u2028c"]

@@ -14,6 +14,7 @@ from tenspart import (
     deflate,
     dominant_subspace,
     expand,
+    expansion,
     frobenius_norm,
     hooi,
     hooi_symmetric,
@@ -276,6 +277,23 @@ class TestHosvdInit:
         with pytest.raises(ValueError):
             hosvd_init(random_sparse(rng, (3, 3, 3)), (4, 1, 1))
 
+    def test_sketch_recycles_only_bases_of_its_shapes(self, rng):
+        T = random_symmetric(rng, 12, 5, density=0.5)
+        same = lambda a, b: all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
+        sketch = []
+        # an empty list draws afresh, as a call without one does, and keeps the bases
+        assert same(hosvd_init(T, (2, 2, 1), shared=True, sketch=sketch), hosvd_init(T, (2, 2, 1), shared=True))
+        assert [b.shape for b in sketch[0]] == [(12, 10), (12, 10), (5, 5)]
+        first = sketch[0]
+        # bases of other shapes (p = 11/11/5 here) are not read
+        assert same(hosvd_init(T, (3, 3, 1), shared=True, sketch=sketch), hosvd_init(T, (3, 3, 1), shared=True))
+        assert [b.shape for b in sketch[0]] == [(12, 11), (12, 11), (5, 5)]
+        # one sweep from matching bases: a start of the requested shape
+        sketch[:] = [first]
+        U, V, W = hosvd_init(T, (2, 2, 1), shared=True, sketch=sketch)
+        assert V is U and U.shape == (12, 2) and W.shape == (5, 1)
+        assert sketch[0][0] is not first[0]
+
 
 def reference_sweeps(T, U, V, W, ranks, cfg, shared):
     """The sweep loop written from the three contraction shorthands.
@@ -411,7 +429,7 @@ class TestLockstepRestarts:
         got = hooi_symmetric(T, ranks, cfg)
         best = self.check_runs_alone(T, batches, ranks, cfg, True)
         if ranks == (2, 2, 1):
-            best = lowrank._fix_rotation_221(T, best)
+            best = lowrank._fix_rotation_221(best)
         assert_same_bits(got, best)
 
     def test_runs_do_not_batch_past_nnz(self, rng, batches):
@@ -478,6 +496,28 @@ class TestProductCount:
         # adds one of each
         assert reads == [2] + [1, 2] * sweeps
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_expand_recycles_the_sketch(self, reads, monkeypatch, seed):
+        # canonical-stack products of a q = 3 expansion, per term: term 1's
+        # sketch makes 3 (two sweeps from the random draw), each later term's
+        # sketch 2 (one sweep from the previous term's bases), each solve
+        # 1 + its sweeps, and the rotation of the (2,2,1) factor none
+        T = random_symmetric(np.random.default_rng(seed), 12, 5, density=0.5)
+        solves = []  # (products, sweeps) per term
+        solve = expansion.hooi_symmetric
+
+        def counted(R, ranks, cfg=None, **kwargs):
+            before = len(reads)
+            ap = solve(R, ranks, cfg, **kwargs)
+            solves.append((reads[before:], len(ap.objective_history)))
+            return ap
+
+        monkeypatch.setattr(expansion, "hooi_symmetric", counted)
+        expand(T, 3, theta=0.25)
+        assert len(solves) == 3
+        for v, (products, sweeps) in enumerate(solves):
+            assert products == [2] * ((3 if v == 0 else 2) + 1 + sweeps)
+
     def test_shared_start_reads_no_transposed_stack(self, rng):
         T = random_symmetric(rng, 12, 5, density=0.4)
         U, V, _ = hosvd_init(T, (2, 2, 1), shared=True)
@@ -507,6 +547,18 @@ class TestRankCheck:
         T = random_symmetric(rng, dims[0], dims[2], density=1.0)
         with pytest.raises(ValueError, match=self.MATCH):
             hooi_symmetric(T, ranks)
+
+    @pytest.mark.parametrize(
+        "ranks, match",
+        [((2, 3, 1), "r1 == r2"), ((7, 7, 1), "exceeds extent"), ((1, 1, 2), MATCH), ((0, 0, 1), "exceeds")],
+    )
+    def test_hooi_symmetric_checks_ranks_before_symmetry(self, rng, ranks, match):
+        # the symmetry check is O(nnz) and builds the slice stacks; bad ranks
+        # are refused before it runs
+        T = random_symmetric(rng, 6, 3, density=0.6)
+        with pytest.raises(ValueError, match=match):
+            hooi_symmetric(T, ranks)
+        assert T._stacks == {}
 
     def test_embedding(self, rng):
         T = random_sparse(rng, (5, 4, 3), density=0.8)
@@ -719,6 +771,42 @@ class TestHooiSymmetric:
         expect_u = tuple([True] * 3 + [False] * 4)
         expect_v = tuple([False] * 3 + [True] * 4)
         assert cols == {expect_u, expect_v}
+
+
+class TestRotationCore:
+    """``_fix_rotation_221`` rotates the core without touching the operator;
+    it must equal the core contracted afresh in the new basis.  Tolerance:
+    1e-13 relative to the largest core entry (1.6e-15 seen over 300 random
+    cases)."""
+
+    @pytest.mark.parametrize("deflated", [False, True])
+    @pytest.mark.parametrize("opposite", [False, True])
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_matches_contracted_core(self, rng, deflated, opposite, flip):
+        T = random_symmetric(rng, 9, 4, density=0.6)
+        if deflated:
+            T = two_term_operator(rng, T)
+        w = rng.random(4) + 0.1
+        w /= -np.linalg.norm(w) if flip else np.linalg.norm(w)
+        W = w[:, None]
+        # the 2x2 core slice is Q' diag(e) Q for a pair e of eigenvalues of
+        # sum_k w_k A_k: its extreme ones (opposite signs) or its two largest
+        evals, vecs = np.linalg.eigh(np.einsum("ijk,k->ij", T.to_dense(), w))
+        U = vecs[:, [-1, 0] if opposite else [-1, -2]] @ random_orthogonal(rng, 2)
+        core = lowrank._core_from_c12(T.contract_modes12(U, U), W)
+        e = evals[[-1, 0] if opposite else [-1, -2]]
+        assert (e[0] > 0 > e[1]) == opposite
+        ap = lowrank.RankApproximation(U, U, W, core, [_norm(core)])
+        fixed = lowrank._fix_rotation_221(ap)
+        want = lowrank._core_from_c12(T.contract_modes12(fixed.U, fixed.U), fixed.W)
+        assert np.abs(fixed.core - want).max() <= 1e-13 * np.abs(want).max()
+        assert fixed.V is fixed.U and fixed.objective_history == ap.objective_history
+        # the temporal sign is fixed by the flip: W is -w when w's pivot was negative
+        assert (fixed.W.tobytes() == (-W).tobytes()) == flip
+        assert np.all(lowrank._column_signs(fixed.U) == 1) and lowrank._column_signs(fixed.W)[0] == 1
+        if opposite:  # the 45-degree mix puts the eigenvalues' mean (of the fixed w) on the diagonal
+            mean = -e.mean() if flip else e.mean()
+            np.testing.assert_allclose(np.diag(fixed.core[:, :, 0]), [mean] * 2, atol=1e-12 * abs(e).max())
 
 
 class TestEmbeddingApproximation:

@@ -575,6 +575,29 @@ class TestRecordLogFile:
             load_record_log(p)
 
     @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("source,destination,timestamp\na,b\0,c\n", 2),  # plain but for the NUL
+            ('s,d,t\r\n"x\ny",b,1\ra,"b\0",2\n', 4),  # quoted, the NUL inside quotes
+            ("s\0,d,t\na,b,1\n", 1),
+        ],
+        ids=["plain", "quoted", "header"],
+    )
+    def test_nul_rejected_before_csv_reader(self, tmp_path, monkeypatch, text, line):
+        # csv.reader accepts NUL from Python 3.11 on and refuses it before; a
+        # NUL is refused before it reads the text, so the outcome is the same
+        # on every version
+        p = tmp_path / "log.csv"
+        p.write_bytes(text.encode("utf-8"))
+
+        def no_reader(*args, **kwargs):
+            raise AssertionError("csv.reader reached a NUL")
+
+        monkeypatch.setattr(preprocess.csv, "reader", no_reader)
+        with pytest.raises(TensorFileError, match=rf"log\.csv:{line}: line contains NUL$"):
+            load_record_log(p)
+
+    @pytest.mark.parametrize(
         "text",
         [
             "source,destination,timestamp\na,b,1\nb,c,2\n",
