@@ -113,6 +113,29 @@ def sign_change_split(u2_reordered: np.ndarray, nonincreasing: bool = True):
     return (s, False) if s > 0 else (0, True)
 
 
+def _block_of(bounds: list[int], perm: np.ndarray | None = None) -> np.ndarray:
+    """Block number of every index under the increasing cuts ``bounds``.
+
+    With ``perm`` (gather convention), the block of each index's position
+    after the reordering by ``perm``: the table composed with the inverse
+    permutation.
+    """
+    block = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+    if perm is None:
+        return block
+    moved = np.empty_like(block)
+    moved[perm] = block
+    return moved
+
+
+def _block_ids(T: SparseTensor3, row_of: np.ndarray, col_of: np.ndarray, cols: int) -> np.ndarray:
+    """Block id a * cols + b of every entry, from the per-index tables of the
+    block row a of each mode-1 index and the block column b of each mode-2 index."""
+    ids = (row_of * cols)[T.i]
+    ids += col_of[T.j]
+    return ids
+
+
 def block_norms(
     T: SparseTensor3,
     bounds1: list[int],
@@ -134,18 +157,20 @@ def block_norms(
     # block id of every entry, then one correctly rounded sum of squares
     # per block: the same sums as the norms of the blocks cut out one by one
     rows, cols = len(bounds1) - 1, len(bounds2) - 1
-    a = np.searchsorted(bounds1, T.i, side="right") - 1
-    b = np.searchsorted(bounds2, T.j, side="right") - 1
-    return _norm(T.vals, a * cols + b, rows * cols).reshape(rows, cols)
+    ids = _block_ids(T, _block_of(bounds1), _block_of(bounds2), cols)
+    return _norm(T.vals, ids, rows * cols).reshape(rows, cols)
+
+
+def _corner_bounds(dims, width: int) -> tuple[list[int], list[int]]:
+    l, m, _ = dims
+    if not 0 < width < min(l, m) / 2:
+        raise ValueError(f"corner width {width} invalid for dims {dims}")
+    return [0, width, l - width, l], [0, width, m - width, m]
 
 
 def corner_block_norms(T: SparseTensor3, width: int):
     """3x3 corner-block table: outermost blocks are ``width`` indices wide."""
-    l, m, _ = T.dims
-    if not 0 < width < min(l, m) / 2:
-        raise ValueError(f"corner width {width} invalid for dims {T.dims}")
-    b1 = [0, width, l - width, l]
-    b2 = [0, width, m - width, m]
+    b1, b2 = _corner_bounds(T.dims, width)
     return block_norms(T, b1, b2), (b1, b2)
 
 
@@ -188,7 +213,16 @@ def partition_tensor(
 
     Returns (report, reordered tensor).  In the symmetric case (V is U) one
     permutation is used for modes 1 and 2.  ``corner_width`` defaults to
-    10% of the smaller mode-1/2 extent.
+    10% of the smaller mode-1/2 extent; it must be positive, and a width of
+    at least half that extent skips the corner table.
+
+    The corner table is read off T's own entries before the reordered tensor
+    is built: every entry's block is looked up through the per-index block
+    tables composed with the inverse permutations.  The total norm comes
+    from the same exact grouped sum of squares.  Both are bitwise what
+    :func:`block_norms` of the reordered tensor and ``frobenius_norm(T)``
+    give.  That pass holds three nnz-sized arrays, and the reordering peaks
+    at about 33 bytes per entry with the reordered tensor included.
     """
     l, m, n = T.dims
     if approx.U.shape[0] != l or approx.V.shape[0] != m or approx.W.shape[0] != n:
@@ -210,13 +244,19 @@ def partition_tensor(
     s1, f1 = sign_change_split(u2)
     s2, f2 = (s1, f1) if symmetric else sign_change_split(v2)
 
-    reordered = permute_modes(T, p1, p2, p3)
-
     if corner_width is None:
         corner_width = max(1, min(l, m) // 10)
     table = boundaries = None
     if corner_width < min(l, m) / 2:
-        table, boundaries = corner_block_norms(reordered, corner_width)
+        b1, b2 = boundaries = _corner_bounds(T.dims, corner_width)
+        ids = _block_ids(T, _block_of(b1, p1), _block_of(b2, p2), 3)
+        table, total_norm = _norm(T.vals, ids, 9, total=True)
+        table = table.reshape(3, 3)
+        del ids  # before the reordering, whose arrays set the peak
+    else:
+        total_norm = frobenius_norm(T)
+
+    reordered = permute_modes(T, p1, p2, p3)
 
     top_terms = None
     if labels is not None:
@@ -230,7 +270,7 @@ def partition_tensor(
         mode3_perm=p3,
         split_points={1: s1, 2: s2, 3: s3},
         no_split_flags={1: f1, 2: f2, 3: f3},
-        total_norm=frobenius_norm(T),
+        total_norm=total_norm,
         block_norm_table=table,
         block_boundaries=boundaries,
         top_terms=top_terms,

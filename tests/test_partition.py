@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from tenspart import (
     significance_ranking,
     subtensor,
 )
+from tenspart.lowrank import RankApproximation
 from tenspart.partition import save_partition_report
 
 from conftest import BEYOND_SQUARE_RANGE, pow2_scaled, random_sparse
@@ -243,6 +245,55 @@ class TestPartitionTensor:
         report, _ = partition_tensor(T, ap, labels=labels, top_k=3)
         assert set(report.top_terms) == {"head", "middle", "tail"}
         assert len(report.top_terms["head"]) == 3
+
+    @staticmethod
+    def random_approx(rng, dims, symmetric=False):
+        U, V, W = (np.linalg.qr(rng.standard_normal((d, 2)))[0] for d in dims)
+        return RankApproximation(U, U if symmetric else V, W, core=np.ones((2, 2, 2)))
+
+    @pytest.mark.parametrize("s", [0, 500, -500])
+    def test_table_and_total_bitwise(self, s):
+        # the table read from T's own entries is the reordered tensor's block
+        # norms, and the total from the same pass is T's norm, bit for bit
+        rng = np.random.default_rng(abs(s))
+        for trial in range(40):
+            l, m, n = (int(d) for d in rng.integers(3, 30, 3))
+            symmetric = trial % 4 == 0
+            dims = (l, l, n) if symmetric else (l, m, n)
+            T = pow2_scaled(random_sparse(rng, dims, density=rng.uniform(0.0, 0.8)), s)
+            report, reordered = partition_tensor(T, self.random_approx(rng, dims, symmetric))
+            assert report.total_norm.hex() == frobenius_norm(T).hex(), trial
+            want = block_norms(reordered, *report.block_boundaries)
+            assert np.array_equal(report.block_norm_table.view(np.int64), want.view(np.int64)), trial
+
+    def test_table_skipped(self, rng):
+        T = random_sparse(rng, (10, 12, 3), density=0.5)
+        report, _ = partition_tensor(T, self.random_approx(rng, T.dims), corner_width=5)
+        assert report.block_norm_table is None and report.block_boundaries is None
+        assert report.total_norm.hex() == frobenius_norm(T).hex()
+
+    @pytest.mark.parametrize("width", [0, -1])
+    def test_nonpositive_corner_width_rejected(self, rng, width):
+        T = random_sparse(rng, (10, 12, 3), density=0.5)
+        with pytest.raises(ValueError, match="corner width"):
+            partition_tensor(T, self.random_approx(rng, T.dims), corner_width=width)
+
+    def test_memory_per_entry(self):
+        # the corner table from T's entries (block ids, scaled squares and one
+        # extraction level: 24 B per entry), then the reordering.  Bound, the
+        # reordered tensor (32 B per entry) included: 42 B per entry
+        rng = np.random.default_rng(6)
+        dims, nnz = (1000, 700, 10), 500_000
+        T = SparseTensor3(dims, *(rng.integers(0, d, nnz) for d in dims), rng.standard_normal(nnz))
+        approx = self.random_approx(rng, dims)
+        tracemalloc.start()
+        try:
+            report, reordered = partition_tensor(T, approx)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.block_norm_table.shape == (3, 3) and reordered.nnz == T.nnz
+        assert peak <= 42 * T.nnz
 
     def test_dim_mismatch_rejected(self, rng):
         T = random_sparse(rng, (8, 8, 3), density=0.5)

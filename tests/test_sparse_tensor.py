@@ -65,6 +65,44 @@ class TestConstruction:
         with pytest.raises(ValueError):
             SparseTensor3((2, 2, 2), [0], [0], [0], [np.nan])
 
+    def test_code_overflow_rejected(self):
+        # past l*m*n = 2**63 - 1 the int64 codes (k*l + i)*m + j wrap: these
+        # two entries were once stored with k = [-1, 0]
+        d = 2**22
+        with pytest.raises(TensorShapeError, match=r"dims \(4194304, 4194304, 4194304\)"):
+            SparseTensor3((d, d, d), [d - 1, 0], [d - 1, 1], [d - 1, 0], [1.0, 2.0])
+        with pytest.raises(TensorShapeError, match="2\\*\\*63"):
+            SparseTensor3((2**21, 2**21, 2**21))  # exactly 2**63 cells
+
+    def test_widest_codes_decode(self):
+        # l*m*n just below 2**63: the largest codes take 63 bits, and every
+        # index comes back from them (through the argsort fallback)
+        e = 2**21
+        T = SparseTensor3((e, e, e - 1), [e - 1, 0, 5, e - 1], [e - 1, 3, 0, e - 1],
+                          [e - 2, 0, e - 2, e - 2], [1.0, 2.0, 3.0, 4.0])
+        assert T.k.tolist() == [0, e - 2, e - 2]
+        assert T.i.tolist() == [0, 5, e - 1]
+        assert T.j.tolist() == [3, 0, e - 1]
+        assert T.vals.tolist() == [2.0, 3.0, 5.0]
+
+    def test_memory_per_entry(self):
+        # 500k entries in the approximation bench's 1000 x 700 x 10 extents,
+        # about 3.5% of them duplicates: one code buffer sorted in place, the
+        # gathered values, and the decoded indices.  Bound, result (32 B per
+        # stored entry) included: 40 B per input entry
+        rng = np.random.default_rng(3)
+        dims, nnz = (1000, 700, 10), 500_000
+        i, j, k = (rng.integers(0, d, nnz) for d in dims)
+        vals = rng.standard_normal(nnz)
+        tracemalloc.start()
+        try:
+            T = SparseTensor3(dims, i, j, k, vals)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0.9 * nnz < T.nnz < nnz
+        assert peak <= 40 * nnz
+
     def test_equality_by_entry_list(self, rng):
         T = random_sparse(rng, (4, 5, 3))
         S = SparseTensor3(T.dims, T.i[::-1], T.j[::-1], T.k[::-1], T.vals[::-1])
@@ -200,6 +238,16 @@ class TestStableSort:
         assert np.array_equal(got, np.sort(np.repeat(codes, 100)))
         assert np.array_equal(order, argsort(np.repeat(codes, 100), kind="stable"))
 
+    @pytest.mark.parametrize("n, bound", [(0, 5), (1, 1), (1000, 7), (1000, 2**40), (1000, 2**60)])
+    def test_in_place_equals_copy(self, n, bound):
+        # 2**60 codes with 10 position bits take the argsort fallback
+        codes = np.random.default_rng(n).integers(0, bound, n, dtype=np.int64)
+        want_order, want = _stable_sort(codes, bound)
+        buffer = codes.copy()
+        order, got = _stable_sort(buffer, bound, overwrite=True)
+        assert got is buffer
+        assert np.array_equal(order, want_order) and np.array_equal(got, want)
+
     @pytest.mark.parametrize("huge", [False, True])
     def test_constructor_fuzz(self, monkeypatch, huge):
         # runs of duplicates whose sum depends on their order (1e16 + 1.0 rounds
@@ -252,6 +300,16 @@ class TestSizeCheck:
         )
         with pytest.raises(ValueError, match=self.MATCH):
             lowrank.reconstruct(ap)
+
+    def test_half_product(self):
+        # 10**13 entries (80 TB) for 10**9 factor columns; raised before the
+        # slice stack is built
+        T = SparseTensor3((1000, 1000, 10), [1], [2], [3], [1.0])
+        with pytest.raises(ValueError, match=self.MATCH):
+            T.half_product(np.broadcast_to(1.0, (1000, 10**9)))
+        with pytest.raises(ValueError, match=self.MATCH):
+            T.half_product(np.broadcast_to(1.0, (1000, 10**9)), transposed=True)
+        assert T._stacks == {}
 
     def test_form_B(self):
         with pytest.raises(ValueError, match=self.MATCH):
@@ -537,6 +595,28 @@ class TestExactSum:
                 got = type(exc), str(exc)
             assert got == want if isinstance(want, tuple) else same_bits(got, want), (n, x)
 
+    def test_grouped_total_equals_fsum(self):
+        # the total from the grouped levels is fsum of all of x, bit for bit,
+        # next to the unchanged per-group sums (or one of their errors)
+        rng = np.random.default_rng(32)
+        for n in range(2_000):
+            x = sum_cases(rng, n)
+            count = int(rng.integers(1, 6))
+            groups = rng.integers(0, count, x.size)
+            want = [fsum_or_error(x[groups == g].tolist()) for g in range(count)]
+            whole = fsum_or_error(x.tolist())
+            errors = [w for w in (*want, whole) if isinstance(w, tuple)]
+            try:
+                got = _exact_sum(x, groups, count, total=True)
+            except (OverflowError, ValueError) as exc:
+                got = type(exc), str(exc)
+            if errors:
+                assert got in errors, (n, x, groups)
+            else:
+                sums, total = got
+                assert np.array_equal(sums.view(np.int64), np.array(want).view(np.int64)), (n, x, groups)
+                assert same_bits(total, whole), (n, x, groups)
+
     def test_grouped_empty(self):
         assert np.array_equal(_exact_sum(np.zeros(0), np.zeros(0, dtype=np.int64), 3), np.zeros(3))
         got = _exact_sum(np.array([1e16, 1.0, -1e16]), np.array([2, 2, 2]), 4)
@@ -814,6 +894,23 @@ class TestPermute:
             P = permute_modes(T, p1, p2, p3)
             assert P == chained and P.dims == chained.dims
             assert np.array_equal(P.to_dense(), T.to_dense()[p1][:, p2][:, :, p3])
+
+    def test_memory_per_entry(self):
+        # the new codes in one buffer sorted in place, the gathered values
+        # and the decoded indices.  Bound, result (32 B per entry) included:
+        # 42 B per entry
+        rng = np.random.default_rng(4)
+        dims, nnz = (1000, 700, 10), 500_000
+        T = SparseTensor3(dims, *(rng.integers(0, d, nnz) for d in dims), rng.standard_normal(nnz))
+        perms = [rng.permutation(d) for d in dims]
+        tracemalloc.start()
+        try:
+            P = permute_modes(T, *perms)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert P.nnz == T.nnz
+        assert peak <= 42 * T.nnz
 
     def test_three_modes_non_bijection_rejected(self, rng):
         T = random_sparse(rng, (4, 3, 2))
