@@ -113,27 +113,13 @@ def sign_change_split(u2_reordered: np.ndarray, nonincreasing: bool = True):
     return (s, False) if s > 0 else (0, True)
 
 
-def _block_of(bounds: list[int], perm: np.ndarray | None = None) -> np.ndarray:
-    """Block number of every index under the increasing cuts ``bounds``.
-
-    With ``perm`` (gather convention), the block of each index's position
-    after the reordering by ``perm``: the table composed with the inverse
-    permutation.
-    """
-    block = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
-    if perm is None:
-        return block
-    moved = np.empty_like(block)
-    moved[perm] = block
+def _block_of(bounds: list[int], perm: np.ndarray) -> np.ndarray:
+    """Block number, under the increasing cuts ``bounds``, of every index's
+    position after the reordering by ``perm`` (gather convention): the
+    per-position block table composed with the inverse permutation."""
+    moved = np.empty_like(perm)
+    moved[perm] = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
     return moved
-
-
-def _block_ids(T: SparseTensor3, row_of: np.ndarray, col_of: np.ndarray, cols: int) -> np.ndarray:
-    """Block id a * cols + b of every entry, from the per-index tables of the
-    block row a of each mode-1 index and the block column b of each mode-2 index."""
-    ids = (row_of * cols)[T.i]
-    ids += col_of[T.j]
-    return ids
 
 
 def block_norms(
@@ -157,8 +143,9 @@ def block_norms(
     # block id of every entry, then one correctly rounded sum of squares
     # per block: the same sums as the norms of the blocks cut out one by one
     rows, cols = len(bounds1) - 1, len(bounds2) - 1
-    ids = _block_ids(T, _block_of(bounds1), _block_of(bounds2), cols)
-    return _norm(T.vals, ids, rows * cols).reshape(rows, cols)
+    a = np.searchsorted(bounds1, T.i, side="right") - 1
+    b = np.searchsorted(bounds2, T.j, side="right") - 1
+    return _norm(T.vals, a * cols + b, rows * cols).reshape(rows, cols)
 
 
 def _corner_bounds(dims, width: int) -> tuple[list[int], list[int]]:
@@ -216,12 +203,11 @@ def partition_tensor(
     10% of the smaller mode-1/2 extent; it must be positive, and a width of
     at least half that extent skips the corner table.
 
-    The corner table is read off T's own entries before the reordered tensor
-    is built: every entry's block is looked up through the per-index block
-    tables composed with the inverse permutations.  The total norm comes
-    from the same exact grouped sum of squares.  Both are bitwise what
-    :func:`block_norms` of the reordered tensor and ``frobenius_norm(T)``
-    give.  That pass holds three nnz-sized arrays, and the reordering peaks
+    The corner table and the total norm are read off T's own entries before
+    the reordered tensor is built: every entry's block is looked up through
+    the per-index block tables composed with the inverse permutations, so
+    the table is bitwise what :func:`block_norms` of the reordered tensor
+    gives.  That pass holds three nnz-sized arrays, and the reordering peaks
     at about 33 bytes per entry with the reordered tensor included.
     """
     l, m, n = T.dims
@@ -249,12 +235,12 @@ def partition_tensor(
     table = boundaries = None
     if corner_width < min(l, m) / 2:
         b1, b2 = boundaries = _corner_bounds(T.dims, corner_width)
-        ids = _block_ids(T, _block_of(b1, p1), _block_of(b2, p2), 3)
-        table, total_norm = _norm(T.vals, ids, 9, total=True)
-        table = table.reshape(3, 3)
+        ids = _block_of(b1, p1)[T.i]  # block id a * 3 + b of every entry
+        ids *= 3
+        ids += _block_of(b2, p2)[T.j]
+        table = _norm(T.vals, ids, 9).reshape(3, 3)
         del ids  # before the reordering, whose arrays set the peak
-    else:
-        total_norm = frobenius_norm(T)
+    total_norm = frobenius_norm(T)
 
     reordered = permute_modes(T, p1, p2, p3)
 
