@@ -33,6 +33,7 @@ import scipy.sparse as sp
 from .lowrank import RankApproximation, SolverConfig, hooi_symmetric
 from .preprocess import LabelTable
 from .sparse_tensor import (
+    _BLOCK_ENTRIES,
     SparseTensor3,
     _check_size,
     _ldexp,
@@ -56,8 +57,6 @@ __all__ = [
     "save_expansion_report",
 ]
 
-# entries of B computed at once while thresholding (2 MB of float64)
-_BLOCK_ENTRIES = 1 << 18
 # |b_ij| <= |a_i| |x_j| * _BOUND_SLACK + _BOUND_FLOOR for the computed norms and
 # b_ij: the slack covers their relative rounding (about 6 ulp), the floor
 # the absolute rounding of products below the normal range

@@ -8,12 +8,15 @@ best approximation is B = (U, V, W) . F.
 The solver here is HOOI with a deterministic sketched truncated-HOSVD
 start and optional seeded random restarts.  Solver and start touch the
 data only through mode contractions against matrices with few columns
-(``half_product``, of the transposed stack too in an unshared solve, and
-``reduce_half``), so an implicit operator (see :mod:`tenspart.expansion`)
-can stand in for a sparse tensor and gets the same start.  Restarts sweep
-in lockstep and share each sparse product.  A sequence of solves on
-nearby operators (the terms of an expansion) can recycle the start's
-range finder: each sketch then makes one sweep from the last one's bases.
+(``half_product``, with the transposed slices too in an unshared solve,
+and ``reduce_half``), so an implicit operator (see
+:mod:`tenspart.expansion`) can stand in for a sparse tensor and gets the
+same start.  Restarts sweep in lockstep and share each sparse product;
+the start's sketch sweeps with them, as one more run of the first batch,
+and the first restart takes its place once its start is lifted.  A
+sequence of solves on nearby operators (the terms of an expansion) can
+recycle the start's range finder: each sketch then makes one sweep from
+the last one's bases.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -171,66 +175,96 @@ def _core_from_c12(C12: np.ndarray, W: np.ndarray) -> np.ndarray:
     return np.einsum("kpq,kr->pqr", C12, W)
 
 
-def _block(a: int, r: int) -> slice:
-    """The columns of the a-th of several r-column factors side by side."""
-    return slice(a * r, (a + 1) * r)
+@dataclass
+class _Run:
+    """One run of a lockstep batch: its start (U, V, W), ranks and sweep limit.
+
+    ``then``, if set, maps the run's finished approximation to the run that
+    takes its place in the batch (the sketch's lift to restart 0).
+    """
+
+    start: tuple[np.ndarray, np.ndarray, np.ndarray]
+    ranks: tuple[int, int, int]
+    max_iters: int
+    then: Callable[[RankApproximation], "_Run"] | None = None
 
 
-def _sweeps(T, starts, ranks, cfg: SolverConfig, shared: bool) -> list[RankApproximation]:
-    """Alternating HOOI updates from each of the (U, V, W) ``starts``, in lockstep.
+def _side_by_side(T, factors: list[np.ndarray], transposed: bool = False):
+    """One half product of the factors side by side, and each factor's block of its columns."""
+    edges = np.cumsum([0] + [F.shape[1] for F in factors]).tolist()
+    P = T.half_product(np.hstack(factors), transposed)
+    return P, [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+
+def _sweeps(T, runs: list[_Run], rel_tol: float, shared: bool) -> list[RankApproximation]:
+    """Alternating HOOI updates of every run, in lockstep; one result per run.
 
     With ``shared`` the mode-1 and mode-2 factors are one matrix U = V,
     updated from the mode-1 contraction (equal to the mode-2 one on a
-    (1,2)-symmetric operator), so the starting V is not read.
+    (1,2)-symmetric operator), so a start's V is not read.
 
-    The runs share every sparse product: it takes the factors of the runs
-    still sweeping side by side, and each run reduces its own block of
-    columns with its own factors, so it gets the bits it would get alone.
-    A run leaves once it converges.  Each factor update makes one product.
-    The half product P = ``T.half_product(V)`` that the modes-(1,2)
-    contraction ends a sweep with is the one the next sweep's modes-(2,3)
-    contraction needs, since V has not changed since; it is carried over
-    and dropped right after that reduction, so at most one half product is
-    alive.  A shared sweep thus makes one canonical-stack product; an
-    unshared one adds the modes-(1,3) contraction, the only read of the
-    transposed stack.
+    Each run has its own ranks and sweep limit, and leaves once it
+    converges (relative objective change at most ``rel_tol``) or reaches
+    its limit.  The runs share every sparse product: it takes the factors
+    of the runs in the batch side by side, and each run reduces its own
+    block of columns with its own factors, so it gets the bits it would get
+    alone.  Each factor update makes one product.  The canonical-stack half
+    product P = ``T.half_product(V)`` that the modes-(1,2) contraction ends
+    a sweep with is the one the next sweep's modes-(2,3) contraction
+    needs, since V has not changed since; it is carried over and dropped
+    right after that reduction, so at most one half product is alive.  A
+    run enters the batch at a canonical-stack product, with its start's V:
+    all runs at the first, and the run that a finished run's ``then``
+    returns at the next one after it, so that run makes no product of its
+    own.  The result for a run with ``then`` is that of the last run of
+    its chain.  A shared sweep thus makes one canonical-stack product; an
+    unshared one adds the modes-(1,3) contraction, the only product with
+    the transposed slices.
     """
-    r1, r2, r3 = ranks
-    runs = [RankApproximation(U, U if shared else V, W, None, converged=False) for U, V, W in starts]
-    active = runs
-    blocks = range(len(active))  # each active run's block of columns in P
-    P = T.half_product(np.hstack([run.V for run in active]))
-    for _ in range(cfg.max_iters):
-        for a, run in zip(blocks, active):
-            C = T.reduce_half(P, 1, run.W, _block(a, r2))  # contract_modes23(V, W): (l, r2, r3)
-            run.U, low = _leading(C.reshape(C.shape[0], -1), r1)
-            run.rank_deficient |= low
-        P = None  # dropped before the next product
-        if shared:
-            for run in active:
-                run.V = run.U
-        else:
-            Q = T.half_product(np.hstack([run.U for run in active]), transposed=True)
-            for a, run in enumerate(active):
-                C = T.reduce_half(Q, 1, run.W, _block(a, r1))  # contract_modes13(U, W): (m, r1, r3)
-                run.V, low = _leading(C.reshape(C.shape[0], -1), r2)
-                run.rank_deficient |= low
-            Q = None
-        P = T.half_product(np.hstack([run.V for run in active]))
-        for a, run in enumerate(active):
-            C12 = T.reduce_half(P, 3, run.U, _block(a, r2))  # contract_modes12(U, V): (n, r1, r2)
-            run.W, low = _leading(C12.reshape(C12.shape[0], -1), r3)
-            run.rank_deficient |= low
-            run.core = _core_from_c12(C12, run.W)
-            obj = _norm(run.core)
-            history = run.objective_history
-            run.converged = bool(history) and abs(obj - history[-1]) <= cfg.rel_tol * max(obj, 1e-300)
+    results: list[RankApproximation | None] = [None] * len(runs)
+
+    def enter(slot: int, run: _Run):
+        U, V, W = run.start
+        return slot, run, RankApproximation(U, U if shared else V, W, None, converged=False)
+
+    sweeping, entering = [], [enter(slot, run) for slot, run in enumerate(runs)]
+    while sweeping or entering:
+        P, cols = _side_by_side(T, [ap.V for _, _, ap in sweeping + entering])
+        entered = list(zip(entering, cols[len(sweeping) :]))
+        going, entering = [], []
+        for (slot, run, ap), c in zip(sweeping, cols):
+            C12 = T.reduce_half(P, 3, ap.U, c)  # contract_modes12(U, V): (n, r1, r2)
+            ap.W, low = _leading(C12.reshape(C12.shape[0], -1), run.ranks[2])
+            ap.rank_deficient |= low
+            ap.core = _core_from_c12(C12, ap.W)
+            obj = _norm(ap.core)
+            history = ap.objective_history
+            ap.converged = bool(history) and abs(obj - history[-1]) <= rel_tol * max(obj, 1e-300)
             history.append(obj)
-        blocks = [a for a, run in enumerate(active) if not run.converged]
-        active = [active[a] for a in blocks]
-        if not active:
-            break
-    return runs
+            if not (ap.converged or len(history) == run.max_iters):
+                going.append(((slot, run, ap), c))
+            elif run.then is None:
+                results[slot] = ap
+            else:
+                entering.append(enter(slot, run.then(ap)))
+        going += entered
+        for (_, run, ap), c in going:
+            C = T.reduce_half(P, 1, ap.W, c)  # contract_modes23(V, W): (l, r2, r3)
+            ap.U, low = _leading(C.reshape(C.shape[0], -1), run.ranks[0])
+            ap.rank_deficient |= low
+        P = None  # dropped before the next product
+        sweeping = [member for member, _ in going]
+        if shared:
+            for _, _, ap in sweeping:
+                ap.V = ap.U
+        elif sweeping:
+            Q, cols = _side_by_side(T, [ap.U for _, _, ap in sweeping], transposed=True)
+            for (_, run, ap), c in zip(sweeping, cols):
+                C = T.reduce_half(Q, 1, ap.W, c)  # contract_modes13(U, W): (m, r1, r3)
+                ap.V, low = _leading(C.reshape(C.shape[0], -1), run.ranks[1])
+                ap.rank_deficient |= low
+            Q = None
+    return results
 
 
 def _check_ranks(ranks, dims) -> None:
@@ -251,6 +285,35 @@ def _check_ranks(ranks, dims) -> None:
             )
 
 
+def _sketch(T, ranks, shared: bool, sketch: list | None) -> tuple[_Run, Callable]:
+    """The sketch run of :func:`hosvd_init` and the lift of its result to the start."""
+    dims = T.dims
+    _check_ranks(ranks, dims)
+    if shared and (dims[0] != dims[1] or ranks[0] != ranks[1]):
+        raise ValueError("a shared start needs equal mode-1/2 extents and r1 == r2")
+    size = math.prod(dims)
+    p = tuple(min(d, r + _OVERSAMPLE, size // d) for d, r in zip(dims, ranks))
+    if sketch and [b.shape for b in sketch[0]] == list(zip(dims, p)):
+        start, sweeps = sketch[0], 1
+    else:
+        rng = np.random.default_rng(0)
+        start, sweeps = tuple(_random_orthonormal(rng, d, pi) for d, pi in zip(dims, p)), 2
+
+    def lift(sketched: RankApproximation) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        bases = (sketched.U, sketched.V, sketched.W)
+        if sketch is not None:
+            sketch[:] = [bases]
+
+        def one(mode: int) -> np.ndarray:
+            unfold = np.moveaxis(sketched.core, mode, 0).reshape(p[mode], -1)
+            return _fix_column_signs(bases[mode] @ _leading(unfold, ranks[mode])[0])
+
+        U = one(0)
+        return U, U if shared else one(1), one(2)
+
+    return _Run(start, p, sweeps), lift
+
+
 def hosvd_init(
     T, ranks: tuple[int, int, int], shared: bool = False, *, sketch: list | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -264,10 +327,14 @@ def hosvd_init(
     operators get the same deterministic start.  The result is the exact
     truncated HOSVD when every p_i equals d_i or d_j d_k.
 
+    This is the sketch run of every solve, run alone, and its lift: a
+    solve sweeps the sketch in lockstep with its restarts (see
+    :func:`_solve`), so its start has the bits this call returns.
+
     With ``shared`` (a (1,2)-symmetric operator and r1 == r2) the sketch
     sweeps keep V = U, as the shared-factor solver does, and the mode-1
     factor is returned as V too; the sketch then never makes a modes-(1,3)
-    contraction, so it does not read a sparse tensor's transposed stack.
+    contraction, so it never multiplies by the transposed slices.
 
     ``sketch`` recycles the range finder across a sequence of nearby
     operators, such as the residuals of an expansion.  It is a list that
@@ -276,40 +343,24 @@ def hosvd_init(
     them instead of two from the random draw.  Without it (the default)
     every call draws afresh.
     """
-    dims = T.dims
-    _check_ranks(ranks, dims)
-    if shared and (dims[0] != dims[1] or ranks[0] != ranks[1]):
-        raise ValueError("a shared start needs equal mode-1/2 extents and r1 == r2")
-    size = math.prod(dims)
-    p = tuple(min(d, r + _OVERSAMPLE, size // d) for d, r in zip(dims, ranks))
-    if sketch and [b.shape for b in sketch[0]] == list(zip(dims, p)):
-        start, sweeps = sketch[0], 1
-    else:
-        rng = np.random.default_rng(0)
-        start, sweeps = tuple(_random_orthonormal(rng, d, pi) for d, pi in zip(dims, p)), 2
-    sketched = _sweeps(T, [start], p, SolverConfig(max_iters=sweeps), shared)[0]
-    bases = (sketched.U, sketched.V, sketched.W)
-    if sketch is not None:
-        sketch[:] = [bases]
-
-    def lift(mode: int) -> np.ndarray:
-        unfold = np.moveaxis(sketched.core, mode, 0).reshape(p[mode], -1)
-        return _fix_column_signs(bases[mode] @ _leading(unfold, ranks[mode])[0])
-
-    U = lift(0)
-    return U, U if shared else lift(1), lift(2)
+    run, lift = _sketch(T, ranks, shared, sketch)
+    return lift(_sweeps(T, [run], SolverConfig().rel_tol, shared)[0])
 
 
-def _batch_size(T, ranks, shared: bool) -> int:
-    """Restarts per lockstep batch of :func:`_sweeps`.
+def _batch_size(T, ranks, p, shared: bool) -> int:
+    """Runs per lockstep batch of :func:`_sweeps`, the sketch at ranks ``p`` in one run's place.
 
-    As many as keep every half product within the operator's stored entries
-    (n*l*r2 per run on the canonical stack, n*m*r1 on the transposed one),
-    and at least one: a lone run's products are as wide as they ever were.
+    As many as keep every dense array of a product within the operator's
+    stored entries: the canonical half product, n*l per column of V, and
+    in an unshared solve the transposed half product and the tiled factor
+    it multiplies, n*m and n*l per column of U.  The first batch holds the
+    sketch (then restart 0, no wider) and restarts of ``ranks``; later
+    batches hold restarts only, so they fit as well.  At least one: a lone
+    run's products are as wide as they ever were.
     """
     l, m, n = T.dims
-    width = n * l * ranks[1] if shared else n * max(l * ranks[1], m * ranks[0])
-    return max(1, T.nnz // width)
+    limits = [(n * l, 1)] if shared else [(n * l, 1), (n * max(l, m), 0)]
+    return max(1, 1 + min((T.nnz // width - p[mode]) // ranks[mode] for width, mode in limits))
 
 
 def _best(runs: list[RankApproximation], rel_tol: float) -> RankApproximation:
@@ -329,28 +380,32 @@ def _best(runs: list[RankApproximation], rel_tol: float) -> RankApproximation:
 def _solve(T, ranks, cfg: SolverConfig, shared: bool, sketch: list | None = None) -> RankApproximation:
     """Best of ``cfg.num_restarts`` sweep runs, by :func:`_best`.
 
-    The first run starts from :func:`hosvd_init` on every operator, sparse
-    tensor or implicit, sketched with the same ``shared`` as the sweeps
-    (and recycling ``sketch``, if given); so a shared solve makes no
-    modes-(1,3) contraction and reads only the canonical stack.  The
-    others start from orthonormal factors drawn from ``cfg.seed``.  The
-    runs sweep in lockstep, in batches of :func:`_batch_size`, and share
-    each batch's sparse products.
+    Restart 0 starts from the :func:`hosvd_init` sketch on every operator,
+    sparse tensor or implicit, sketched with the same ``shared`` as the
+    sweeps (and recycling ``sketch``, if given); so a shared solve makes no
+    modes-(1,3) contraction.  The others start from orthonormal factors
+    drawn from ``cfg.seed``.  The runs sweep in lockstep, in batches of
+    :func:`_batch_size`, and share each batch's sparse products.  The
+    first batch also sweeps the sketch: its two sweeps (one when recycled)
+    ride the restarts' first products, and restart 0 takes its place at
+    the next canonical-stack product after its start is lifted.
     """
     if isinstance(T, SparseTensor3) and T.nnz == 0:
         raise ValueError("cannot approximate an empty tensor")
     l, m, n = T.dims
+    first, lift = _sketch(T, ranks, shared, sketch)
+    first.then = lambda sketched: _Run(lift(sketched), ranks, cfg.max_iters)
+    runs = [first]
     rng = np.random.default_rng(cfg.seed)
-    starts = [hosvd_init(T, ranks, shared=shared, sketch=sketch)]
     for _ in range(1, cfg.num_restarts):
         U = _random_orthonormal(rng, l, ranks[0])
         V = U if shared else _random_orthonormal(rng, m, ranks[1])
-        starts.append((U, V, _random_orthonormal(rng, n, ranks[2])))
-    size = _batch_size(T, ranks, shared)
-    runs = []
-    for b in range(0, len(starts), size):
-        runs += _sweeps(T, starts[b : b + size], ranks, cfg, shared)
-    best = _best(runs, cfg.rel_tol)
+        runs.append(_Run((U, V, _random_orthonormal(rng, n, ranks[2])), ranks, cfg.max_iters))
+    size = _batch_size(T, ranks, first.ranks, shared)
+    found = []
+    for b in range(0, len(runs), size):
+        found += _sweeps(T, runs[b : b + size], cfg.rel_tol, shared)
+    best = _best(found, cfg.rel_tol)
     if not best.converged:
         warnings.warn("HOOI did not converge within max_iters", RuntimeWarning)
     return best
@@ -446,7 +501,7 @@ def approx_nonsymmetric_via_embedding(
     W = _leading(C12.reshape(n, -1), r3)[0]
 
     # polish to a stationary point of the direct problem
-    return _sweeps(T, [(U, V, W)], ranks, cfg, shared=False)[0]
+    return _sweeps(T, [_Run((U, V, W), ranks, cfg.max_iters)], cfg.rel_tol, shared=False)[0]
 
 
 def reconstruct(approx: RankApproximation) -> np.ndarray:

@@ -207,8 +207,10 @@ def partition_tensor(
     the reordered tensor is built: every entry's block is looked up through
     the per-index block tables composed with the inverse permutations, so
     the table is bitwise what :func:`block_norms` of the reordered tensor
-    gives.  That pass holds three nnz-sized arrays, and the reordering peaks
-    at about 33 bytes per entry with the reordered tensor included.
+    gives, and the total comes from the same pass's exact level sums,
+    bitwise :func:`frobenius_norm` of T.  That pass holds three nnz-sized
+    arrays, and the reordering peaks at about 33 bytes per entry with the
+    reordered tensor included.
     """
     l, m, n = T.dims
     if approx.U.shape[0] != l or approx.V.shape[0] != m or approx.W.shape[0] != n:
@@ -238,9 +240,11 @@ def partition_tensor(
         ids = _block_of(b1, p1)[T.i]  # block id a * 3 + b of every entry
         ids *= 3
         ids += _block_of(b2, p2)[T.j]
-        table = _norm(T.vals, ids, 9).reshape(3, 3)
+        table, total_norm = _norm(T.vals, ids, 9, total=True)
+        table = table.reshape(3, 3)
         del ids  # before the reordering, whose arrays set the peak
-    total_norm = frobenius_norm(T)
+    else:
+        total_norm = frobenius_norm(T)
 
     reordered = permute_modes(T, p1, p2, p3)
 

@@ -32,7 +32,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .sparse_tensor import SparseTensor3, _norm, _symmetry_tol, is_12_symmetric
+from .sparse_tensor import SparseTensor3, _check_size, _norm, _symmetry_tol, is_12_symmetric
 
 __all__ = [
     "LabelTable",
@@ -421,9 +421,11 @@ def nonsymmetric_normalize(T: SparseTensor3) -> SparseTensor3:
     each degree's terms in entry order; only values change, so the result
     keeps the input's index arrays and its canonical stack's pattern, if
     built (the symmetry check of :func:`normalize_slices_adjacency` builds it).
+    The degree arrays, n*(l + m) entries, are checked against memory first.
     """
     _check_nonnegative(T)
     l, m, n = T.dims
+    _check_size("the slice degrees", 2 * n * (l + m))  # both bincounts and their inverse roots
     row = T.k * l + T.i
     col = T.k * m + T.j
     ir = _inv_sqrt(np.bincount(row, weights=T.vals, minlength=n * l))

@@ -27,22 +27,25 @@ inverse permutations, and peaks at about 33 bytes per entry.
 Tensors are immutable after construction: the ``i``, ``j``, ``k`` and
 ``vals`` arrays are read-only (``writeable=False``), and every operation
 returns a new tensor or a dense array.  Immutability is what makes the
-per-tensor cache safe: the slice stacks that every contraction reads (the
-3-slices stacked as one CSR matrix in canonical order, and on first use
-by a modes-(1,3) contraction the stacked transposed slices) are computed
-at most once.  The (1,2)-symmetry check reads both but adds only the
-canonical one to the cache.
+per-tensor cache safe: there is one slice stack, the 3-slices stacked as
+one CSR matrix in canonical order, and on first use by a modes-(1,3)
+contraction one more column index over it (4 bytes per entry), both
+computed at most once.  The (1,2)-symmetry check reads the canonical
+stack in blocks of whole slices and transposes one block at a time.
 
 Dense factor matrices, vectors and small core tensors are plain numpy
 arrays.  Contractions that shrink a mode (multiplication by a matrix with
 few rows) always produce dense arrays, since in the intended workloads the
 small side is never larger than a handful of columns.  Each contraction is
-one sparse product, the half product of a stack with one factor, and one
-dense reduction of it with the other.  The canonical stack's half product
-with V, ``half_product(V)``, serves both the modes-(2,3) contraction with
-V and the modes-(1,2) one, so the solver forms it once and finishes both
-from it with ``reduce_half``.  Only the modes-(1,3) contraction, which
-the symmetric solver never makes, reads the transposed stack.
+one sparse product, the half product of the stack with one factor, and
+one dense reduction of it with the other.  The canonical stack's half
+product with V, ``half_product(V)``, serves both the modes-(2,3)
+contraction with V and the modes-(1,2) one, so the solver forms it once
+and finishes both from it with ``reduce_half``.  Only the modes-(1,3)
+contraction, which the symmetric solver never makes, multiplies by the
+transposed slices: the stack with the extra column index is the
+block-diagonal matrix of the slices, and its transpose times the mode-1
+factor tiled once per slice is that half product.
 
 Inner products, Frobenius norms and the grouped sums of squares behind
 block norms and slice normalization all come from :func:`_scaled_sum`:
@@ -93,9 +96,10 @@ def _exponent(A: np.ndarray) -> int:
     return math.frexp(max(A.max(initial=0.0), -A.min(initial=0.0)))[1]
 
 
-def _scaled_sum(*factors, groups=None, count: int = 1):
+def _scaled_sum(*factors, groups=None, count: int = 1, total: bool = False):
     """(s, e) with s * 2**e the correctly rounded sum of the elementwise product
-    of ``factors``, or with s one such sum per group (as in :func:`_exact_sum`).
+    of ``factors``, or with s one such sum per group (as in :func:`_exact_sum`,
+    which also reads ``total``).
 
     Each factor f is scaled exactly by 2**(d - e_f), with 2**e_f bounding |f|
     and d = (1020 - bitlen(n)) // len(factors), so the largest product is
@@ -117,7 +121,7 @@ def _scaled_sum(*factors, groups=None, count: int = 1):
             x = _exponent(f)
             prod *= np.ldexp(f, d - x).ravel()
         e += x - d
-    return _exact_sum(prod, groups, count, overwrite=True), e
+    return _exact_sum(prod, groups, count, overwrite=True, total=total), e
 
 
 def _ldexp(s: float, e: int) -> float:
@@ -128,20 +132,29 @@ def _ldexp(s: float, e: int) -> float:
         return math.copysign(math.inf, s)
 
 
-def _norm(x: np.ndarray, groups=None, count: int = 1):
-    """sqrt(sum(x * x)), or an array of it per group, through :func:`_scaled_sum`."""
-    s, e = _scaled_sum(x, x, groups=groups, count=count)
+def _norm(x: np.ndarray, groups=None, count: int = 1, total: bool = False):
+    """sqrt(sum(x * x)), or an array of it per group, through :func:`_scaled_sum`.
+
+    With ``groups`` and ``total``, returns (the array, the norm of all of
+    x): the total from the same exact level sums, bitwise ``_norm(x)``.
+    """
+    s, e = _scaled_sum(x, x, groups=groups, count=count, total=total)
+    if total:
+        s, whole = s
+        return np.ldexp(np.sqrt(s), e // 2), float(np.ldexp(np.sqrt(whole), e // 2))
     root = np.ldexp(np.sqrt(s), e // 2)
     return float(root) if groups is None else root
 
 
-def _exact_sum(x, groups=None, count: int = 1, overwrite: bool = False):
+def _exact_sum(x, groups=None, count: int = 1, overwrite: bool = False, total: bool = False):
     """Correctly rounded sum of ``x``, or of each group of it; bitwise ``math.fsum``.
 
     With ``groups`` (non-negative ids below ``count``, one per element of
-    ``x``), returns an array of ``count`` sums, 0.0 for an empty group.
-    With ``overwrite`` a float ``x`` holds the remainder from the first
-    level on, which saves one temporary of its size.
+    ``x``), returns an array of ``count`` sums, 0.0 for an empty group;
+    with ``total`` as well, the pair (that array, the sum of all of ``x``),
+    the total being fsum of every level sum of every group, so bitwise the
+    ungrouped sum.  With ``overwrite`` a float ``x`` holds the remainder
+    from the first level on, which saves one temporary of its size.
 
     Error-free extraction (Rump, Ogita and Oishi, SIAM J. Sci. Comput.
     31(1), 2008): each level takes sigma = 2**s with 2**s > 2 * len(x) *
@@ -164,13 +177,13 @@ def _exact_sum(x, groups=None, count: int = 1, overwrite: bool = False):
     while n:
         top, bottom = float(r.max()), float(r.min())
         if not (math.isfinite(top) and math.isfinite(bottom)):
-            return _fsum_fallback(x, groups, count)
+            return _fsum_fallback(x, groups, count, total)
         big = max(top, -bottom)
         if big == 0.0:
             break
         s = math.frexp(big)[1] + n.bit_length() + 1
         if s > 1023:
-            return _fsum_fallback(x, groups, count)
+            return _fsum_fallback(x, groups, count, total)
         sigma = math.ldexp(1.0, s)
         if hi is None:  # first level: x is left as it is, unless overwrite
             hi = x + sigma
@@ -184,17 +197,21 @@ def _exact_sum(x, groups=None, count: int = 1, overwrite: bool = False):
     if groups is None:
         return math.fsum(levels)
     if len(levels) <= 1:
-        return levels[0] if levels else np.zeros(count)
-    return np.array([math.fsum(col) for col in zip(*(lv.tolist() for lv in levels))])
+        sums = levels[0] if levels else np.zeros(count)
+    else:
+        sums = np.array([math.fsum(col) for col in zip(*(lv.tolist() for lv in levels))])
+    return (sums, math.fsum(v for lv in levels for v in lv.tolist())) if total else sums
 
 
-def _fsum_fallback(x: np.ndarray, groups, count: int):
-    """``math.fsum`` of ``x``, or of each group in input order."""
+def _fsum_fallback(x: np.ndarray, groups, count: int, total: bool):
+    """``math.fsum`` of ``x``, or of each group in input order (and of all of
+    ``x`` with ``total``)."""
     if groups is None:
         return math.fsum(x)
     order = np.argsort(groups, kind="stable")
     cuts = np.searchsorted(groups[order], np.arange(1, count))
-    return np.array([math.fsum(part) for part in np.split(x[order], cuts)])
+    sums = np.array([math.fsum(part) for part in np.split(x[order], cuts)])
+    return (sums, math.fsum(x)) if total else sums
 
 
 def _stable_sort(codes: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
@@ -242,6 +259,9 @@ def _check_size(what: str, entries: int, entry_bytes: int = 8) -> None:
             f"{have:.0f} bytes of physical memory"
         )
 
+
+# entries computed at once by a blockwise pass (2 MB of float64)
+_BLOCK_ENTRIES = 1 << 18
 
 # the most cells l*m*n of a tensor: every cell's code (k*l + i)*m + j, and
 # their count, fit in int64
@@ -435,41 +455,57 @@ class SparseTensor3:
     # -- the contraction kernel -----------------------------------------------
 
     def _slice_stack(self, col_mode: int) -> sp.csr_matrix:
-        """The 3-slices stacked as one CSR matrix with mode ``col_mode`` as columns, cached.
+        """The 3-slices as one CSR matrix with mode ``col_mode`` in its columns, cached.
 
-        2: rows k*l + i and columns j, which is canonical order, so the
-        entry arrays are used as they stand.  1: the transposed slices,
-        rows k*m + j and columns i, ordered by scipy's COO-to-CSR
-        counting sort.
+        2: the canonical stack, rows k*l + i and columns j, which is
+        canonical order, so the entry arrays are used as they stand; its
+        row pointers are checked against memory before they are built.  1:
+        D = diag(A_1, ..., A_n), rows k*l + i and columns k*m + j, which
+        shares the canonical stack's row pointers and values and adds one
+        column index (int32 while n*m < 2**31, so 4 bytes per entry).
         """
         if col_mode not in self._stacks:
             l, m, n = self.dims
             if col_mode == 2:
+                _check_size("a slice stack", 2 * n * l + 1)  # its row pointers and their bincount
                 # in place: one more temporary here fragmented expand's heap (+4 MB peak)
                 indptr = np.zeros(n * l + 1, dtype=np.int64)
                 np.cumsum(np.bincount(self.k * l + self.i, minlength=n * l), out=indptr[1:])
                 S = sp.csr_matrix((self.vals, self.j, indptr), shape=(n * l, m))
             else:
-                S = sp.csr_matrix((self.vals, (self.k * m + self.j, self.i)), shape=(n * m, l))
+                S = self._slice_stack(2)
+                col = np.multiply(self.k, m, dtype=S.indices.dtype if n * m < 2**31 else np.int64)
+                col += S.indices
+                S = sp.csr_matrix((S.data, col, S.indptr), shape=(n * l, n * m))
             self._stacks[col_mode] = S
         return self._stacks[col_mode]
 
     def _half(self, col_mode: int, X: np.ndarray) -> np.ndarray:
-        """The stack with mode ``col_mode`` as columns times X, as (n, rows per slice, X.cols).
+        """The half product with X of the slices with mode ``col_mode`` as columns.
 
-        The one sparse product of a contraction; the result is dense, and
-        its size is checked before the stack or the product is built.
+        2: the canonical stack times X, P[k, i, q] = sum_j a_ijk X[j, q] of
+        shape (n, l, X.cols).  1: the transposed slices times X, P[k, j, p]
+        = sum_i a_ijk X[i, p] of shape (n, m, X.cols), computed as D' (X
+        tiled n times) for the D of :meth:`_slice_stack`; scipy's CSC
+        product adds each a_ijk X[i, p] into row k*m + j in increasing i,
+        the order a stack of the transposed slices would use.  The one
+        sparse product of a contraction; the result, and the tiled X, are
+        checked against memory before any stack, index or tile is built.
         """
         l, m, n = self.dims
-        _check_size("a half product", n * (l if col_mode == 2 else m) * X.shape[1])
-        return (self._slice_stack(col_mode) @ X).reshape(n, -1, X.shape[1])
+        p = X.shape[1]
+        if col_mode == 2:
+            _check_size("a half product", n * l * p)
+            return (self._slice_stack(2) @ X).reshape(n, l, p)
+        _check_size("a transposed half product and its tiled factor", n * (m + l) * p)
+        return (self._slice_stack(1).T @ np.tile(X, (n, 1))).reshape(n, m, p)
 
     def half_product(self, V: np.ndarray, transposed: bool = False) -> np.ndarray:
         """P[k, i, q] = sum_j a_ijk V[j, q], shape (n, l, V.cols).
 
         The sparse half that ``contract_modes23(V, .)`` and
         ``contract_modes12(., V)`` share; :meth:`reduce_half` finishes
-        either from it.  With ``transposed`` it is the transposed stack's
+        either from it.  With ``transposed`` it is the transposed slices'
         product with a mode-1 factor, P[k, j, p] = sum_i a_ijk V[i, p] of
         shape (n, m, V.cols), the half of ``contract_modes13(V, .)``.
         """
@@ -498,8 +534,8 @@ class SparseTensor3:
         Returns the dense (extent of ``mode``, X.cols, Y.cols) array: the half
         product of the stack whose column mode meets its factor (Y for mode
         3, X otherwise), then :meth:`reduce_half` over the slice axis (modes
-        1, 2) or each slice's rows (mode 3).  Modes 1 and 3 read the
-        canonical stack, mode 2 the transposed one.
+        1, 2) or each slice's rows (mode 3).  Modes 1 and 3 multiply by the
+        canonical stack, mode 2 by the transposed slices.
         """
         if mode == 3:
             return self.reduce_half(self._half(2, Y), 3, X)
@@ -611,25 +647,50 @@ def frobenius_norm(A) -> float:
 def is_12_symmetric(T: SparseTensor3, tol: float = 0.0) -> bool:
     """True iff every 3-slice is symmetric: |a_ijk - a_jik| <= tol.
 
-    Missing entries count as zero; requires equal mode-1/2 extents.  Compares
-    the two cached slice stacks, which hold a_ijk and a_jik at the same
-    (row, column): rows k*l + i of the canonical stack against rows k*m + j
-    of the transposed one.  On equal patterns the values are compared
-    position by position, otherwise their sparse difference is.  A
-    transposed stack built for the check is not kept in the cache: a
-    symmetric solve never reads it.
+    Missing entries count as zero; requires equal mode-1/2 extents.  Reads
+    the canonical stack in blocks of whole slices, each of at most
+    ``_BLOCK_ENTRIES // 2`` entries and rows together, or of one slice, and
+    stops at the first block that is not symmetric.  A block's slices form
+    one block-diagonal CSR matrix, whose transpose (scipy's CSR-to-CSC
+    conversion) holds a_jik where the matrix holds a_ijk.  On equal
+    patterns the values are compared position by position, otherwise
+    their sparse difference is.  A block's temporaries (its column index,
+    scipy's copy of its values and the transpose's indices and values) take
+    about 25 bytes per entry, so the check holds a few MB beyond the
+    canonical stack unless one slice is larger; no stack of the transposed
+    slices is built or cached.
     """
-    l, m, _ = T.dims
+    l, m, n = T.dims
     if l != m:
         return False
-    cached = 1 in T._stacks
-    S, St = T._slice_stack(2), T._slice_stack(1)
-    if not cached:
-        del T._stacks[1]
-    if np.array_equal(S.indptr, St.indptr) and np.array_equal(S.indices, St.indices):
-        diff = S.data - St.data
+    S = T._slice_stack(2)
+    cost = S.indptr[::l] + np.arange(n + 1) * l  # entries and rows before each slice
+    k0 = 0
+    while k0 < n:
+        stop = int(np.searchsorted(cost, cost[k0] + _BLOCK_ENTRIES // 2, side="right")) - 1
+        k1 = max(k0 + 1, stop)
+        if not _symmetric_block(T, S, k0, k1, tol):
+            return False
+        k0 = k1
+    return True
+
+
+def _symmetric_block(T: SparseTensor3, S: sp.csr_matrix, k0: int, k1: int, tol: float) -> bool:
+    """:func:`is_12_symmetric` on the slices k0 <= k < k1 of the canonical stack S."""
+    l = T.dims[0]
+    r0, r1 = k0 * l, k1 * l
+    a, b = int(S.indptr[r0]), int(S.indptr[r1])
+    if a == b:
+        return True
+    col = np.subtract(T.k[a:b], k0, dtype=S.indices.dtype)  # column (k - k0)*l + j
+    col *= l
+    col += S.indices[a:b]
+    A = sp.csr_matrix((S.data[a:b], col, S.indptr[r0 : r1 + 1] - a), shape=(r1 - r0, r1 - r0))
+    At = A.T.tocsr()
+    if np.array_equal(A.indptr, At.indptr) and np.array_equal(A.indices, At.indices):
+        diff = np.subtract(A.data, At.data, out=At.data)
     else:
-        diff = (S - St).data
+        diff = (A - At).data
     return bool(np.all(np.abs(diff, out=diff) <= tol))
 
 

@@ -638,8 +638,8 @@ class TestExpand:
                 assert x.tobytes() == y.tobytes()
 
     def test_caches_only_the_canonical_stack(self, rng):
-        # the symmetry check drops the transposed stack it builds, and the
-        # symmetric solves never read one
+        # the symmetry check caches no transposed block, and the symmetric
+        # solves never build the column index of the transposed products
         T = random_symmetric(rng, 12, 5, density=0.5)
         expand(T, 2, theta=0.25)
         assert set(T._stacks) == {2}

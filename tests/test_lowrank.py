@@ -324,9 +324,18 @@ def reference_sweeps(T, U, V, W, ranks, cfg, shared):
     return lowrank.RankApproximation(U, V, W, core, history, converged, deficient)
 
 
-def reference_runs(T, starts, ranks, cfg, shared):
-    """``lowrank._sweeps`` as separate reference runs, one per start."""
-    return [reference_sweeps(T, U, V, W, ranks, cfg, shared) for U, V, W in starts]
+def reference_runs(T, runs, rel_tol, shared):
+    """``lowrank._sweeps`` as separate reference runs, one chain of runs at a time."""
+    results = []
+    for run in runs:
+        while True:
+            cfg = SolverConfig(max_iters=run.max_iters, rel_tol=rel_tol)
+            ap = reference_sweeps(T, *run.start, run.ranks, cfg, shared)
+            if run.then is None:
+                break
+            run = run.then(ap)
+        results.append(ap)
+    return results
 
 
 def assert_same_bits(a, b):
@@ -377,43 +386,60 @@ class TestCarriedHalfProduct:
         U = np.linalg.qr(rng.standard_normal((10, ranks[0])))[0]
         W = np.linalg.qr(rng.standard_normal((5, ranks[2])))[0]
         cfg = SolverConfig(max_iters=50, rel_tol=1e-12)
-        got = lowrank._sweeps(T, [(U, U, W)], ranks, cfg, shared=True)[0]
+        got = lowrank._sweeps(T, [lowrank._Run((U, U, W), ranks, cfg.max_iters)], cfg.rel_tol, shared=True)[0]
         assert got.V is got.U
         assert_same_bits(got, reference_sweeps(T, U, U, W, ranks, cfg, shared=True))
 
 
+def sketch_ranks(T, ranks, shared):
+    """The oversampled ranks p of the solve's sketch run."""
+    return lowrank._sketch(T, ranks, shared, None)[0].ranks
+
+
 class TestLockstepRestarts:
-    """Restarts sweep in lockstep and share every sparse product, yet each run
-    has the bits it has alone from the same start.  Tolerance: exact (bitwise)."""
+    """Restarts sweep in lockstep with the start's sketch and share every
+    sparse product, yet each run, the sketch included, has the bits it has
+    alone from the same start.  Tolerance: exact (bitwise)."""
 
     @pytest.fixture
     def batches(self, monkeypatch):
-        """(ranks, starts, runs) of every ``_sweeps`` call, the start's sketch included."""
+        """(runs, results, handed) of every ``_sweeps`` call; ``handed`` holds the
+        approximation each finished run gave its ``then`` (the sketch's)."""
         calls = []
 
-        def recorded(T, starts, ranks, cfg, shared):
-            runs = SWEEPS(T, starts, ranks, cfg, shared)
-            calls.append((tuple(ranks), starts, runs))
-            return runs
+        def recorded(T, runs, rel_tol, shared):
+            handed = []
+
+            def tapped(run):
+                if run.then is None:
+                    return run
+                return replace(run, then=lambda ap: handed.append(ap) or run.then(ap))
+
+            results = SWEEPS(T, [tapped(run) for run in runs], rel_tol, shared)
+            calls.append((runs, results, handed))
+            return results
 
         monkeypatch.setattr(lowrank, "_sweeps", recorded)
         return calls
 
     def check_runs_alone(self, T, batches, ranks, cfg, shared):
-        (_, _, _), (got_ranks, starts, runs) = batches  # the sketch, then one batch
-        assert got_ranks == ranks and len(starts) == cfg.num_restarts
-        alone = [SWEEPS(T, [s], ranks, cfg, shared)[0] for s in starts]
-        for a, b in zip(runs, alone):
+        [(runs, results, handed)] = batches  # one batch: the sketch (then restart 0) and the restarts
+        first, *rest = runs
+        assert len(runs) == cfg.num_restarts and first.ranks == sketch_ranks(T, ranks, shared)
+        sketch = SWEEPS(T, [replace(first, then=None)], cfg.rel_tol, shared)[0]
+        assert_same_bits(handed[0], sketch)
+        alone = [SWEEPS(T, [run], cfg.rel_tol, shared)[0] for run in [first.then(sketch)] + rest]
+        for a, b in zip(results, alone):
             assert_same_bits(a, b)
         # the runs leave the batch at different sweeps
         assert len({len(a.objective_history) for a in alone}) > 1
         return lowrank._best(alone, cfg.rel_tol)
 
-    @pytest.mark.parametrize("dims, ranks", [((9, 8, 6), (2, 2, 2)), ((10, 7, 5), (3, 2, 2))])
+    @pytest.mark.parametrize("dims, ranks", [((16, 15, 6), (2, 2, 2)), ((20, 18, 5), (3, 2, 2))])
     def test_hooi(self, batches, dims, ranks):
         T = random_sparse(np.random.default_rng(21), dims, density=1.0)
         cfg = SolverConfig(rel_tol=1e-10, seed=2, num_restarts=3)
-        assert lowrank._batch_size(T, ranks, shared=False) >= 3
+        assert lowrank._batch_size(T, ranks, sketch_ranks(T, ranks, False), shared=False) >= 3
         got = hooi(T, ranks, cfg)
         assert_same_bits(got, self.check_runs_alone(T, batches, ranks, cfg, False))
 
@@ -421,11 +447,11 @@ class TestLockstepRestarts:
     @pytest.mark.parametrize("ranks", [(2, 2, 2), (2, 2, 1)])
     def test_hooi_symmetric(self, batches, deflated, ranks):
         rng = np.random.default_rng(22)
-        T = random_symmetric(rng, 9, 6, density=0.7)
+        T = random_symmetric(rng, 20, 6, density=0.9)
         if deflated:
             T = two_term_operator(rng, T)
         cfg = SolverConfig(rel_tol=1e-10, seed=3, num_restarts=3)
-        assert lowrank._batch_size(T, ranks, shared=True) >= 3
+        assert lowrank._batch_size(T, ranks, sketch_ranks(T, ranks, True), shared=True) >= 3
         got = hooi_symmetric(T, ranks, cfg)
         best = self.check_runs_alone(T, batches, ranks, cfg, True)
         if ranks == (2, 2, 1):
@@ -433,45 +459,48 @@ class TestLockstepRestarts:
         assert_same_bits(got, best)
 
     def test_runs_do_not_batch_past_nnz(self, rng, batches):
-        # n*l*r = 20*30*2 = 1200 entries per run's half product, above nnz
+        # n*l*p2 = 20*30*10 = 6000 entries for the sketch's half product alone, above nnz
         T = random_sparse(rng, (30, 25, 20), density=0.01)
-        assert 0 < T.nnz < 1200 and lowrank._batch_size(T, (2, 2, 2), shared=False) == 1
+        p = sketch_ranks(T, (2, 2, 2), False)
+        assert 0 < T.nnz < 6000 and lowrank._batch_size(T, (2, 2, 2), p, shared=False) == 1
         hooi(T, (2, 2, 2), SolverConfig(num_restarts=3))
-        assert [len(starts) for _, starts, _ in batches] == [1, 1, 1, 1]  # the sketch, then one run each
+        # the sketch and then restart 0, then one restart each
+        assert [len(runs) for runs, _, _ in batches] == [1, 1, 1]
 
     def test_wide_products_within_nnz(self, rng, monkeypatch, batches):
-        T = random_sparse(rng, (12, 10, 6), density=0.8)
-        products = []  # (columns, entries) of every half product
+        T = random_sparse(rng, (24, 20, 6), density=0.8)
+        l, m, n = T.dims
+        products = []  # (columns, entries of the half product, entries of its tiled input)
         half = SparseTensor3.half_product
 
         def recorded(self, X, transposed=False):
             P = half(self, X, transposed)
-            products.append((X.shape[1], P.size))
+            products.append((X.shape[1], P.size, n * X.size if transposed else 0))
             return P
 
         monkeypatch.setattr(SparseTensor3, "half_product", recorded)
         hooi(T, (2, 2, 2), SolverConfig(num_restarts=3))
-        assert [len(starts) for _, starts, _ in batches] == [1, 3]
-        # the sketch's products have p = 10 columns; the batch's 6, then 4 and 2
-        # as runs leave it, and each holds at most nnz entries
-        wide = [size for cols, size in products if cols in (4, 6)]
-        assert wide and max(wide) <= T.nnz
+        assert [len(runs) for runs, _, _ in batches] == [3]
+        # the sketch's p = 10 columns beside the two restarts' 2 each, then
+        # narrower as runs leave; every array of a product holds at most nnz entries
+        assert products[0][0] == 14
+        assert max(max(size, tile) for _, size, tile in products) <= T.nnz
 
 
 class TestProductCount:
-    """Sparse products per sweep, counted as slice-stack reads (one per product):
-    2 is the canonical stack, 1 the transposed one."""
+    """Sparse products, counted as ``SparseTensor3._half`` calls (one per
+    product): 2 is the canonical stack, 1 the transposed slices."""
 
     @pytest.fixture
     def reads(self, monkeypatch):
         reads = []
-        stack = SparseTensor3._slice_stack
+        half = SparseTensor3._half
 
-        def counted(self, col_mode):
+        def counted(self, col_mode, X):
             reads.append(col_mode)
-            return stack(self, col_mode)
+            return half(self, col_mode, X)
 
-        monkeypatch.setattr(SparseTensor3, "_slice_stack", counted)
+        monkeypatch.setattr(SparseTensor3, "_half", counted)
         return reads
 
     @pytest.mark.parametrize("deflated", [False, True])
@@ -482,7 +511,8 @@ class TestProductCount:
             T = two_term_operator(rng, T)
         U, W = random_orthogonal(rng, 8)[:, :2], random_orthogonal(rng, 5)[:, :1]
         cfg = SolverConfig(max_iters=max_iters, rel_tol=1e-15)
-        sweeps = len(lowrank._sweeps(T, [(U, U, W)], (2, 2, 1), cfg, shared=True)[0].objective_history)
+        run = lowrank._Run((U, U, W), (2, 2, 1), max_iters)
+        sweeps = len(lowrank._sweeps(T, [run], cfg.rel_tol, shared=True)[0].objective_history)
         # one product to start, then one per sweep, carried into the next
         assert reads == [2] * (1 + sweeps)
 
@@ -491,10 +521,40 @@ class TestProductCount:
         T = random_sparse(rng, (8, 7, 5), density=0.5)
         U, V, W = (random_orthogonal(rng, d)[:, :2] for d in (8, 7, 5))
         cfg = SolverConfig(max_iters=max_iters, rel_tol=1e-15)
-        sweeps = len(lowrank._sweeps(T, [(U, V, W)], (2, 2, 2), cfg, shared=False)[0].objective_history)
+        run = lowrank._Run((U, V, W), (2, 2, 2), max_iters)
+        sweeps = len(lowrank._sweeps(T, [run], cfg.rel_tol, shared=False)[0].objective_history)
         # one sweep alone: 2 canonical and 1 transposed; each further sweep
         # adds one of each
         assert reads == [2] + [1, 2] * sweeps
+
+    @pytest.mark.parametrize("shared, restarts", [(False, 1), (False, 3), (True, 1), (True, 3)])
+    def test_sketch_sweeps_with_the_restarts(self, reads, monkeypatch, shared, restarts):
+        # Products come in rounds: one canonical-stack product, then in an
+        # unshared solve one transposed product if any run sweeps on.  Restart
+        # a >= 1 sweeps from round 1 and ends at round 1 + S_a; the sketch
+        # ends its 2 sweeps at round 3, and restart 0 enters at round 4, so
+        # it ends at round 4 + S_0.  With one restart that is the single-start
+        # count 5 + (1 + 2 S_0), or 3 + (1 + S_0) shared.
+        rng = np.random.default_rng(23)
+        T = random_symmetric(rng, 20, 6, density=0.9) if shared else random_sparse(rng, (24, 20, 6), 0.8)
+        ranks = (2, 2, 1) if shared else (2, 2, 2)
+        assert lowrank._batch_size(T, ranks, sketch_ranks(T, ranks, shared), shared) >= restarts
+        solved = []
+
+        def recorded(*args):
+            solved.extend(SWEEPS(*args))
+            return solved[-len(args[1]) :]
+
+        monkeypatch.setattr(lowrank, "_sweeps", recorded)
+        solve = hooi_symmetric if shared else hooi
+        solve(T, ranks, SolverConfig(rel_tol=1e-10, num_restarts=restarts))
+        S0, *S = (len(ap.objective_history) for ap in solved)
+        ends = [4 + S0] + [1 + Sa for Sa in S]
+        going = lambda t: t < 3 or 4 <= t < ends[0] or any(t < end for end in ends[1:])
+        rounds = [[2] + ([1] if going(t) and not shared else []) for t in range(1, max(ends) + 1)]
+        assert reads == sum(rounds, [])
+        if restarts == 1:
+            assert len(reads) == (4 + S0 if shared else 6 + 2 * S0)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_expand_recycles_the_sketch(self, reads, monkeypatch, seed):

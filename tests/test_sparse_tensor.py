@@ -3,9 +3,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from tenspart import (
     SparseTensor3,
+    deflate,
     expand,
     frobenius_norm,
     hooi_symmetric,
@@ -308,6 +310,32 @@ class TestSizeCheck:
             T.half_product(np.broadcast_to(1.0, (1000, 10**9)), transposed=True)
         assert T._stacks == {}
 
+    def test_transposed_half_product_counts_the_tile(self, monkeypatch):
+        # n*m*p = 10*10*2 = 200 entries (1600 B) of half product fit in 4000 B,
+        # but not with the n*l*p = 10*100*2 = 2000 entries of the tiled
+        # factor; refused before the column index or the tile is built
+        T = SparseTensor3((100, 10, 10), [1], [2], [3], [1.0])
+        T._slice_stack(2)
+        monkeypatch.setattr(sparse_tensor, "_physical_memory", lambda: 4000.0)
+        with pytest.raises(ValueError, match=r"needs 2200 entries"):
+            T.half_product(np.ones((100, 2)), transposed=True)
+        assert set(T._stacks) == {2}
+
+    def test_slice_arrays(self):
+        # n*l = 10**11 row pointers of the canonical stack (the symmetry check,
+        # adjacency normalization) and n*(l + m) slice degrees (both
+        # normalizations); refused before any of them is allocated
+        T = SparseTensor3((10**6, 10**6, 10**5), [1], [2], [3], [1.0])
+        tracemalloc.start()
+        try:
+            for run in (is_12_symmetric, normalize_slices_adjacency, nonsymmetric_normalize):
+                with pytest.raises(ValueError, match=self.MATCH):
+                    run(T)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20 and T._stacks == {}
+
     def test_form_B(self):
         with pytest.raises(ValueError, match=self.MATCH):
             form_B(np.broadcast_to(1.0, (10**7, 2)), np.eye(2))
@@ -414,6 +442,53 @@ class TestContractionKernel:
         check(mode_multiply(T, V.T, 2), np.einsum("ijk,jq->iqk", D, V))
         check(mode_multiply(T, W.T, 3), np.einsum("ijk,kr->ijr", D, W))
         check(multi_multiply(T, U, V, W), np.einsum("ijk,ip,jq,kr->pqr", D, U, V, W))
+
+
+class TestTransposedHalfProduct:
+    """The transposed half product, D' times the factor tiled once per slice,
+    against the product of a stack of the transposed slices built by scipy's
+    COO-to-CSR conversion.  Tolerance: exact (bitwise)."""
+
+    @staticmethod
+    def reference(T, U):
+        l, m, n = T.dims
+        St = sp.csr_matrix((T.vals, (T.k * m + T.j, T.i)), shape=(n * m, l))
+        return (St @ U).reshape(n, m, U.shape[1])
+
+    @staticmethod
+    def tensor(rng, dims):
+        """A random tensor with an empty slice, an empty row and an empty column."""
+        dense = rng.standard_normal(dims)
+        dense[rng.random(dims) > 0.5] = 0.0
+        dense[:, :, 1] = 0.0
+        dense[2] = 0.0
+        dense[:, 1] = 0.0
+        return SparseTensor3.from_dense(dense)
+
+    @pytest.mark.parametrize("cols", [1, 2, 13])
+    @pytest.mark.parametrize("dims", [(7, 5, 4), (5, 9, 3), (12, 12, 6)])
+    def test_sparse_tensor(self, rng, dims, cols):
+        T = self.tensor(rng, dims)
+        U = rng.standard_normal((dims[0], cols))
+        assert T.half_product(U, transposed=True).tobytes() == self.reference(T, U).tobytes()
+
+    @pytest.mark.parametrize("cols", [1, 2, 13])
+    def test_deflated_operator(self, rng, cols):
+        T = self.tensor(rng, (9, 9, 4))
+        B = sp.csr_matrix(np.triu(rng.random((9, 9))) * (rng.random((9, 9)) < 0.5))
+        R = deflate(DeflatedOperator(T), rng.random(4), B + sp.triu(B, 1).T)
+        U = rng.standard_normal((9, cols))
+        P, (BU,) = R.half_product(U, transposed=True)
+        assert P.tobytes() == self.reference(T, U).tobytes()
+        assert BU.tobytes() == (R.terms[0][1].T @ U).tobytes()
+
+    def test_column_index_holds_4_bytes_per_entry(self, rng):
+        T = self.tensor(rng, (12, 10, 6))
+        S, D = T._slice_stack(2), T._slice_stack(1)
+        assert D.shape == (6 * 12, 6 * 10)
+        assert D.indices.nbytes == 4 * T.nnz
+        assert np.array_equal(D.indices, T.k * 10 + T.j)
+        assert np.shares_memory(D.indptr, S.indptr) and np.shares_memory(D.data, T.vals)
 
 
 class TestMultiMultiply:
@@ -565,6 +640,24 @@ class TestExactSum:
             else:
                 assert isinstance(got, np.ndarray) and got.shape == (count,)
                 assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64)), (n, x, groups)
+
+    def test_grouped_total_equals_fsum(self):
+        # the total from the grouped levels is fsum of all of x, on the
+        # extraction path and on the fsum fallback; the group sums are unchanged
+        rng = np.random.default_rng(32)
+        for n in range(2_000):
+            x = sum_cases(rng, n)
+            count = int(rng.integers(1, 6))
+            groups = rng.integers(0, count, x.size)
+            want = fsum_or_error(x.tolist())
+            try:
+                sums, total = _exact_sum(x, groups, count, total=True)
+            except (OverflowError, ValueError) as exc:  # fsum's error, of a group or of all of x
+                errors = [want] + [fsum_or_error(x[groups == g].tolist()) for g in range(count)]
+                assert (type(exc), str(exc)) in errors, (n, x, groups)
+                continue
+            assert np.array_equal(sums.view(np.int64), _exact_sum(x, groups, count).view(np.int64)), n
+            assert isinstance(total, float) and same_bits(total, want), (n, x, groups)
 
     def test_norm_memory(self):
         # the scaled squares are the one array the extraction works in: one
@@ -787,8 +880,8 @@ class TestSymmetry:
         assert True in results and False in results
 
     def test_check_caches_no_transposed_stack(self, rng):
-        # the check builds the transposed stack for itself only; one a
-        # contraction cached before stays cached
+        # the check transposes blocks of slices for itself only and caches no
+        # column index; one a contraction cached before stays cached
         T = random_symmetric(rng, 9, 4, density=0.4)
         assert is_12_symmetric(T)
         assert set(T._stacks) == {2}
@@ -797,8 +890,10 @@ class TestSymmetry:
         assert T._stacks[1] is St
 
     def test_check_memory_per_entry(self):
-        # once both slice stacks exist, the check allocates one difference
-        # array (8 B per stored entry) and one mask (1 B): bound 12 B per entry
+        # with the canonical stack and its column index built, the check
+        # holds one block's temporaries at a time (about 25 B per entry of a
+        # block of at most 2**17 entries and rows; four of the 12 slices
+        # here): bound 12 B per entry of the tensor
         rng = np.random.default_rng(5)
         T = random_symmetric(rng, 200, 12, density=0.45)
         assert T.nnz >= 200_000
