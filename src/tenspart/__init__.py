@@ -32,8 +32,6 @@ from .preprocess import (
 from .lowrank import (
     RankApproximation,
     SolverConfig,
-    approx_nonsymmetric_via_embedding,
-    dominant_subspace,
     hooi,
     hooi_symmetric,
     hosvd_init,
@@ -54,7 +52,6 @@ from .expansion import (
     ExpansionTerm,
     deflate,
     expand,
-    form_B,
     overlap_cosines,
     rank221_term,
     subgraph_export,

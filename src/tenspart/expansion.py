@@ -48,7 +48,6 @@ __all__ = [
     "ExpansionTerm",
     "DeflatedOperator",
     "rank221_term",
-    "form_B",
     "threshold_B",
     "deflate",
     "expand",
@@ -66,6 +65,8 @@ _BOUND_FLOOR = 4 * np.finfo(float).smallest_subnormal
 # values, their sort and the symmetric-pair search (tracemalloc: 80.4-81.4
 # at m = 3000 with 0.9M to 9M kept entries)
 _KEPT_BYTES = 80
+# largest |l1 + l2| / |l1| of a term flagged structured (see expand)
+_STRUCTURE_MARGIN = 0.05
 
 
 @dataclass
@@ -261,34 +262,6 @@ def rank221_term(R, cfg: SolverConfig | None = None, *, sketch: list | None = No
     return hooi_symmetric(R, (2, 2, 1), cfg, sketch=sketch)
 
 
-def form_B(U: np.ndarray, core: np.ndarray) -> np.ndarray:
-    """Dense symmetric rank-<=2 matrix B = U G U' from the 2x2 core slice G.
-
-    ||B|| equals ||F|| because U has orthonormal columns.  This builds all
-    m^2 entries (O(m^2) time and memory), and raises ``ValueError`` when they
-    would not fit in physical memory; :func:`expand` never calls it but
-    thresholds the pair (U, G) in row blocks instead.  It is kept as the
-    dense oracle for that path.
-    """
-    G = np.asarray(core, dtype=float)
-    if G.ndim == 3:
-        G = G[:, :, 0]
-    if G.shape != (2, 2) or U.shape[1] != 2:
-        raise ValueError("form_B expects a mx2 factor and a 2x2 core slice")
-    _check_size("form_B", U.shape[0] ** 2)
-    return U @ G @ U.T
-
-
-def _dense_blocks(B):
-    """Yield (rows, columns, block) over every entry of the dense B, in row blocks
-    of about ``_BLOCK_ENTRIES`` entries."""
-    m = B.shape[0]
-    step = max(1, _BLOCK_ENTRIES // max(m, 1))
-    cols = np.arange(m)
-    for a in range(0, m, step):
-        yield np.arange(a, min(a + step, m)), cols, B[a : a + step]
-
-
 def _bounded_blocks(B, need):
     """Yield (rows, columns, block) of B = U G U' over the pairs whose bound reaches ``need()``.
 
@@ -327,19 +300,14 @@ def _bounded_blocks(B, need):
         r = stop
 
 
-def _blocks(B, need):
-    """The blocks of a dense B (every entry) or of a pair (U, G) (those that can reach ``need()``)."""
-    return _bounded_blocks(B, need) if isinstance(B, tuple) else _dense_blocks(B)
-
-
 def _extremes(B) -> tuple[float, float]:
-    """(max, min) over the entries of B, read through :func:`_blocks`.
+    """(max, min) over the entries of B = U G U', given as the pair (U, G).
 
-    A pair (U, G) is scanned for pairs that can pass the running extremes:
-    need = min(max, -min), which is 0 while either has no sign yet.
+    :func:`_bounded_blocks` scans the pairs that can pass the running
+    extremes: need = min(max, -min), which is 0 while either has no sign yet.
     """
     ext = [-math.inf, math.inf]
-    for _, _, blk in _blocks(B, lambda: max(0.0, min(ext[0], -ext[1]))):
+    for _, _, blk in _bounded_blocks(B, lambda: max(0.0, min(ext[0], -ext[1]))):
         ext[0], ext[1] = max(ext[0], blk.max()), min(ext[1], blk.min())
     return (float(ext[0]), float(ext[1])) if ext[0] >= ext[1] else (0.0, 0.0)
 
@@ -352,41 +320,39 @@ def threshold_B(B, theta: float, mode: str = "positive") -> sp.csr_matrix:
     nonzero.  Symmetry is preserved by keeping an entry only when both
     (i, j) and (j, i) pass, which matters only for exact ties at the cut.
 
-    B is a dense square matrix or a pair (U, G) standing for U G U' (an
-    m x 2 factor and a 2x2 core slice), with finite entries.  It is read in
-    blocks, once for its extremes and once for the kept entries, so the
-    working memory is O(block + nnz(B-hat)) and no m x m temporary is
-    allocated.  A dense B is read whole, in row blocks.  A pair is read
-    only where the bound |b_ij| <= |(U G)_i| |U_j| can pass the running
-    extremes or the cut, so it costs O(m log m + pairs passing the bound);
-    that is O(m^2) when the norms are all equal, when B has one sign (its
-    extremes need every entry) or when theta = 0.  Once the kept entries
-    found so far would not fit in physical memory (at ``_KEPT_BYTES``
-    each), a ``ValueError`` names their count.
+    B is the pair (U, G) standing for U G U': an m x 2 factor and a 2x2
+    core slice, with finite entries.  B is never formed: it is read in
+    blocks, once for its extremes and once for the kept entries, and only
+    where the bound |b_ij| <= |(U G)_i| |U_j| can pass the running extremes
+    or the cut.  So the working memory is O(block + nnz(B-hat)), and the
+    time O(m log m + pairs passing the bound); that is O(m^2) when the
+    norms are all equal, when B has one sign (its extremes need every
+    entry) or when theta = 0.  Once the kept entries found so far would not
+    fit in physical memory (at ``_KEPT_BYTES`` each), a ``ValueError``
+    names their count.  Anything but such a pair raises ``ValueError``.
     """
     return _threshold(B, theta, mode)[0]
 
 
-def _threshold(B, theta: float, mode: str) -> tuple[sp.csr_matrix, float, float]:
-    """(B-hat, max(B), min(B)) as :func:`threshold_B` computes them, in its two passes."""
+def _check_cut(theta: float, mode: str) -> None:
+    """Refuse a cut fraction outside [0, 1), nan included, and an unknown threshold mode."""
     if not 0 <= theta < 1:
-        raise ValueError("theta must satisfy 0 <= theta < 1")
+        raise ValueError(f"theta must satisfy 0 <= theta < 1, got {theta!r}")
     if mode not in ("positive", "absolute"):
         raise ValueError(f"unknown threshold mode {mode!r}")
-    if isinstance(B, tuple):
-        U, G = (np.asarray(x, dtype=float) for x in B)
-        if U.ndim != 2 or U.shape[1] != 2 or G.shape != (2, 2):
-            raise ValueError("B as a pair needs an mx2 factor and a 2x2 core slice")
-        if not (np.isfinite(U).all() and np.isfinite(G).all()):
-            raise ValueError("B's factors contain non-finite values")
-        B, m = (U, G), U.shape[0]
-    else:
-        B = np.asarray(B, dtype=float)
-        if B.ndim != 2 or B.shape[0] != B.shape[1]:
-            raise ValueError(f"B must be a square matrix, got shape {B.shape}")
-        if not np.isfinite(B).all():
-            raise ValueError("B contains non-finite values")
-        m = B.shape[0]
+
+
+def _threshold(B, theta: float, mode: str) -> tuple[sp.csr_matrix, float, float]:
+    """(B-hat, max(B), min(B)) as :func:`threshold_B` computes them, in its two passes."""
+    _check_cut(theta, mode)
+    if not (isinstance(B, tuple) and len(B) == 2):
+        raise ValueError("B must be a pair (U, G) of an mx2 factor and a 2x2 core slice")
+    U, G = (np.asarray(x, dtype=float) for x in B)
+    if U.ndim != 2 or U.shape[1] != 2 or G.shape != (2, 2):
+        raise ValueError("B as a pair needs an mx2 factor and a 2x2 core slice")
+    if not (np.isfinite(U).all() and np.isfinite(G).all()):
+        raise ValueError("B's factors contain non-finite values")
+    B, m = (U, G), U.shape[0]
     b_max, b_min = _extremes(B)
     scale = max(b_max, -b_min)  # max|B|
     if m == 0 or (mode == "positive" and b_max <= 1e-12 * scale):
@@ -394,7 +360,7 @@ def _threshold(B, theta: float, mode: str) -> tuple[sp.csr_matrix, float, float]
         return sp.csr_matrix((m, m)), b_max, b_min
     cut = theta * (b_max if mode == "positive" else scale)
     codes, vals, kept = [], [], 0
-    for ri, ci, blk in _blocks(B, lambda: cut):
+    for ri, ci, blk in _bounded_blocks(B, lambda: cut):
         if mode == "positive":
             keep = blk > cut
         elif theta == 0.0:
@@ -433,7 +399,6 @@ def expand(
     theta: float,
     mode: str = "positive",
     cfg: SolverConfig | None = None,
-    structure_margin: float = 0.05,
 ):
     """Compute a q-term rank-(2,2,1) expansion of a (1,2)-symmetric tensor.
 
@@ -441,7 +406,13 @@ def expand(
     before term v is removed and residual_norms[q] is the final residual
     norm.  A term whose solve does not converge is flagged on the term,
     the solver's warning reaches the caller, and the expansion continues.
-    An empty tensor raises, as in :func:`hooi_symmetric`.
+    An empty tensor raises, as in :func:`hooi_symmetric`; so do ``theta``
+    and ``mode`` outside the values :func:`threshold_B` takes, before the
+    symmetry check and the first solve.
+
+    Each term's B = U G U' is thresholded from the pair (U, G) as in
+    :func:`threshold_B`.  A term is flagged ``structured`` when its core
+    eigenvalues have opposite signs and |l1 + l2| <= 0.05 |l1|.
 
     Term 1 starts from the fixed-seed sketch of
     :func:`tenspart.lowrank.hosvd_init`.  Each later residual differs from
@@ -451,6 +422,7 @@ def expand(
     """
     if q < 1:
         raise ValueError("q must be >= 1")
+    _check_cut(theta, mode)
     if not is_12_symmetric(T, tol=_symmetry_tol(T)):
         raise ValueError("expansion needs a (1,2)-symmetric tensor")
     if T.nnz == 0:
@@ -468,7 +440,7 @@ def expand(
         B_hat, b_raw_max, b_raw_min = _threshold((approx.U, G), theta, mode)
         evals = np.sort(np.linalg.eigvalsh(0.5 * (G + G.T)))[::-1]
         l1, l2 = float(evals[0]), float(evals[1])
-        structured = l1 > 0 > l2 and abs(l1 + l2) <= structure_margin * abs(l1)
+        structured = l1 > 0 > l2 and abs(l1 + l2) <= _STRUCTURE_MARGIN * abs(l1)
         terms.append(
             ExpansionTerm(
                 U=approx.U,
@@ -543,7 +515,6 @@ def save_expansion_report(
     residual_norms: list[float],
     outdir,
     labels: LabelTable | None = None,
-    prefix: str = "expansion",
 ) -> dict:
     """Write the JSON diagnostics plus per-term edge lists and w CSVs."""
     outdir = Path(outdir)
@@ -573,13 +544,13 @@ def save_expansion_report(
             }
         )
         edges, _ = subgraph_export(term, labels)
-        with open(outdir / f"{prefix}_term{v}_edges.txt", "w", encoding="utf-8") as fh:
+        with open(outdir / f"expansion_term{v}_edges.txt", "w", encoding="utf-8") as fh:
             for a, b, wt in edges:
                 fh.write(f"{a} {b} {wt!r}\n")
-        with open(outdir / f"{prefix}_term{v}_w.csv", "w", encoding="utf-8") as fh:
+        with open(outdir / f"expansion_term{v}_w.csv", "w", encoding="utf-8") as fh:
             fh.write("slice_index,value\n")
             for idx, val in enumerate(term.w):
                 fh.write(f"{idx},{float(val)!r}\n")
-    with open(outdir / f"{prefix}_report.json", "w", encoding="utf-8") as fh:
+    with open(outdir / "expansion_report.json", "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2)
     return report

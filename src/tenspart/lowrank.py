@@ -37,17 +37,14 @@ from .sparse_tensor import (
     _norm,
     _symmetry_tol,
     is_12_symmetric,
-    symmetric_embed,
 )
 
 __all__ = [
     "SolverConfig",
     "RankApproximation",
-    "dominant_subspace",
     "hosvd_init",
     "hooi",
     "hooi_symmetric",
-    "approx_nonsymmetric_via_embedding",
     "reconstruct",
     "save_approximation",
 ]
@@ -115,28 +112,14 @@ def _fix_column_signs(Q: np.ndarray) -> np.ndarray:
     return Q * _column_signs(Q)
 
 
-def dominant_subspace(M: np.ndarray, r: int) -> np.ndarray:
-    """Orthonormal basis of the r leading left singular directions of M.
-
-    Columns are ordered by singular value and sign-fixed so the
-    largest-|entry| element in each column is positive.  When M has rank
-    below r the trailing columns are an orthonormal complement, supplied by
-    the QR factorization (tall M) or the Gram eigenvectors (wide M) of
-    :func:`_leading`; this is reported with a warning.
-    """
-    Q, deficient = _leading(M, r)
-    if deficient:
-        warnings.warn(
-            f"matrix has numerical rank below {r}; subspace padded with an "
-            "orthonormal complement",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return Q
-
-
 def _leading(M: np.ndarray, r: int) -> tuple[np.ndarray, bool]:
-    """:func:`dominant_subspace` of M, and whether M has numerical rank below r.
+    """Basis of the r leading left singular directions of M, and whether rank(M) < r.
+
+    The basis has orthonormal columns, ordered by singular value and
+    sign-fixed so the largest-|entry| element in each column is positive.
+    When M has numerical rank below r its trailing columns are an
+    orthonormal complement, from the QR factorization (tall M) or the Gram
+    eigenvectors (wide M).
 
     The subspace comes from the eigenvectors of the smaller Gram matrix of
     M, scaled first by an exact power of two so the Gram can neither
@@ -477,33 +460,6 @@ def hooi_symmetric(
     return best
 
 
-def approx_nonsymmetric_via_embedding(
-    T: SparseTensor3, ranks: tuple[int, int, int], cfg: SolverConfig | None = None
-) -> RankApproximation:
-    """Approximate a general tensor through its symmetric block embedding.
-
-    Runs the symmetric solver on [[0, T], [T', 0]] with a stacked factor of
-    r1 + r2 columns, splits it into top and bottom blocks, re-orthonormalizes
-    each into U and V, and then polishes with alternating updates on T
-    itself before computing W and the core directly from T.
-    """
-    cfg = cfg or SolverConfig()
-    l, m, n = T.dims
-    _check_ranks(ranks, T.dims)
-    r1, r2, r3 = ranks
-    emb = symmetric_embed(T)
-    sym = hooi_symmetric(emb, (r1 + r2, r1 + r2, r3), cfg)
-
-    top, bottom = sym.U[:l], sym.U[l:]
-    U = _leading(top, r1)[0]
-    V = _leading(bottom, r2)[0]
-    C12 = T.contract_modes12(U, V)
-    W = _leading(C12.reshape(n, -1), r3)[0]
-
-    # polish to a stationary point of the direct problem
-    return _sweeps(T, [_Run((U, V, W), ranks, cfg.max_iters)], cfg.rel_tol, shared=False)[0]
-
-
 def reconstruct(approx: RankApproximation) -> np.ndarray:
     """Dense best-approximation tensor B = (U, V, W) . F."""
     _check_size("reconstruct", approx.U.shape[0] * approx.V.shape[0] * approx.W.shape[0])
@@ -523,18 +479,18 @@ def _write_matrix_csv(path, name: str, M: np.ndarray) -> None:
             writer.writerow([repr(float(x)) for x in row])
 
 
-def save_approximation(approx: RankApproximation, outdir, prefix: str = "approx") -> dict:
+def save_approximation(approx: RankApproximation, outdir) -> dict:
     """Write factors and core as CSV plus a JSON run report; returns the report."""
     from pathlib import Path
 
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    _write_matrix_csv(outdir / f"{prefix}_U.csv", "U", approx.U)
-    _write_matrix_csv(outdir / f"{prefix}_V.csv", "V", approx.V)
-    _write_matrix_csv(outdir / f"{prefix}_W.csv", "W", approx.W)
+    _write_matrix_csv(outdir / "approx_U.csv", "U", approx.U)
+    _write_matrix_csv(outdir / "approx_V.csv", "V", approx.V)
+    _write_matrix_csv(outdir / "approx_W.csv", "W", approx.W)
     r1, r2, r3 = approx.core.shape
     _write_matrix_csv(
-        outdir / f"{prefix}_core.csv", f"core_{r1}x{r2}x{r3}", approx.core.reshape(r1, r2 * r3)
+        outdir / "approx_core.csv", f"core_{r1}x{r2}x{r3}", approx.core.reshape(r1, r2 * r3)
     )
     report = {
         "shapes": {
@@ -547,6 +503,6 @@ def save_approximation(approx: RankApproximation, outdir, prefix: str = "approx"
         "converged": approx.converged,
         "rank_deficient": approx.rank_deficient,
     }
-    with open(outdir / f"{prefix}_report.json", "w", encoding="utf-8") as fh:
+    with open(outdir / "approx_report.json", "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2)
     return report

@@ -17,16 +17,7 @@ import numpy as np
 
 from .lowrank import RankApproximation, SolverConfig, hooi, hooi_symmetric
 from .preprocess import LabelTable
-# permute_mode is not called here but stays importable from this module,
-# where perfbench/spans.py looks it up to trace it
-from .sparse_tensor import (  # noqa: F401
-    SparseTensor3,
-    _norm,
-    frobenius_norm,
-    permute_mode,
-    permute_modes,
-    subtensor,
-)
+from .sparse_tensor import SparseTensor3, _norm, frobenius_norm, permute_modes, subtensor
 
 __all__ = [
     "PartitionReport",
@@ -83,8 +74,8 @@ class PartitionReport:
         return d
 
 
-def monotone_reorder(U: np.ndarray, nonincreasing: bool = True):
-    """Permutation sorting the second factor column monotonically.
+def monotone_reorder(U: np.ndarray):
+    """Permutation sorting the second factor column into nonincreasing order.
 
     Returns (perm, u1_reordered, u2_reordered) where ``perm`` is in gather
     convention (``u2[perm]`` is sorted).  The sort is stable, so ties keep
@@ -93,20 +84,18 @@ def monotone_reorder(U: np.ndarray, nonincreasing: bool = True):
     U = np.asarray(U, dtype=float)
     if U.ndim != 2 or U.shape[1] < 2:
         raise ValueError("need a factor matrix with at least two columns")
-    key = -U[:, 1] if nonincreasing else U[:, 1]
-    perm = np.argsort(key, kind="stable")
+    perm = np.argsort(-U[:, 1], kind="stable")
     return perm, U[perm, 0], U[perm, 1]
 
 
-def sign_change_split(u2_reordered: np.ndarray, nonincreasing: bool = True):
-    """Index of the sign change in a monotone second-column vector.
+def sign_change_split(u2_reordered: np.ndarray):
+    """Index of the sign change in a nonincreasing second-column vector.
 
-    Returns (split, no_split_flag): the smallest s with u2[s-1] >= 0 > u2[s]
-    under the nonincreasing convention.  Without a sign change the split is
-    0 or the extent and the flag is set.
+    Returns (split, no_split_flag): the smallest s with u2[s-1] >= 0 > u2[s].
+    Without a sign change the split is 0 or the extent and the flag is set.
     """
     u2 = np.asarray(u2_reordered, dtype=float)
-    change = np.flatnonzero(u2 < 0) if nonincreasing else np.flatnonzero(u2 >= 0)
+    change = np.flatnonzero(u2 < 0)
     if change.size == 0:
         return len(u2), True
     s = int(change[0])

@@ -517,8 +517,8 @@ class SparseTensor3:
         Mode 1 contracts the slice axis: c[a, q, r] = sum_k P[k, a, q] X[k, r].
         Mode 3 contracts the row axis: c[k, p, q] = sum_a X[a, p] P[k, a, q].
         One batched matmul either way.  Batched because OpenBLAS threads one
-        big gemm here: 8x slower at hosvd_init sizes on 2 vCPUs, and a 5 MB
-        higher expand_sym peak RSS.  ``cols`` picks one factor's block of
+        big gemm here: 8x slower at the start's sketch sizes on 2 vCPUs, and
+        a 5 MB higher expand_sym peak RSS.  ``cols`` picks one factor's block of
         columns from a half product of several factors side by side; the
         block is copied to the layout of that factor's own half product, so
         the reduction has the same bits.
@@ -541,7 +541,7 @@ class SparseTensor3:
             return self.reduce_half(self._half(2, Y), 3, X)
         return self.reduce_half(self._half(3 - mode, X), 1, Y)
 
-    # -- contraction shorthands used by the solvers ---------------------------
+    # -- contraction shorthands; the solvers reduce half products directly ----
 
     def contract_modes23(self, V: np.ndarray, W: np.ndarray) -> np.ndarray:
         """c[i, q, r] = sum_jk a_ijk V[j, q] W[k, r]; shape (l, r2, r3)."""

@@ -337,13 +337,18 @@ class TestExpand:
         )
         assert rc == EXIT_VALIDATION
 
-    def test_bad_theta_rejected(self, tmp_path):
+    def test_bad_theta_rejected(self, tmp_path, capsys, monkeypatch):
+        # refused before the first solve, which would raise here
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the solver ran")
+
+        monkeypatch.setattr(tenspart.expansion, "rank221_term", no_solve)
         src = tmp_path / "in.tns"
         write_symmetric_tensor(src)
-        rc = main(
-            ["expand", str(src), "--terms", "1", "--theta", "1.5", "--out", str(tmp_path / "o")]
-        )
-        assert rc == EXIT_VALIDATION
+        for theta in ("1.5", "nan"):
+            rc = main(["expand", str(src), "--terms", "1", "--theta", theta, "--out", str(tmp_path / "o")])
+            assert rc == EXIT_VALIDATION
+            assert capsys.readouterr().err.startswith("error: theta must satisfy 0 <= theta < 1")
 
     def test_one_empty_term_message(self, tmp_path):
         # theta close to 1 in positive mode on an all-negative B empties B_hat;

@@ -17,7 +17,6 @@ from tenspart import (
     SparseTensor3,
     deflate,
     expand,
-    form_B,
     frobenius_norm,
     overlap_cosines,
     rank221_term,
@@ -60,6 +59,26 @@ def planted_two_terms(seed=0):
     return SparseTensor3.from_dense(d), (A1, w1, 8.0), (A2, w2, 5.0)
 
 
+def form_B(U, core):
+    """Dense B = U G U' from the 2x2 core slice G: the oracle of the pair (U, G) path."""
+    G = np.asarray(core, dtype=float)
+    if G.ndim == 3:
+        G = G[:, :, 0]
+    if G.shape != (2, 2) or U.shape[1] != 2:
+        raise ValueError("form_B expects a mx2 factor and a 2x2 core slice")
+    return U @ G @ U.T
+
+
+def dyadic_pair(rng, m, nonnegative=False):
+    """A pair (U, G), G symmetric, of few-bit dyadic entries: every product and
+    sum behind b_ij is exact, so the pair path and ``form_B`` agree bitwise and
+    B is exactly symmetric."""
+    low = 0 if nonnegative else -8
+    U = rng.integers(low, 9, size=(m, 2)) / 8.0
+    G = rng.integers(low, 9, size=(2, 2)) / 4.0
+    return U, np.triu(G) + np.triu(G, 1).T
+
+
 class TestFormB:
     def test_norm_equals_core_norm(self, rng):
         T = random_symmetric(rng, 8, 3, density=0.5)
@@ -85,10 +104,12 @@ class TestFormB:
         assert np.allclose(nonzero, np.sort(np.linalg.eigvalsh(G)), atol=1e-10)
 
     def test_bad_shapes_rejected(self):
-        with pytest.raises(ValueError):
-            form_B(np.ones((4, 3)), np.eye(2))
-        with pytest.raises(ValueError):
-            form_B(np.ones((4, 2)), np.eye(3))
+        # the oracle and the pair path refuse the same shapes
+        for U, G in ((np.ones((4, 3)), np.eye(2)), (np.ones((4, 2)), np.eye(3))):
+            with pytest.raises(ValueError):
+                form_B(U, G)
+            with pytest.raises(ValueError):
+                threshold_B((U, G), 0.5)
 
 
 class TestBipartitePlantedTerm:
@@ -137,47 +158,43 @@ class TestBipartitePlantedTerm:
 
 
 class TestThresholdB:
+    """The pair (U, G) on exact dyadic data, against masks of the dense B = form_B(U, G)."""
+
     def test_positive_mode_oracle(self, rng):
-        B = rng.standard_normal((7, 7))
-        B = B + B.T
-        theta = 0.3
-        Bh = threshold_B(B, theta, "positive").toarray()
+        U, G = dyadic_pair(rng, 7)
+        B, theta = form_B(U, G), 0.3
+        Bh = threshold_B((U, G), theta, "positive").toarray()
         expect = np.where(B > theta * B.max(), B, 0.0)
-        assert np.array_equal(Bh, expect)
+        assert B.max() > 0 and np.array_equal(Bh, expect)
 
     def test_absolute_mode_oracle(self, rng):
-        B = rng.standard_normal((7, 7))
-        B = B + B.T
-        theta = 0.4
-        Bh = threshold_B(B, theta, "absolute").toarray()
+        U, G = dyadic_pair(rng, 7)
+        B, theta = form_B(U, G), 0.4
+        Bh = threshold_B((U, G), theta, "absolute").toarray()
         expect = np.where(np.abs(B) > theta * np.abs(B).max(), B, 0.0)
         assert np.array_equal(Bh, expect)
 
     def test_theta_zero_absolute_keeps_all(self, rng):
-        B = rng.standard_normal((6, 6))
-        B = B + B.T
-        Bh = threshold_B(B, 0.0, "absolute")
-        assert Bh.nnz == np.count_nonzero(B)
+        U, G = dyadic_pair(rng, 6)
+        Bh = threshold_B((U, G), 0.0, "absolute")
+        assert Bh.nnz == np.count_nonzero(form_B(U, G))
 
     def test_nnz_monotone_in_theta(self, rng):
-        B = np.abs(rng.standard_normal((10, 10)))
-        B = B + B.T
-        sizes = [threshold_B(B, th, "positive").nnz for th in (0.0, 0.2, 0.5, 0.9)]
+        U, G = dyadic_pair(rng, 10, nonnegative=True)
+        sizes = [threshold_B((U, G), th, "positive").nnz for th in (0.0, 0.2, 0.5, 0.9)]
         assert sizes == sorted(sizes, reverse=True)
 
     def test_result_symmetric(self, rng):
-        B = rng.standard_normal((9, 9))
-        B = B + B.T
-        Bh = threshold_B(B, 0.25, "absolute")
+        U, G = dyadic_pair(rng, 9)
+        Bh = threshold_B((U, G), 0.25, "absolute")
         assert (Bh != Bh.T).nnz == 0
 
     def test_invalid_args(self):
-        with pytest.raises(ValueError):
-            threshold_B(np.eye(2), 1.0)
-        with pytest.raises(ValueError):
-            threshold_B(np.eye(2), -0.1)
-        with pytest.raises(ValueError):
-            threshold_B(np.eye(2), 0.5, "weird")
+        U = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 2)))[0]
+        for theta, mode, match in ((1.0, "positive", "theta"), (-0.1, "positive", "theta"),
+                                   (math.nan, "positive", "theta"), (0.5, "weird", "mode")):
+            with pytest.raises(ValueError, match=match):
+                threshold_B((U, np.eye(2)), theta, mode)
 
 
 def threshold_oracle(B, theta, mode):
@@ -204,7 +221,7 @@ def factor_cases(m, rng):
 
 
 class TestStreamedThreshold:
-    """threshold_B on the pair (U, G) against the dense B = form_B(U, G).
+    """threshold_B on the pair (U, G) against ``threshold_oracle`` on the dense B = form_B(U, G).
 
     Both compute b_ij = (U G)_i . u_j, the streamed path one row block at a
     time; BLAS may round a block product differently from the whole
@@ -222,7 +239,6 @@ class TestStreamedThreshold:
         b_max, b_min = expansion._extremes((U, G))
         assert abs(b_max - B.max()) <= tol and abs(b_min - B.min()) <= tol
         want = threshold_oracle(B, theta, mode)
-        assert np.array_equal(threshold_B(B, theta, mode).toarray(), want)
         got = threshold_B((U, G), theta, mode)
         assert got.has_canonical_format or got.nnz == 0
         got = got.toarray()
@@ -383,11 +399,15 @@ class TestBoundedScan:
 class TestNonFinite:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_dense_rejected(self, bad):
+        # B is read only as the pair (U, G): a dense matrix, finite or not, and
+        # a tuple of three are refused before any entry is read
         B = np.ones((5, 5))
         B[1, 3] = bad
-        for mode in ("positive", "absolute"):
-            with pytest.raises(ValueError, match="non-finite"):
-                threshold_B(B, 0.25, mode)
+        U = np.ones((5, 2))
+        for given in (B, np.ones((5, 5)), (U, np.eye(2), np.eye(2))):
+            for mode in ("positive", "absolute"):
+                with pytest.raises(ValueError, match="must be a pair"):
+                    threshold_B(given, 0.25, mode)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", ["U", "G"])
@@ -628,6 +648,19 @@ class TestExpand:
         T = random_symmetric(rng, 5, 2, density=0.5)
         with pytest.raises(ValueError):
             expand(T, 0, theta=0.1)
+
+    @pytest.mark.parametrize(
+        "theta, mode, match",
+        [(1.5, "positive", "theta"), (math.nan, "positive", "theta"), (-0.1, "absolute", "theta"),
+         (0.25, "weird", "mode")],
+    )
+    def test_cut_checked_before_the_solve(self, rng, theta, mode, match):
+        # the symmetry check is O(nnz) and builds the canonical stack, and a
+        # solve follows it; a bad theta or mode is refused before either runs
+        T = random_symmetric(rng, 30, 4, density=0.3)
+        with pytest.raises(ValueError, match=match):
+            expand(T, 2, theta=theta, mode=mode)
+        assert T._stacks == {}
 
     def test_single_start_independent_of_seed(self, rng):
         # every term starts from hosvd_init, whose sketch has its own fixed seed

@@ -10,9 +10,7 @@ from tenspart import (
     DeflatedOperator,
     SolverConfig,
     SparseTensor3,
-    approx_nonsymmetric_via_embedding,
     deflate,
-    dominant_subspace,
     expand,
     expansion,
     frobenius_norm,
@@ -22,7 +20,6 @@ from tenspart import (
     lowrank,
     multi_multiply,
     reconstruct,
-    symmetric_embed,
 )
 from tenspart.lowrank import save_approximation
 from tenspart.sparse_tensor import _norm
@@ -39,35 +36,39 @@ def subspace_distance(A, B):
 
 
 class TestDominantSubspace:
+    """The dominant subspace from ``_leading`` on small unstructured inputs,
+    and the cases TestLeading's graded matrices do not reach (a diagonal,
+    full column rank, a rank out of range, rank one)."""
+
     def test_diagonal(self):
-        Q = dominant_subspace(np.diag([3.0, 1.0]), 1)
-        assert np.allclose(Q[:, 0], [1.0, 0.0])
+        Q, deficient = lowrank._leading(np.diag([3.0, 1.0]), 1)
+        assert np.allclose(Q[:, 0], [1.0, 0.0]) and not deficient
 
     def test_orthonormal_input_preserves_space(self, rng):
         M = np.linalg.qr(rng.standard_normal((6, 3)))[0]
-        Q = dominant_subspace(M, 3)
-        assert subspace_distance(Q, M) <= 1e-12
+        Q, deficient = lowrank._leading(M, 3)
+        assert subspace_distance(Q, M) <= 1e-12 and not deficient
 
     def test_matches_full_svd_oracle(self, rng):
         M = rng.standard_normal((8, 3))
-        Q = dominant_subspace(M, 2)
+        Q, _ = lowrank._leading(M, 2)
         U = np.linalg.svd(M)[0][:, :2]
         assert subspace_distance(Q, U) <= 1e-10
 
     def test_sign_convention(self, rng):
         M = rng.standard_normal((7, 4))
-        Q = dominant_subspace(M, 3)
+        Q, _ = lowrank._leading(M, 3)
         for c in range(3):
             assert Q[np.argmax(np.abs(Q[:, c])), c] > 0
 
     def test_rank_out_of_range(self, rng):
-        with pytest.raises(ValueError):
-            dominant_subspace(rng.standard_normal((3, 2)), 3)
+        with pytest.raises(ValueError, match="out of range"):
+            lowrank._leading(rng.standard_normal((3, 2)), 3)
 
     def test_rank_deficiency_flagged_and_padded(self):
         M = np.outer(np.arange(1.0, 5.0), [1.0, 2.0, 3.0])  # rank 1
-        with pytest.warns(RuntimeWarning):
-            Q = dominant_subspace(M, 2)
+        Q, deficient = lowrank._leading(M, 2)
+        assert deficient
         assert np.allclose(Q.T @ Q, np.eye(2), atol=1e-12)
 
 
@@ -174,7 +175,6 @@ def test_solvers_take_no_svd(rng, monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", no_svd)
     T = random_sparse(rng, (12, 10, 5), density=0.5)
     hooi(T, (2, 2, 2), SolverConfig(num_restarts=2))
-    approx_nonsymmetric_via_embedding(T, (2, 2, 1))
     S = random_symmetric(rng, 10, 4, density=0.5)
     hooi_symmetric(S, (2, 2, 1))
     with warnings.catch_warnings():
@@ -620,11 +620,6 @@ class TestRankCheck:
             hooi_symmetric(T, ranks)
         assert T._stacks == {}
 
-    def test_embedding(self, rng):
-        T = random_sparse(rng, (5, 4, 3), density=0.8)
-        with pytest.raises(ValueError, match=self.MATCH):
-            approx_nonsymmetric_via_embedding(T, (3, 1, 1))
-
     def test_boundary_ranks_accepted(self, rng):
         T = random_sparse(rng, (5, 4, 3), density=0.8)
         assert hooi(T, (2, 1, 2)).ranks == (2, 1, 2)
@@ -637,6 +632,13 @@ class TestHooi:
         ap = hooi(T, (1, 1, 1))
         assert len(ap.objective_history) <= 2
         assert np.linalg.norm(reconstruct(ap) - T.to_dense()) < 1e-10
+
+    def test_single_slice_outer_product(self, rng):
+        x, y = rng.random(4), rng.random(6)
+        T = SparseTensor3.from_dense(np.einsum("i,j->ij", x, y)[:, :, None])
+        ap = hooi(T, (1, 1, 1), TIGHT)
+        assert subspace_distance(ap.U, (x / np.linalg.norm(x))[:, None]) <= 1e-8
+        assert subspace_distance(ap.V, (y / np.linalg.norm(y))[:, None]) <= 1e-8
 
     def test_matches_best_of_restarts(self, rng):
         T = random_sparse(rng, (5, 5, 5), density=1.0)
@@ -867,29 +869,6 @@ class TestRotationCore:
         if opposite:  # the 45-degree mix puts the eigenvalues' mean (of the fixed w) on the diagonal
             mean = -e.mean() if flip else e.mean()
             np.testing.assert_allclose(np.diag(fixed.core[:, :, 0]), [mean] * 2, atol=1e-12 * abs(e).max())
-
-
-class TestEmbeddingApproximation:
-    def test_single_slice_outer_product(self, rng):
-        x, y = rng.random(4), rng.random(6)
-        d = np.einsum("i,j->ij", x, y)[:, :, None]
-        T = SparseTensor3.from_dense(d)
-        ap = approx_nonsymmetric_via_embedding(T, (1, 1, 1), TIGHT)
-        assert subspace_distance(ap.U, (x / np.linalg.norm(x))[:, None]) <= 1e-8
-        assert subspace_distance(ap.V, (y / np.linalg.norm(y))[:, None]) <= 1e-8
-
-    def test_objective_matches_direct(self, rng):
-        T = random_sparse(rng, (4, 6, 3), density=0.7)
-        emb = approx_nonsymmetric_via_embedding(T, (2, 2, 2), TIGHT)
-        direct = hooi(T, (2, 2, 2), TIGHT)
-        assert abs(emb.objective - direct.objective) <= 1e-6
-
-    def test_block_tensor_roundtrip(self, rng):
-        C = random_sparse(rng, (3, 4, 2), density=0.8)
-        emb_ap = approx_nonsymmetric_via_embedding(C, (2, 2, 2), TIGHT)
-        direct = hooi(C, (2, 2, 2), TIGHT)
-        assert abs(emb_ap.objective - direct.objective) <= 1e-8
-        assert subspace_distance(emb_ap.U, direct.U) <= 1e-4
 
 
 class TestReconstruct:

@@ -66,11 +66,6 @@ class TestMonotoneReorder:
         perm, _, _ = monotone_reorder(U)
         assert perm.tolist() == [0, 1, 2]
 
-    def test_nondecreasing_direction(self, rng):
-        U = rng.standard_normal((8, 2))
-        _, _, u2 = monotone_reorder(U, nonincreasing=False)
-        assert np.all(np.diff(u2) >= 0)
-
     def test_single_column_rejected(self):
         with pytest.raises(ValueError):
             monotone_reorder(np.ones((4, 1)))
@@ -88,12 +83,6 @@ class TestSignChangeSplit:
 
     def test_all_negative_no_split(self):
         assert sign_change_split(np.array([-0.1, -0.5])) == (0, True)
-
-    def test_nondecreasing_convention(self):
-        assert sign_change_split(np.array([-0.8, -0.1, 0.3]), nonincreasing=False) == (
-            2,
-            False,
-        )
 
 
 class TestBlockNorms:

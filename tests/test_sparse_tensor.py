@@ -21,7 +21,7 @@ from tenspart import (
     symmetric_embed,
 )
 from tenspart import lowrank, sparse_tensor
-from tenspart.expansion import DeflatedOperator, form_B, threshold_B
+from tenspart.expansion import DeflatedOperator, threshold_B
 from tenspart.preprocess import nonsymmetric_normalize, normalize_slices_adjacency, normalize_slices_frobenius
 from tenspart.sparse_tensor import TensorShapeError, _exact_sum, _norm, _stable_sort
 
@@ -335,10 +335,6 @@ class TestSizeCheck:
         finally:
             tracemalloc.stop()
         assert peak < 2**20 and T._stacks == {}
-
-    def test_form_B(self):
-        with pytest.raises(ValueError, match=self.MATCH):
-            form_B(np.broadcast_to(1.0, (10**7, 2)), np.eye(2))
 
     def test_names_count_and_bytes(self, monkeypatch):
         monkeypatch.setattr(sparse_tensor, "_physical_memory", lambda: 1000.0)
