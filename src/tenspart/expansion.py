@@ -35,11 +35,11 @@ from .preprocess import LabelTable
 from .sparse_tensor import (
     _BLOCK_ENTRIES,
     SparseTensor3,
+    _Contractions,
     _check_size,
     _ldexp,
     _norm,
     _scaled_sum,
-    _stable_sort,
     _symmetry_tol,
     is_12_symmetric,
 )
@@ -61,9 +61,9 @@ __all__ = [
 # the absolute rounding of products below the normal range
 _BOUND_SLACK = 1 + 8 * np.finfo(float).eps
 _BOUND_FLOOR = 4 * np.finfo(float).smallest_subnormal
-# peak bytes per kept entry of B while thresholding: the kept codes and
-# values, their sort and the symmetric-pair search (tracemalloc: 80.4-81.4
-# at m = 3000 with 0.9M to 9M kept entries)
+# peak bytes per kept entry of B while thresholding: the kept rows, columns
+# and values, their CSR matrix and its product with its transpose's pattern
+# (tracemalloc: 78.4-78.7 at m = 3000 with 2.6M to 9M kept entries)
 _KEPT_BYTES = 80
 # largest |l1 + l2| / |l1| of a term flagged structured (see expand)
 _STRUCTURE_MARGIN = 0.05
@@ -92,12 +92,12 @@ class ExpansionTerm:
 
 
 @dataclass
-class DeflatedOperator:
+class DeflatedOperator(_Contractions):
     """Implicit residual  base - sum_v w^(v) x B_hat^(v)  (outer in mode 3).
 
-    Supports the same contraction interface as a sparse tensor, half
-    products included (the base's, plus each B_hat V), so the solvers run
-    on it directly; the base tensor is never modified.
+    Has the solvers' protocol of a sparse tensor, ``half_product`` (the
+    base's, plus each B_hat V) and ``reduce_half``, so the solvers run on
+    it directly; the base tensor is never modified.
     ``terms`` is stored as a tuple with each B_hat in canonical CSR form (a
     user-supplied matrix with duplicate or unsorted entries is copied
     first).  ||R||^2 is cached as parts (s, e) standing for
@@ -153,15 +153,6 @@ class DeflatedOperator:
             else:
                 out -= np.einsum("iq,r->iqr", BVt, X.T @ w)
         return out
-
-    def contract_modes23(self, V: np.ndarray, W: np.ndarray) -> np.ndarray:
-        return self.reduce_half(self.half_product(V), 1, W)
-
-    def contract_modes13(self, U: np.ndarray, W: np.ndarray) -> np.ndarray:
-        return self.reduce_half(self.half_product(U, transposed=True), 1, W)
-
-    def contract_modes12(self, U: np.ndarray, V: np.ndarray) -> np.ndarray:
-        return self.reduce_half(self.half_product(V), 3, U)
 
     # norms ------------------------------------------------------------------
 
@@ -359,7 +350,7 @@ def _threshold(B, theta: float, mode: str) -> tuple[sp.csr_matrix, float, float]
         # no meaningful positive part; roundoff positives are not entries
         return sp.csr_matrix((m, m)), b_max, b_min
     cut = theta * (b_max if mode == "positive" else scale)
-    codes, vals, kept = [], [], 0
+    rows, cols, vals, kept = [], [], [], 0
     for ri, ci, blk in _bounded_blocks(B, lambda: cut):
         if mode == "positive":
             keep = blk > cut
@@ -370,18 +361,12 @@ def _threshold(B, theta: float, mode: str) -> tuple[sp.csr_matrix, float, float]
         r, c = np.nonzero(keep)
         kept += r.size
         _check_size("thresholded B", kept, _KEPT_BYTES)
-        codes.append(ri[r] * m + ci[c])
+        rows.append(ri[r])
+        cols.append(ci[c])
         vals.append(blk[keep])
-    order, codes = _stable_sort(np.concatenate(codes), m * m)  # row-major
-    v = np.concatenate(vals)[order]
-    i, j = np.divmod(codes, m)
-    # keep (i, j) only when (j, i) passed too, i.e. when i * m + j is the mirror
-    # code of a passing entry; sorted queries make the search cache-friendly
-    both, _ = _find(np.sort(j * m + i), codes)
-    if both.size < codes.size:
-        i, j, v = i[both], j[both], v[both]
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(i, minlength=m))))
-    return sp.csr_matrix((v, j, indptr), shape=(m, m)), b_max, b_min
+    K = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(m, m))
+    # keep (i, j) only when (j, i) passed too: K times its transpose's pattern
+    return K.multiply(K.T.astype(bool)).tocsr(), b_max, b_min
 
 
 def deflate(R: DeflatedOperator, w: np.ndarray, B_hat: sp.spmatrix) -> DeflatedOperator:

@@ -28,8 +28,8 @@ Tensors are immutable after construction: the ``i``, ``j``, ``k`` and
 ``vals`` arrays are read-only (``writeable=False``), and every operation
 returns a new tensor or a dense array.  Immutability is what makes the
 per-tensor cache safe: there is one slice stack, the 3-slices stacked as
-one CSR matrix in canonical order, and on first use by a modes-(1,3)
-contraction one more column index over it (4 bytes per entry), both
+one CSR matrix in canonical order, and on first use by a transposed
+half product one more column index over it (4 bytes per entry), both
 computed at most once.  The (1,2)-symmetry check reads the canonical
 stack in blocks of whole slices and transposes one block at a time.
 
@@ -37,15 +37,18 @@ Dense factor matrices, vectors and small core tensors are plain numpy
 arrays.  Contractions that shrink a mode (multiplication by a matrix with
 few rows) always produce dense arrays, since in the intended workloads the
 small side is never larger than a handful of columns.  Each contraction is
-one sparse product, the half product of the stack with one factor, and
-one dense reduction of it with the other.  The canonical stack's half
-product with V, ``half_product(V)``, serves both the modes-(2,3)
-contraction with V and the modes-(1,2) one, so the solver forms it once
-and finishes both from it with ``reduce_half``.  Only the modes-(1,3)
-contraction, which the symmetric solver never makes, multiplies by the
-transposed slices: the stack with the extra column index is the
-block-diagonal matrix of the slices, and its transpose times the mode-1
-factor tiled once per slice is that half product.
+one ``half_product``, the only code that multiplies by a slice stack,
+finished by one ``reduce_half``, a dense reduction with the other factor;
+the ``contract_modes23/13/12`` shorthands, one of each, are defined once
+for every operator with these two methods.  The canonical stack's half
+product with V serves both the modes-(2,3) contraction with V and the
+modes-(1,2) one, so the solver forms it once.  Only the modes-(1,3)
+contraction, which the symmetric solver never makes, and a mode-1
+:func:`mode_multiply` multiply by the transposed slices: the stack with
+the extra column index is the block-diagonal matrix of the slices, and
+its transpose times the mode-1 factor tiled once per slice is that half
+product.  :func:`mode_multiply` forms no identity: modes 1 and 2 reorder
+the axes of a half product, and mode 3 goes through the dense tensor.
 
 Inner products, Frobenius norms and the grouped sums of squares behind
 block norms and slice normalization all come from :func:`_scaled_sum`:
@@ -286,7 +289,27 @@ def _decode(lin: np.ndarray, l: int, m: int) -> tuple[np.ndarray, np.ndarray, np
     return i, lin, k
 
 
-class SparseTensor3:
+class _Contractions:
+    """Contraction shorthands, each one :meth:`half_product` finished by one
+    :meth:`reduce_half` of the operator that inherits them; the solvers
+    reduce half products directly."""
+
+    __slots__ = ()
+
+    def contract_modes23(self, V: np.ndarray, W: np.ndarray) -> np.ndarray:
+        """c[i, q, r] = sum_jk a_ijk V[j, q] W[k, r]; shape (l, r2, r3)."""
+        return self.reduce_half(self.half_product(V), 1, W)
+
+    def contract_modes13(self, U: np.ndarray, W: np.ndarray) -> np.ndarray:
+        """c[j, p, r] = sum_ik a_ijk U[i, p] W[k, r]; shape (m, r1, r3)."""
+        return self.reduce_half(self.half_product(U, transposed=True), 1, W)
+
+    def contract_modes12(self, U: np.ndarray, V: np.ndarray) -> np.ndarray:
+        """c[k, p, q] = sum_ij a_ijk U[i, p] V[j, q]; shape (n, r1, r2)."""
+        return self.reduce_half(self.half_product(V), 3, U)
+
+
+class SparseTensor3(_Contractions):
     """Coordinate-format sparse real 3-tensor.
 
     Parameters
@@ -480,36 +503,25 @@ class SparseTensor3:
             self._stacks[col_mode] = S
         return self._stacks[col_mode]
 
-    def _half(self, col_mode: int, X: np.ndarray) -> np.ndarray:
-        """The half product with X of the slices with mode ``col_mode`` as columns.
+    def half_product(self, V: np.ndarray, transposed: bool = False) -> np.ndarray:
+        """P[k, i, q] = sum_j a_ijk V[j, q], shape (n, l, V.cols): the canonical stack times V.
 
-        2: the canonical stack times X, P[k, i, q] = sum_j a_ijk X[j, q] of
-        shape (n, l, X.cols).  1: the transposed slices times X, P[k, j, p]
-        = sum_i a_ijk X[i, p] of shape (n, m, X.cols), computed as D' (X
-        tiled n times) for the D of :meth:`_slice_stack`; scipy's CSC
-        product adds each a_ijk X[i, p] into row k*m + j in increasing i,
-        the order a stack of the transposed slices would use.  The one
-        sparse product of a contraction; the result, and the tiled X, are
-        checked against memory before any stack, index or tile is built.
+        The one sparse product of every contraction, which :meth:`reduce_half`
+        finishes.  With ``transposed``, the transposed slices times a mode-1
+        factor, P[k, j, p] = sum_i a_ijk V[i, p] of shape (n, m, V.cols),
+        computed as D' (V tiled n times) for the D of :meth:`_slice_stack`;
+        scipy's CSC product adds each a_ijk V[i, p] into row k*m + j in
+        increasing i, the order a stack of the transposed slices would use.
+        The result, and the tiled V, are checked against memory before any
+        stack, index or tile is built.
         """
         l, m, n = self.dims
-        p = X.shape[1]
-        if col_mode == 2:
+        p = V.shape[1]
+        if not transposed:
             _check_size("a half product", n * l * p)
-            return (self._slice_stack(2) @ X).reshape(n, l, p)
+            return (self._slice_stack(2) @ V).reshape(n, l, p)
         _check_size("a transposed half product and its tiled factor", n * (m + l) * p)
-        return (self._slice_stack(1).T @ np.tile(X, (n, 1))).reshape(n, m, p)
-
-    def half_product(self, V: np.ndarray, transposed: bool = False) -> np.ndarray:
-        """P[k, i, q] = sum_j a_ijk V[j, q], shape (n, l, V.cols).
-
-        The sparse half that ``contract_modes23(V, .)`` and
-        ``contract_modes12(., V)`` share; :meth:`reduce_half` finishes
-        either from it.  With ``transposed`` it is the transposed slices'
-        product with a mode-1 factor, P[k, j, p] = sum_i a_ijk V[i, p] of
-        shape (n, m, V.cols), the half of ``contract_modes13(V, .)``.
-        """
-        return self._half(1 if transposed else 2, V)
+        return (self._slice_stack(1).T @ np.tile(V, (n, 1))).reshape(n, m, p)
 
     def reduce_half(self, P: np.ndarray, mode: int, X: np.ndarray, cols=slice(None)) -> np.ndarray:
         """Finish a contraction from a half product P[k, a, q] with the dense X.
@@ -527,33 +539,6 @@ class SparseTensor3:
         if mode == 3:
             return np.matmul(X.T, P)
         return np.matmul(P.transpose(1, 2, 0), X)
-
-    def _contract(self, mode: int, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        """Contract the two modes other than ``mode`` with X and Y, lower mode first.
-
-        Returns the dense (extent of ``mode``, X.cols, Y.cols) array: the half
-        product of the stack whose column mode meets its factor (Y for mode
-        3, X otherwise), then :meth:`reduce_half` over the slice axis (modes
-        1, 2) or each slice's rows (mode 3).  Modes 1 and 3 multiply by the
-        canonical stack, mode 2 by the transposed slices.
-        """
-        if mode == 3:
-            return self.reduce_half(self._half(2, Y), 3, X)
-        return self.reduce_half(self._half(3 - mode, X), 1, Y)
-
-    # -- contraction shorthands; the solvers reduce half products directly ----
-
-    def contract_modes23(self, V: np.ndarray, W: np.ndarray) -> np.ndarray:
-        """c[i, q, r] = sum_jk a_ijk V[j, q] W[k, r]; shape (l, r2, r3)."""
-        return self._contract(1, V, W)
-
-    def contract_modes13(self, U: np.ndarray, W: np.ndarray) -> np.ndarray:
-        """c[j, p, r] = sum_ik a_ijk U[i, p] W[k, r]; shape (m, r1, r3)."""
-        return self._contract(2, U, W)
-
-    def contract_modes12(self, U: np.ndarray, V: np.ndarray) -> np.ndarray:
-        """c[k, p, q] = sum_ij a_ijk U[i, p] V[j, q]; shape (n, r1, r2)."""
-        return self._contract(3, U, V)
 
     def norm_squared(self) -> float:
         return _ldexp(*_scaled_sum(self.vals, self.vals))
@@ -573,25 +558,25 @@ def mode_multiply(T: SparseTensor3, M: np.ndarray, mode: int) -> np.ndarray:
     For mode 1, b_ijk = sum_a M[i, a] * T[a, j, k]; modes 2 and 3 are
     analogous.  ``M.shape[1]`` must equal the extent of ``T`` in ``mode``.
     Returns a dense array with the extent in ``mode`` replaced by
-    ``M.shape[0]``.  The kept modes are contracted with identities; for
-    mode 3 that passes through the dense l x m x n tensor.
+    ``M.shape[0]``.  Modes 1 and 2 reorder the axes of one half product
+    with M', and form no identity; mode 3 multiplies the dense l x m x n
+    tensor by M'.
     """
     if mode not in (1, 2, 3):
         raise ValueError(f"mode must be 1, 2 or 3, got {mode!r}")
     M = _check_matrix(M, "M")
-    l, m, n = T.dims
     extent = T.dims[mode - 1]
     if M.shape[1] != extent:
         raise TensorShapeError(
             f"M has {M.shape[1]} columns but mode-{mode} extent is {extent}"
         )
     if mode == 1:
-        return T._contract(2, M.T, np.eye(n)).transpose(1, 0, 2)
+        return T.half_product(M.T, transposed=True).transpose(2, 1, 0)
     if mode == 2:
-        return T._contract(1, M.T, np.eye(n))
-    # the identity, the dense l x m x n half product and the result
-    _check_size("mode-3 mode_multiply", m * m + n * l * m + l * m * M.shape[0])
-    return T._contract(1, np.eye(m), M.T)
+        return T.half_product(M.T).transpose(1, 2, 0)
+    l, m, n = T.dims
+    _check_size("mode-3 mode_multiply", l * m * (n + M.shape[0]))
+    return T.to_dense() @ M.T
 
 
 def multi_multiply(T: SparseTensor3, X: np.ndarray, Y: np.ndarray, Z: np.ndarray) -> np.ndarray:
@@ -608,7 +593,7 @@ def multi_multiply(T: SparseTensor3, X: np.ndarray, Y: np.ndarray, Z: np.ndarray
             f"factor row counts {(X.shape[0], Y.shape[0], Z.shape[0])} "
             f"do not match tensor dims {T.dims}"
         )
-    return np.tensordot(X, T._contract(1, Y, Z), axes=(0, 0))
+    return np.tensordot(X, T.contract_modes23(Y, Z), axes=(0, 0))
 
 
 def inner(A, B) -> float:

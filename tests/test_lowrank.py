@@ -391,6 +391,37 @@ class TestCarriedHalfProduct:
         assert_same_bits(got, reference_sweeps(T, U, U, W, ranks, cfg, shared=True))
 
 
+class ProtocolOnly:
+    """A sparse tensor seen through the solvers' operator protocol alone:
+    ``dims``, ``nnz``, ``half_product`` and ``reduce_half``."""
+
+    __slots__ = ("dims", "nnz", "half_product", "reduce_half")
+
+    def __init__(self, T):
+        self.dims, self.nnz = T.dims, T.nnz
+        self.half_product, self.reduce_half = T.half_product, T.reduce_half
+
+
+class TestOperatorProtocol:
+    """The start and both solvers read an operator only through the protocol
+    of :class:`ProtocolOnly`.  Tolerance: exact (bitwise)."""
+
+    def test_hosvd_init(self, rng):
+        T = random_sparse(rng, (12, 9, 5), density=0.4)
+        for got, want in zip(hosvd_init(ProtocolOnly(T), (3, 2, 2)), hosvd_init(T, (3, 2, 2))):
+            assert got.tobytes() == want.tobytes()
+
+    def test_hooi_with_restarts(self, rng):
+        T = random_sparse(rng, (12, 9, 5), density=0.4)
+        cfg = SolverConfig(seed=4, num_restarts=3)
+        assert_same_bits(hooi(ProtocolOnly(T), (3, 2, 2), cfg), hooi(T, (3, 2, 2), cfg))
+
+    def test_hooi_symmetric(self, rng):
+        T = random_symmetric(rng, 10, 5, density=0.5)
+        cfg = SolverConfig(seed=4, num_restarts=3)
+        assert_same_bits(hooi_symmetric(ProtocolOnly(T), (2, 2, 1), cfg), hooi_symmetric(T, (2, 2, 1), cfg))
+
+
 def sketch_ranks(T, ranks, shared):
     """The oversampled ranks p of the solve's sketch run."""
     return lowrank._sketch(T, ranks, shared, None)[0].ranks
@@ -488,19 +519,19 @@ class TestLockstepRestarts:
 
 
 class TestProductCount:
-    """Sparse products, counted as ``SparseTensor3._half`` calls (one per
-    product): 2 is the canonical stack, 1 the transposed slices."""
+    """Sparse products, counted as ``SparseTensor3.half_product`` calls (one
+    per product): 2 is the canonical stack, 1 the transposed slices."""
 
     @pytest.fixture
     def reads(self, monkeypatch):
         reads = []
-        half = SparseTensor3._half
+        half = SparseTensor3.half_product
 
-        def counted(self, col_mode, X):
-            reads.append(col_mode)
-            return half(self, col_mode, X)
+        def counted(self, V, transposed=False):
+            reads.append(1 if transposed else 2)
+            return half(self, V, transposed)
 
-        monkeypatch.setattr(SparseTensor3, "_half", counted)
+        monkeypatch.setattr(SparseTensor3, "half_product", counted)
         return reads
 
     @pytest.mark.parametrize("deflated", [False, True])

@@ -396,6 +396,24 @@ class TestModeMultiply:
         with pytest.raises(ValueError, match="mode must be 1, 2 or 3"):
             mode_multiply(T, np.ones((2, 3)), mode)
 
+    @pytest.mark.parametrize("dims, mode", [((5, 4, 6000), 1), ((5, 4, 6000), 2), ((50, 3000, 4), 3)])
+    def test_memory_without_identity(self, rng, dims, mode):
+        # 50 entries; the peak is at most twice the result, the factor tiled
+        # once per slice (mode 1) and the dense tensor (mode 3); an n x n or
+        # m x m identity (288 MB for n = 6000, 72 MB for m = 3000) is far over
+        l, m, n = dims
+        T = SparseTensor3(dims, *(rng.integers(0, d, 50) for d in dims), rng.standard_normal(50))
+        M = rng.standard_normal((dims[mode - 1], dims[mode - 1]))
+        tracemalloc.start()
+        try:
+            out = mode_multiply(T, M, mode)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        tile = n * M.size if mode == 1 else 0
+        dense = l * m * n if mode == 3 else 0
+        assert peak <= 2 * (out.nbytes + 8 * (tile + dense))
+
 
 def _factor(rng, rows, cols, layout):
     """Orthonormal factor, Fortran-ordered or a strided column slice."""
