@@ -17,7 +17,6 @@ import sys
 from pathlib import Path
 
 from . import expansion, lowrank, partition, preprocess
-from .preprocess import TensorFileError
 from .sparse_tensor import SparseTensor3
 
 EXIT_OK = 0
@@ -254,9 +253,6 @@ def main(argv: list[str] | None = None) -> int:
         code = args.func(args)
         _write_run_config(args)  # only once the command has returned an exit code
         return code
-    except TensorFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except (ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

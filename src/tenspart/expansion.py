@@ -39,9 +39,8 @@ from .sparse_tensor import (
     _check_size,
     _ldexp,
     _norm,
+    _require_12_symmetric,
     _scaled_sum,
-    _symmetry_tol,
-    is_12_symmetric,
 )
 
 __all__ = [
@@ -320,9 +319,18 @@ def threshold_B(B, theta: float, mode: str = "positive") -> sp.csr_matrix:
     norms are all equal, when B has one sign (its extremes need every
     entry) or when theta = 0.  Once the kept entries found so far would not
     fit in physical memory (at ``_KEPT_BYTES`` each), a ``ValueError``
-    names their count.  Anything but such a pair raises ``ValueError``.
+    names their count.  Anything but such a pair, and ``theta`` or ``mode``
+    outside the values above, raise ``ValueError`` before B is read.
     """
-    return _threshold(B, theta, mode)[0]
+    _check_cut(theta, mode)
+    if not (isinstance(B, tuple) and len(B) == 2):
+        raise ValueError("B must be a pair (U, G) of an mx2 factor and a 2x2 core slice")
+    U, G = (np.asarray(x, dtype=float) for x in B)
+    if U.ndim != 2 or U.shape[1] != 2 or G.shape != (2, 2):
+        raise ValueError("B as a pair needs an mx2 factor and a 2x2 core slice")
+    if not (np.isfinite(U).all() and np.isfinite(G).all()):
+        raise ValueError("B's factors contain non-finite values")
+    return _threshold(U, G, theta, mode)[0]
 
 
 def _check_cut(theta: float, mode: str) -> None:
@@ -333,16 +341,11 @@ def _check_cut(theta: float, mode: str) -> None:
         raise ValueError(f"unknown threshold mode {mode!r}")
 
 
-def _threshold(B, theta: float, mode: str) -> tuple[sp.csr_matrix, float, float]:
-    """(B-hat, max(B), min(B)) as :func:`threshold_B` computes them, in its two passes."""
-    _check_cut(theta, mode)
-    if not (isinstance(B, tuple) and len(B) == 2):
-        raise ValueError("B must be a pair (U, G) of an mx2 factor and a 2x2 core slice")
-    U, G = (np.asarray(x, dtype=float) for x in B)
-    if U.ndim != 2 or U.shape[1] != 2 or G.shape != (2, 2):
-        raise ValueError("B as a pair needs an mx2 factor and a 2x2 core slice")
-    if not (np.isfinite(U).all() and np.isfinite(G).all()):
-        raise ValueError("B's factors contain non-finite values")
+def _threshold(U: np.ndarray, G: np.ndarray, theta: float, mode: str) -> tuple[sp.csr_matrix, float, float]:
+    """(B-hat, max(B), min(B)) of B = U G U' as :func:`threshold_B` computes them, in its two passes.
+
+    Trusts its caller: U (m x 2) and G (2 x 2) are finite floats and the cut passes :func:`_check_cut`.
+    """
     B, m = (U, G), U.shape[0]
     b_max, b_min = _extremes(B)
     scale = max(b_max, -b_min)  # max|B|
@@ -352,12 +355,7 @@ def _threshold(B, theta: float, mode: str) -> tuple[sp.csr_matrix, float, float]
     cut = theta * (b_max if mode == "positive" else scale)
     rows, cols, vals, kept = [], [], [], 0
     for ri, ci, blk in _bounded_blocks(B, lambda: cut):
-        if mode == "positive":
-            keep = blk > cut
-        elif theta == 0.0:
-            keep = blk != 0
-        else:
-            keep = np.abs(blk) > cut
+        keep = blk > cut if mode == "positive" else np.abs(blk) > cut
         r, c = np.nonzero(keep)
         kept += r.size
         _check_size("thresholded B", kept, _KEPT_BYTES)
@@ -391,9 +389,9 @@ def expand(
     before term v is removed and residual_norms[q] is the final residual
     norm.  A term whose solve does not converge is flagged on the term,
     the solver's warning reaches the caller, and the expansion continues.
-    An empty tensor raises, as in :func:`hooi_symmetric`; so do ``theta``
-    and ``mode`` outside the values :func:`threshold_B` takes, before the
-    symmetry check and the first solve.
+    ``theta`` and ``mode`` outside the values :func:`threshold_B` takes
+    raise before the symmetry check and the first solve; an empty tensor
+    raises in the first solve, as in :func:`hooi_symmetric`.
 
     Each term's B = U G U' is thresholded from the pair (U, G) as in
     :func:`threshold_B`.  A term is flagged ``structured`` when its core
@@ -408,10 +406,7 @@ def expand(
     if q < 1:
         raise ValueError("q must be >= 1")
     _check_cut(theta, mode)
-    if not is_12_symmetric(T, tol=_symmetry_tol(T)):
-        raise ValueError("expansion needs a (1,2)-symmetric tensor")
-    if T.nnz == 0:
-        raise ValueError("cannot approximate an empty tensor")
+    _require_12_symmetric(T, "expansion needs a (1,2)-symmetric tensor")
     cfg = cfg or SolverConfig()
 
     R = DeflatedOperator(T)
@@ -422,7 +417,7 @@ def expand(
         approx = rank221_term(R, cfg, sketch=sketch)
         G = approx.core[:, :, 0]
         w = approx.W[:, 0].copy()
-        B_hat, b_raw_max, b_raw_min = _threshold((approx.U, G), theta, mode)
+        B_hat, b_raw_max, b_raw_min = _threshold(approx.U, G, theta, mode)
         evals = np.sort(np.linalg.eigvalsh(0.5 * (G + G.T)))[::-1]
         l1, l2 = float(evals[0]), float(evals[1])
         structured = l1 > 0 > l2 and abs(l1 + l2) <= _STRUCTURE_MARGIN * abs(l1)

@@ -30,14 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .sparse_tensor import (
-    SparseTensor3,
-    _check_size,
-    _exponent,
-    _norm,
-    _symmetry_tol,
-    is_12_symmetric,
-)
+from .sparse_tensor import SparseTensor3, _check_size, _exponent, _norm, _require_12_symmetric
 
 __all__ = [
     "SolverConfig",
@@ -271,9 +264,9 @@ def _check_ranks(ranks, dims) -> None:
 def _sketch(T, ranks, shared: bool, sketch: list | None) -> tuple[_Run, Callable]:
     """The sketch run of :func:`hosvd_init` and the lift of its result to the start."""
     dims = T.dims
-    _check_ranks(ranks, dims)
     if shared and (dims[0] != dims[1] or ranks[0] != ranks[1]):
-        raise ValueError("a shared start needs equal mode-1/2 extents and r1 == r2")
+        raise ValueError("a shared-factor solve needs equal mode-1/2 extents and r1 == r2")
+    _check_ranks(ranks, dims)
     size = math.prod(dims)
     p = tuple(min(d, r + _OVERSAMPLE, size // d) for d, r in zip(dims, ranks))
     if sketch and [b.shape for b in sketch[0]] == list(zip(dims, p)):
@@ -372,11 +365,18 @@ def _solve(T, ranks, cfg: SolverConfig, shared: bool, sketch: list | None = None
     first batch also sweeps the sketch: its two sweeps (one when recycled)
     ride the restarts' first products, and restart 0 takes its place at
     the next canonical-stack product after its start is lifted.
+
+    The problem is checked here only, through ``dims`` and ``nnz``: shape
+    and ranks (in :func:`_sketch`), entries, then, in a shared solve, the
+    (1,2)-symmetry of a sparse tensor, the one O(nnz) check; an implicit
+    operator's symmetry is its builder's to check.
     """
-    if isinstance(T, SparseTensor3) and T.nnz == 0:
-        raise ValueError("cannot approximate an empty tensor")
-    l, m, n = T.dims
     first, lift = _sketch(T, ranks, shared, sketch)
+    if T.nnz == 0:
+        raise ValueError("cannot approximate an empty tensor")
+    if shared and isinstance(T, SparseTensor3):
+        _require_12_symmetric(T, "tensor is not (1,2)-symmetric")
+    l, m, n = T.dims
     first.then = lambda sketched: _Run(lift(sketched), ranks, cfg.max_iters)
     runs = [first]
     rng = np.random.default_rng(cfg.seed)
@@ -442,18 +442,10 @@ def hooi_symmetric(
     the mode-2 one on a (1,2)-symmetric operator.  The core of a converged
     run is (1,2)-symmetric.  For ranks (2, 2, 1) the rotational freedom of
     the shared factor is fixed deterministically from the
-    eigendecomposition of the 2x2 core slice.  The ranks are checked
-    before the O(nnz) symmetry check of a sparse tensor.  ``sketch``
-    recycles the start's range finder, as in :func:`hosvd_init`.
+    eigendecomposition of the 2x2 core slice.  The problem is checked in
+    :func:`_solve`.  ``sketch`` recycles the start's range finder, as in
+    :func:`hosvd_init`.
     """
-    l, m, _ = T.dims
-    if l != m:
-        raise ValueError("symmetric solver needs equal mode-1/2 extents")
-    if ranks[0] != ranks[1]:
-        raise ValueError("symmetric solver needs r1 == r2")
-    _check_ranks(ranks, T.dims)
-    if isinstance(T, SparseTensor3) and not is_12_symmetric(T, tol=_symmetry_tol(T)):
-        raise ValueError("tensor is not (1,2)-symmetric")
     best = _solve(T, ranks, cfg or SolverConfig(), shared=True, sketch=sketch)
     if tuple(ranks) == (2, 2, 1):
         best = _fix_rotation_221(best)

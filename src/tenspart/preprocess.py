@@ -32,7 +32,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .sparse_tensor import SparseTensor3, _check_size, _norm, _symmetry_tol, is_12_symmetric
+from .sparse_tensor import SparseTensor3, _check_size, _norm, _require_12_symmetric
 
 __all__ = [
     "LabelTable",
@@ -383,8 +383,7 @@ def normalize_slices_adjacency(T: SparseTensor3) -> SparseTensor3:
     tensor row and column degrees coincide, so this is
     :func:`nonsymmetric_normalize` behind a symmetry check.
     """
-    if not is_12_symmetric(T, tol=_symmetry_tol(T)):
-        raise ValueError("tensor is not (1,2)-symmetric; use nonsymmetric_normalize")
+    _require_12_symmetric(T, "tensor is not (1,2)-symmetric; use nonsymmetric_normalize")
     return nonsymmetric_normalize(T)
 
 

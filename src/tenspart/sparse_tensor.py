@@ -48,7 +48,7 @@ contraction, which the symmetric solver never makes, and a mode-1
 the extra column index is the block-diagonal matrix of the slices, and
 its transpose times the mode-1 factor tiled once per slice is that half
 product.  :func:`mode_multiply` forms no identity: modes 1 and 2 reorder
-the axes of a half product, and mode 3 goes through the dense tensor.
+the axes of a half product, and mode 3 scatters the entries by cell.
 
 Inner products, Frobenius norms and the grouped sums of squares behind
 block norms and slice normalization all come from :func:`_scaled_sum`:
@@ -419,11 +419,12 @@ class SparseTensor3(_Contractions):
         return cls(dims, i, j, k, v)
 
     @classmethod
-    def from_dense(cls, array: np.ndarray, tol: float = 0.0) -> "SparseTensor3":
+    def from_dense(cls, array: np.ndarray) -> "SparseTensor3":
+        """The tensor of the nonzero cells of a dense 3-array; NaN and inf are refused."""
         array = np.asarray(array, dtype=float)
         if array.ndim != 3:
             raise TensorShapeError("from_dense expects a 3-dimensional array")
-        i, j, k = np.nonzero(np.abs(array) > tol)
+        i, j, k = np.nonzero(array)
         return cls(array.shape, i, j, k, array[i, j, k])
 
     # -- basic protocol -------------------------------------------------------
@@ -559,8 +560,9 @@ def mode_multiply(T: SparseTensor3, M: np.ndarray, mode: int) -> np.ndarray:
     analogous.  ``M.shape[1]`` must equal the extent of ``T`` in ``mode``.
     Returns a dense array with the extent in ``mode`` replaced by
     ``M.shape[0]``.  Modes 1 and 2 reorder the axes of one half product
-    with M', and form no identity; mode 3 multiplies the dense l x m x n
-    tensor by M'.
+    with M', and form no identity; mode 3 fills each plane q with one
+    ``bincount`` of a_ijk M[q, k] over the cells (i, j), in increasing k,
+    and forms no dense tensor.
     """
     if mode not in (1, 2, 3):
         raise ValueError(f"mode must be 1, 2 or 3, got {mode!r}")
@@ -574,9 +576,13 @@ def mode_multiply(T: SparseTensor3, M: np.ndarray, mode: int) -> np.ndarray:
         return T.half_product(M.T, transposed=True).transpose(2, 1, 0)
     if mode == 2:
         return T.half_product(M.T).transpose(1, 2, 0)
-    l, m, n = T.dims
-    _check_size("mode-3 mode_multiply", l * m * (n + M.shape[0]))
-    return T.to_dense() @ M.T
+    l, m, _ = T.dims
+    _check_size("mode-3 mode_multiply", l * m * (M.shape[0] + 1))
+    out = np.empty((l, m, M.shape[0]))
+    cell = T.i * m + T.j
+    for q, row in enumerate(M):
+        out[:, :, q] = np.bincount(cell, weights=T.vals * row[T.k], minlength=l * m).reshape(l, m)
+    return out
 
 
 def multi_multiply(T: SparseTensor3, X: np.ndarray, Y: np.ndarray, Z: np.ndarray) -> np.ndarray:
@@ -679,8 +685,12 @@ def _symmetric_block(T: SparseTensor3, S: sp.csr_matrix, k0: int, k1: int, tol: 
     return bool(np.all(np.abs(diff, out=diff) <= tol))
 
 
-def _symmetry_tol(T: SparseTensor3) -> float:
-    return 1e-12 * float(max(T.vals.max(initial=0.0), -T.vals.min(initial=0.0)))
+def _require_12_symmetric(T: SparseTensor3, message: str) -> None:
+    """The (1,2)-symmetry gate: ``ValueError(message)`` unless :func:`is_12_symmetric`
+    holds to 1e-12 of the largest |entry|."""
+    tol = 1e-12 * float(max(T.vals.max(initial=0.0), -T.vals.min(initial=0.0)))
+    if not is_12_symmetric(T, tol=tol):
+        raise ValueError(message)
 
 
 def symmetric_embed(T: SparseTensor3) -> SparseTensor3:

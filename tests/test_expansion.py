@@ -417,7 +417,7 @@ class TestNonFinite:
         with pytest.raises(ValueError, match="non-finite"):
             threshold_B((U, G), 0.25)
         with pytest.raises(ValueError, match="non-finite"):
-            expansion._threshold((U, G), 0.0, "absolute")
+            threshold_B((U, G), 0.0, "absolute")
 
 
 class TestDeflatedOperator:
@@ -730,6 +730,13 @@ class TestOverlapCosines:
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
             overlap_cosines([])
+
+    def test_zero_norm_term_rejected(self, rng):
+        T = random_symmetric(rng, 6, 3, density=0.6)
+        terms, _ = expand(T, 1, theta=0.0, mode="absolute", cfg=TIGHT)
+        empty = dataclasses.replace(terms[0], B_hat=sp.csr_matrix(terms[0].B_hat.shape))
+        with pytest.raises(ValueError, match="zero-norm term"):
+            overlap_cosines(terms + [empty])
 
     @pytest.mark.parametrize("scales", [(531, 531, 531), (-545, -545, -545), (531, -545, 0)])
     def test_exact_at_extreme_scales(self, rng, scales):

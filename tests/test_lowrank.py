@@ -120,6 +120,15 @@ class TestLeading:
         assert subspace_distance(Q[:, :2], U) <= 1e-12
         assert lowrank._leading(M, 2)[1] is False
 
+    @pytest.mark.parametrize(
+        "M, match",
+        [(np.ones(4), "^M must be a matrix$"), (np.array([[1.0, np.nan], [0.0, 1.0]]), "non-finite")],
+        ids=["vector", "nan"],
+    )
+    def test_bad_matrix_rejected(self, M, match):
+        with pytest.raises(ValueError, match=match):
+            lowrank._leading(M, 1)
+
     @pytest.mark.parametrize("shape", [(5, 3), (3, 5), (4, 4)])
     def test_zero_matrix(self, shape):
         Q, deficient = lowrank._leading(np.zeros(shape), 2)
@@ -188,6 +197,12 @@ def test_solver_config_rejects_bad_rel_tol(rel_tol):
     # tolerance never stops the sweeps
     with pytest.raises(ValueError, match="rel_tol"):
         SolverConfig(rel_tol=rel_tol)
+
+
+@pytest.mark.parametrize("name", ["max_iters", "num_restarts"])
+def test_solver_config_rejects_zero_counts(name):
+    with pytest.raises(ValueError, match=f"^{name} must be >= 1$"):
+        SolverConfig(**{name: 0})
 
 
 class TestHosvdInit:
@@ -651,6 +666,12 @@ class TestRankCheck:
             hooi_symmetric(T, ranks)
         assert T._stacks == {}
 
+    def test_hooi_symmetric_needs_equal_mode12_extents(self, rng):
+        T = random_sparse(rng, (5, 4, 2), density=0.8)
+        with pytest.raises(ValueError, match="equal mode-1/2 extents"):
+            hooi_symmetric(T, (1, 1, 1))
+        assert T._stacks == {}
+
     def test_boundary_ranks_accepted(self, rng):
         T = random_sparse(rng, (5, 4, 3), density=0.8)
         assert hooi(T, (2, 1, 2)).ranks == (2, 1, 2)
@@ -763,6 +784,13 @@ class TestHooi:
     def test_empty_tensor_rejected(self):
         with pytest.raises(ValueError):
             hooi(SparseTensor3((3, 3, 3)), (1, 1, 1))
+
+    @pytest.mark.parametrize("solve", [hooi, hooi_symmetric])
+    def test_empty_operator_rejected(self, solve):
+        # an implicit operator with no entries is refused as an empty tensor
+        # is; it once returned objective 0 with converged=True
+        with pytest.raises(ValueError, match="^cannot approximate an empty tensor$"):
+            solve(DeflatedOperator(SparseTensor3((4, 4, 2))), (2, 2, 1))
 
     def test_nonconvergence_flagged(self, rng):
         T = random_sparse(rng, (6, 6, 4), density=0.8)

@@ -344,6 +344,20 @@ class TestRestrictAndRecurse:
         inner = {int(I[t]) for t in sub_report.mode1_perm[:s2]}
         assert inner in ({0, 1, 2, 3, 4, 5}, {6, 7, 8, 9})
 
+    def test_labels_carried_to_the_restriction(self):
+        # the nested top terms name the vertices of I by their own labels
+        T, _ = two_block_tensor((8, 6), 3, seed=2, noise=0.05)
+        labels = LabelTable(tuple(f"v{t}" for t in range(14)))
+        I = np.array([0, 2, 3, 5, 7, 9, 10, 12])
+        got, _ = restrict_and_recurse(T, I, I, [0, 1, 2], (2, 2, 1), TIGHT, labels=labels, symmetric=True)
+        sub = subtensor(T, I, I, [0, 1, 2])
+        want, _ = partition_tensor(
+            sub, hooi_symmetric(sub, (2, 2, 1), TIGHT), labels=LabelTable(tuple(f"v{t}" for t in I))
+        )
+        assert got.top_terms == want.top_terms
+        named = {name for column in got.top_terms.values() for name, _ in column}
+        assert named and named <= {f"v{t}" for t in I}
+
     def test_empty_restriction_rejected(self):
         T = SparseTensor3.from_entries((6, 6, 2), [(0, 0, 0, 1.0), (1, 1, 1, 2.0)])
         with pytest.raises(ValueError):

@@ -67,6 +67,32 @@ class TestConstruction:
         with pytest.raises(ValueError):
             SparseTensor3((2, 2, 2), [0], [0], [0], [np.nan])
 
+    @pytest.mark.parametrize(
+        "args, match",
+        [
+            (((2, 2), [], [], []), "three positive extents"),
+            (((2, 0, 2), [], [], []), "three positive extents"),
+            (((2, 2, 2), [0, 1], [0], [0]), "equal length"),
+        ],
+        ids=["two extents", "zero extent", "unequal lengths"],
+    )
+    def test_bad_shape_rejected(self, args, match):
+        with pytest.raises(TensorShapeError, match=match):
+            SparseTensor3(*args, [1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_from_dense_nonfinite_rejected(self, bad):
+        # a NaN cell once failed |a| > 0 and was dropped, so the tensor kept
+        # the other three cells; it is refused as an inf is
+        d = np.ones((2, 2, 1))
+        d[1, 0, 0] = bad
+        with pytest.raises(ValueError, match="^tensor values must be finite$"):
+            SparseTensor3.from_dense(d)
+
+    def test_from_dense_needs_three_modes(self):
+        with pytest.raises(TensorShapeError, match="3-dimensional"):
+            SparseTensor3.from_dense(np.ones((2, 2)))
+
     def test_code_overflow_rejected(self):
         # past l*m*n = 2**63 - 1 the int64 codes (k*l + i)*m + j wrap: these
         # two entries were once stored with k = [-1, 0]
@@ -396,14 +422,22 @@ class TestModeMultiply:
         with pytest.raises(ValueError, match="mode must be 1, 2 or 3"):
             mode_multiply(T, np.ones((2, 3)), mode)
 
-    @pytest.mark.parametrize("dims, mode", [((5, 4, 6000), 1), ((5, 4, 6000), 2), ((50, 3000, 4), 3)])
+    def test_vector_rejected(self, rng):
+        with pytest.raises(TensorShapeError, match="M must be 2-dimensional"):
+            mode_multiply(random_sparse(rng, (3, 4, 2)), np.ones(3), 1)
+
+    @pytest.mark.parametrize(
+        "dims, mode", [((5, 4, 6000), 1), ((5, 4, 6000), 2), ((50, 3000, 4), 3), ((50, 3000, 40), 3)]
+    )
     def test_memory_without_identity(self, rng, dims, mode):
-        # 50 entries; the peak is at most twice the result, the factor tiled
-        # once per slice (mode 1) and the dense tensor (mode 3); an n x n or
-        # m x m identity (288 MB for n = 6000, 72 MB for m = 3000) is far over
+        # 50 entries and M of at most 5 rows; the peak is at most twice the
+        # result, the factor tiled once per slice (mode 1) and one l x m
+        # plane (mode 3); an n x n or m x m identity (288 MB for n = 6000,
+        # 72 MB for m = 3000) is far over, and so is the dense tensor of the
+        # mode 3 with n = 40 (48 MB)
         l, m, n = dims
         T = SparseTensor3(dims, *(rng.integers(0, d, 50) for d in dims), rng.standard_normal(50))
-        M = rng.standard_normal((dims[mode - 1], dims[mode - 1]))
+        M = rng.standard_normal((min(dims[mode - 1], 5), dims[mode - 1]))
         tracemalloc.start()
         try:
             out = mode_multiply(T, M, mode)
@@ -411,8 +445,8 @@ class TestModeMultiply:
         finally:
             tracemalloc.stop()
         tile = n * M.size if mode == 1 else 0
-        dense = l * m * n if mode == 3 else 0
-        assert peak <= 2 * (out.nbytes + 8 * (tile + dense))
+        plane = l * m if mode == 3 else 0
+        assert peak <= 2 * (out.nbytes + 8 * (tile + plane))
 
 
 def _factor(rng, rows, cols, layout):
@@ -531,6 +565,11 @@ class TestMultiMultiply:
         d = np.einsum("ijr,jq->iqr", d, Y)
         want = np.einsum("iqr,ip->pqr", d, X)
         assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
+
+    def test_factor_rows_checked(self, rng):
+        T = random_sparse(rng, (4, 5, 3))
+        with pytest.raises(TensorShapeError, match="do not match tensor dims"):
+            multi_multiply(T, np.eye(4), np.eye(4), np.eye(3))
 
     def test_contraction_order_invariance(self, rng):
         T = random_sparse(rng, (5, 4, 6), density=0.4)
@@ -1025,3 +1064,10 @@ class TestSubtensor:
         T = random_sparse(rng, (4, 3, 2))
         with pytest.raises(IndexError):
             subtensor(T, [0, 4], [0], [0])
+
+    @pytest.mark.parametrize(
+        "J, match", [([], "index set J is empty"), ([2, 1], "J must be strictly increasing"), ([1, 1], "strictly")]
+    )
+    def test_bad_index_set(self, rng, J, match):
+        with pytest.raises(ValueError, match=match):
+            subtensor(random_sparse(rng, (4, 3, 2)), [0, 1], J, [0])
