@@ -45,7 +45,7 @@ def _write_run_config(args: argparse.Namespace) -> None:
 _NORMALIZERS = {
     "none": lambda T: T,
     "adjacency": lambda T: preprocess.normalize_slices_adjacency(T),
-    "frobenius": lambda T: preprocess.normalize_slices_frobenius(T, skip_empty=True),
+    "frobenius": lambda T: preprocess.normalize_slices_frobenius(T),
     "nonsymmetric": lambda T: preprocess.nonsymmetric_normalize(T),
 }
 
@@ -176,15 +176,17 @@ def cmd_expand(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_solver_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--rank", nargs=3, type=int, default=[2, 2, 2], metavar=("R1", "R2", "R3"))
-    p.add_argument("--symmetric", action="store_true", help="use the shared-factor solver")
+def _add_solver_args(p: argparse.ArgumentParser, *, ranks: bool, labels: bool) -> None:
+    if ranks:
+        p.add_argument("--rank", nargs=3, type=int, default=[2, 2, 2], metavar=("R1", "R2", "R3"))
+        p.add_argument("--symmetric", action="store_true", help="use the shared-factor solver")
     p.add_argument("--normalize", choices=["adjacency", "frobenius", "none"], default="none")
     p.add_argument("--tol", type=float, default=1e-8, help="relative objective tolerance")
     p.add_argument("--max-iter", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--restarts", type=int, default=1)
-    p.add_argument("--labels", type=Path, default=None)
+    if labels:
+        p.add_argument("--labels", type=Path, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -214,13 +216,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("approx", help="best rank-(r1,r2,r3) approximation")
     p.add_argument("input", type=Path)
-    _add_solver_args(p)
+    _add_solver_args(p, ranks=True, labels=False)
     p.add_argument("--out", type=Path, required=True)
     p.set_defaults(func=cmd_approx)
 
     p = sub.add_parser("partition", help="reorder, split and report block norms")
     p.add_argument("input", type=Path)
-    _add_solver_args(p)
+    _add_solver_args(p, ranks=True, labels=True)
     p.add_argument("--corner-width", type=int, default=None)
     p.add_argument(
         "--recurse",
@@ -231,9 +233,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, required=True)
     p.set_defaults(func=cmd_partition)
 
-    p = sub.add_parser("expand", help="rank-(2,2,1) expansion of a symmetric tensor")
+    p = sub.add_parser("expand", help="expansion of a symmetric tensor; each term always solves "
+                       "rank-(2,2,1) with one shared mode-1/2 factor")
     p.add_argument("input", type=Path)
-    _add_solver_args(p)
+    _add_solver_args(p, ranks=False, labels=True)
     p.add_argument("--theta", type=float, required=True)
     p.add_argument(
         "--threshold-mode", choices=["positive", "absolute"], default="positive"

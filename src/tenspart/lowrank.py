@@ -262,11 +262,20 @@ def _check_ranks(ranks, dims) -> None:
 
 
 def _sketch(T, ranks, shared: bool, sketch: list | None) -> tuple[_Run, Callable]:
-    """The sketch run of :func:`hosvd_init` and the lift of its result to the start."""
+    """The sketch run of :func:`hosvd_init` and the lift of its result to the start.
+
+    The one check site of every solve and start, through ``dims`` and ``nnz``:
+    shape, ranks, entries, then, when ``shared``, the (1,2)-symmetry of a
+    sparse tensor (an implicit operator's is its builder's to check).
+    """
     dims = T.dims
     if shared and (dims[0] != dims[1] or ranks[0] != ranks[1]):
         raise ValueError("a shared-factor solve needs equal mode-1/2 extents and r1 == r2")
     _check_ranks(ranks, dims)
+    if T.nnz == 0:
+        raise ValueError("cannot approximate an empty tensor")
+    if shared and isinstance(T, SparseTensor3):
+        _require_12_symmetric(T, "tensor is not (1,2)-symmetric")
     size = math.prod(dims)
     p = tuple(min(d, r + _OVERSAMPLE, size // d) for d, r in zip(dims, ranks))
     if sketch and [b.shape for b in sketch[0]] == list(zip(dims, p)):
@@ -301,7 +310,8 @@ def hosvd_init(
     core, lifted back through those bases, is the start.  ``T`` is read
     only through its contractions, so sparse tensors and implicit
     operators get the same deterministic start.  The result is the exact
-    truncated HOSVD when every p_i equals d_i or d_j d_k.
+    truncated HOSVD when every p_i equals d_i or d_j d_k.  The problem is
+    checked as a solve's is (see :func:`_sketch`).
 
     This is the sketch run of every solve, run alone, and its lift: a
     solve sweeps the sketch in lockstep with its restarts (see
@@ -364,18 +374,10 @@ def _solve(T, ranks, cfg: SolverConfig, shared: bool, sketch: list | None = None
     :func:`_batch_size`, and share each batch's sparse products.  The
     first batch also sweeps the sketch: its two sweeps (one when recycled)
     ride the restarts' first products, and restart 0 takes its place at
-    the next canonical-stack product after its start is lifted.
-
-    The problem is checked here only, through ``dims`` and ``nnz``: shape
-    and ranks (in :func:`_sketch`), entries, then, in a shared solve, the
-    (1,2)-symmetry of a sparse tensor, the one O(nnz) check; an implicit
-    operator's symmetry is its builder's to check.
+    the next canonical-stack product after its start is lifted.  The
+    problem is checked in :func:`_sketch`, as :func:`hosvd_init`'s is.
     """
     first, lift = _sketch(T, ranks, shared, sketch)
-    if T.nnz == 0:
-        raise ValueError("cannot approximate an empty tensor")
-    if shared and isinstance(T, SparseTensor3):
-        _require_12_symmetric(T, "tensor is not (1,2)-symmetric")
     l, m, n = T.dims
     first.then = lambda sketched: _Run(lift(sketched), ranks, cfg.max_iters)
     runs = [first]
@@ -443,7 +445,7 @@ def hooi_symmetric(
     run is (1,2)-symmetric.  For ranks (2, 2, 1) the rotational freedom of
     the shared factor is fixed deterministically from the
     eigendecomposition of the 2x2 core slice.  The problem is checked in
-    :func:`_solve`.  ``sketch`` recycles the start's range finder, as in
+    :func:`_sketch`.  ``sketch`` recycles the start's range finder, as in
     :func:`hosvd_init`.
     """
     best = _solve(T, ranks, cfg or SolverConfig(), shared=True, sketch=sketch)

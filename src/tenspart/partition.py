@@ -187,10 +187,12 @@ def partition_tensor(
 ):
     """Reorder the tensor by the approximation factors and report the splits.
 
-    Returns (report, reordered tensor).  In the symmetric case (V is U) one
-    permutation is used for modes 1 and 2.  ``corner_width`` defaults to
-    10% of the smaller mode-1/2 extent; it must be positive, and a width of
-    at least half that extent skips the corner table.
+    Returns (report, reordered tensor).  Each mode is reordered by its own
+    factor; when V is U (a shared-factor solve) modes 1 and 2 get equal
+    permutations and splits, and the report is flagged ``symmetric``.
+    ``corner_width`` defaults to 10% of the smaller mode-1/2 extent; it
+    must be positive, and a width of at least half that extent skips the
+    corner table.
 
     The corner table and the total norm are read off T's own entries before
     the reordered tensor is built: every entry's block is looked up through
@@ -204,13 +206,8 @@ def partition_tensor(
     l, m, n = T.dims
     if approx.U.shape[0] != l or approx.V.shape[0] != m or approx.W.shape[0] != n:
         raise ValueError("approximation factors do not match tensor dims")
-    symmetric = approx.V is approx.U
-
     p1, u1, u2 = monotone_reorder(approx.U)
-    if symmetric:
-        p2, v1, v2 = p1, u1, u2
-    else:
-        p2, v1, v2 = monotone_reorder(approx.V)
+    p2, _, v2 = monotone_reorder(approx.V)
     if approx.W.shape[1] >= 2:
         p3, w1, w2 = monotone_reorder(approx.W)
         s3, f3 = sign_change_split(w2)
@@ -219,7 +216,7 @@ def partition_tensor(
         s3, f3 = len(p3), True
 
     s1, f1 = sign_change_split(u2)
-    s2, f2 = (s1, f1) if symmetric else sign_change_split(v2)
+    s2, f2 = sign_change_split(v2)
 
     if corner_width is None:
         corner_width = max(1, min(l, m) // 10)
@@ -254,7 +251,7 @@ def partition_tensor(
         block_boundaries=boundaries,
         top_terms=top_terms,
         insignificance_scores=score,
-        symmetric=symmetric,
+        symmetric=approx.V is approx.U,
     )
     return report, reordered
 
@@ -268,12 +265,13 @@ def restrict_and_recurse(
     cfg: SolverConfig | None = None,
     labels: LabelTable | None = None,
     symmetric: bool = False,
-    **partition_kwargs,
+    corner_width: int | None = None,
 ):
     """Re-run the approximation and partition on the subtensor T[I, J, K].
 
     Labels, when given, are carried through to the restricted mode-1 index
-    set.  Raises when the restriction has no support.
+    set, and ``corner_width`` is passed to :func:`partition_tensor`.
+    Raises when the restriction has no support.
     """
     sub = subtensor(T, I, J, K)
     if sub.nnz == 0:
@@ -282,7 +280,7 @@ def restrict_and_recurse(
     sub_labels = None
     if labels is not None:
         sub_labels = LabelTable(tuple(labels[int(t)] for t in np.asarray(I, dtype=int)))
-    return partition_tensor(sub, approx, labels=sub_labels, **partition_kwargs)
+    return partition_tensor(sub, approx, labels=sub_labels, corner_width=corner_width)
 
 
 # ---------------------------------------------------------------------------

@@ -387,19 +387,14 @@ def normalize_slices_adjacency(T: SparseTensor3) -> SparseTensor3:
     return nonsymmetric_normalize(T)
 
 
-def normalize_slices_frobenius(T: SparseTensor3, skip_empty: bool = False) -> SparseTensor3:
+def normalize_slices_frobenius(T: SparseTensor3) -> SparseTensor3:
     """Scale every 3-slice to Frobenius norm 1.
 
-    All-zero slices raise unless ``skip_empty`` is set (then left zero).
-    Only values change, so the result keeps the input's index arrays and
-    its canonical stack's pattern, if built.
+    An all-zero slice stays zero, as zero-degree rows do under the degree
+    normalizations.  Only values change, so the result keeps the input's
+    index arrays and its canonical stack's pattern, if built.
     """
-    n = T.dims[2]
-    if not skip_empty:
-        empty = np.flatnonzero(np.bincount(T.k, minlength=n) == 0)
-        if empty.size:
-            raise ValueError(f"all-zero 3-slices at k={empty.tolist()} (pass skip_empty=True)")
-    norms = _norm(T.vals, T.k, n)
+    norms = _norm(T.vals, T.k, T.dims[2])
     return T._with_values(T.vals / norms[T.k])
 
 
@@ -472,10 +467,7 @@ def bin_and_symmetrize(
     n = -(-len(log) // bin_size)  # ceil
 
     # codes -1 mark ids left out by the restriction; such records are dropped
-    if restrict_bidirectional:
-        codes = np.fromiter(map(table.get, ids, repeat(-1)), np.int64, len(ids))
-    else:
-        codes = np.fromiter(map(table.__getitem__, ids), np.int64, len(ids))
+    codes = np.fromiter(map(table.get, ids, repeat(-1)), np.int64, len(ids))
     a, b = codes[0::2], codes[1::2]
     kept = (a >= 0) & (b >= 0)
     a, b = a[kept], b[kept]

@@ -140,6 +140,26 @@ class TestRunConfig:
         cfg = json.loads((out / "run_config.json").read_text())
         assert cfg["command"] == cmd and cfg["out"] == str(out)
         assert str(src) in cfg["input_checksums"]
+        # only the flags a command reads are recorded: expand's ranks are fixed
+        if cmd == "expand":
+            assert "rank" not in cfg and "symmetric" not in cfg
+        if cmd == "approx":
+            assert "labels" not in cfg
+
+    @pytest.mark.parametrize("cmd, extra", [
+        ("expand", ["--theta", "0.1", "--terms", "1", "--rank", "2", "2", "1"]),
+        ("expand", ["--theta", "0.1", "--terms", "1", "--symmetric"]),
+        ("approx", ["--labels", "f"]),
+    ], ids=["expand-rank", "expand-symmetric", "approx-labels"])
+    def test_unread_flag_rejected(self, tmp_path, capsys, cmd, extra):
+        src = tmp_path / "in.tns"
+        write_symmetric_tensor(src)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, str(src), *extra, "--out", str(out)])
+        assert exc.value.code == EXIT_VALIDATION
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_written_when_not_converged(self, tmp_path):
         src = tmp_path / "in.tns"

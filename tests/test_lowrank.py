@@ -292,6 +292,15 @@ class TestHosvdInit:
         with pytest.raises(ValueError):
             hosvd_init(random_sparse(rng, (3, 3, 3)), (4, 1, 1))
 
+    def test_empty_tensor_rejected(self):
+        # the start checks its problem as a solve does
+        with pytest.raises(ValueError, match="^cannot approximate an empty tensor$"):
+            hosvd_init(SparseTensor3((4, 4, 2)), (2, 2, 1))
+
+    def test_shared_start_needs_symmetric_tensor(self, rng):
+        with pytest.raises(ValueError, match=r"^tensor is not \(1,2\)-symmetric$"):
+            hosvd_init(random_sparse(rng, (6, 6, 3), density=0.5), (2, 2, 1), shared=True)
+
     def test_sketch_recycles_only_bases_of_its_shapes(self, rng):
         T = random_symmetric(rng, 12, 5, density=0.5)
         same = lambda a, b: all(x.tobytes() == y.tobytes() for x, y in zip(a, b))

@@ -220,6 +220,18 @@ class TestPartitionTensor:
         assert len(report.mode3_perm) == 4
         assert not report.symmetric
 
+    def test_shared_factor_gives_mode2_the_mode1_perm_and_split(self, rng):
+        # V is U: mode 2 is reordered and split as mode 1, ties and zeros in the key included
+        for _ in range(20):
+            l, n = (int(d) for d in rng.integers(3, 30, 2))
+            ap = self.random_approx(rng, (l, l, n), symmetric=True)
+            ap.U[:, 1] = np.round(ap.U[:, 1], 1)
+            report, _ = partition_tensor(random_sparse(rng, (l, l, n), density=0.5), ap)
+            assert report.symmetric
+            assert np.array_equal(report.mode2_perm, report.mode1_perm)
+            assert report.split_points[2] == report.split_points[1]
+            assert report.no_split_flags[2] == report.no_split_flags[1]
+
     def test_rank_one_third_mode_flagged(self, rng):
         T = random_sparse(rng, (8, 8, 4), density=0.6)
         ap = hooi(T, (2, 2, 1), TIGHT)

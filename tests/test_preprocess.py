@@ -341,13 +341,6 @@ class TestFrobeniusNormalization:
         for kk, run in N.slice_runs():
             assert abs(np.sqrt((N.vals[run] ** 2).sum()) - 1.0) <= 1e-14
 
-    def test_empty_slice_requires_flag(self):
-        T = SparseTensor3((2, 2, 3), [0], [1], [0], [2.0])
-        with pytest.raises(ValueError):
-            normalize_slices_frobenius(T)
-        N = normalize_slices_frobenius(T, skip_empty=True)
-        assert N.nnz == 1 and N.vals[0] == 1.0
-
 
 def degree_normalize_oracle(T):
     """Per-slice np.add.at degrees, as the normalization was first written."""
@@ -385,7 +378,7 @@ class TestNormalizationParity:
             vals = T.vals.copy()
             for _, run in T.slice_runs():
                 vals[run] = T.vals[run] / math.sqrt(math.fsum(T.vals[run] * T.vals[run]))
-            N = normalize_slices_frobenius(T, skip_empty=True)
+            N = normalize_slices_frobenius(T)
             assert np.array_equal(N.vals, vals) and np.shares_memory(N.j, T.j)
 
     def test_frobenius_bitwise_many_slices(self, rng):
@@ -396,17 +389,16 @@ class TestNormalizationParity:
         for _, run in T.slice_runs():
             vals[run] = T.vals[run] / math.sqrt(math.fsum(T.vals[run] * T.vals[run]))
         assert np.bincount(T.k, minlength=400).min() == 0
-        with pytest.raises(ValueError, match="all-zero 3-slices at k="):
-            normalize_slices_frobenius(T)
-        assert np.array_equal(normalize_slices_frobenius(T, skip_empty=True).vals, vals)
+        N = normalize_slices_frobenius(T)  # the empty slices stay empty
+        assert np.array_equal(N.k, T.k) and np.array_equal(N.vals, vals)
 
     @pytest.mark.parametrize("s", BEYOND_SQUARE_RANGE)
     def test_frobenius_scale_invariant(self, rng, s):
         # squared entries leave the float range; the slice norms scale with
         # the entries, so the normalized values are the unscaled ones bitwise
         T = random_sparse(rng, (7, 5, 6), density=0.3)
-        want = normalize_slices_frobenius(T, skip_empty=True)
-        got = normalize_slices_frobenius(pow2_scaled(T, s), skip_empty=True)
+        want = normalize_slices_frobenius(T)
+        got = normalize_slices_frobenius(pow2_scaled(T, s))
         assert got == want
 
     def test_empty_tensor(self):
