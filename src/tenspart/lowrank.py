@@ -21,7 +21,6 @@ the last one's bases.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import warnings
@@ -466,11 +465,16 @@ def reconstruct(approx: RankApproximation) -> np.ndarray:
 
 
 def _write_matrix_csv(path, name: str, M: np.ndarray) -> None:
+    """A ``name,rows,cols`` line, then one line of ``repr`` values per row, in one write.
+
+    Lines end in CRLF; the bytes are those of ``csv.writer``, whose fields
+    here need no quoting.
+    """
+    rows, cols = M.shape
+    lines = [f"{name},{rows},{cols}\r\n"]
+    lines.extend(",".join(map(repr, row)) + "\r\n" for row in M.tolist())
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([name, M.shape[0], M.shape[1]])
-        for row in np.atleast_2d(M):
-            writer.writerow([repr(float(x)) for x in row])
+        fh.write("".join(lines))
 
 
 def save_approximation(approx: RankApproximation, outdir) -> dict:

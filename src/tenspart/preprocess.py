@@ -16,8 +16,9 @@ Record log: CSV with a header row and columns ``source,destination,timestamp``
 contiguous vocabulary in first-seen order.  The file is read once and split
 into three columns of strings, with no object per record: a plain file (no
 ``"``, no NUL, no CR outside a CRLF line end, and exactly three fields on
-every line after the header) in one ``str.split`` pass, any other file by
-``csv.reader``, the reference, whose errors name the line.
+every line after the header) chunk by chunk of whole lines, with one string
+per distinct id, any other file by ``csv.reader``, the reference, whose
+errors name the line.
 """
 
 from __future__ import annotations
@@ -32,7 +33,14 @@ from itertools import repeat
 
 import numpy as np
 
-from .sparse_tensor import SparseTensor3, _check_size, _norm, _require_12_symmetric
+from .sparse_tensor import (
+    SparseTensor3,
+    _check_cells,
+    _check_size,
+    _decode,
+    _norm,
+    _require_12_symmetric,
+)
 
 __all__ = [
     "LabelTable",
@@ -285,7 +293,7 @@ def load_record_log(path) -> RecordLog:
     """Read a ``source,destination,timestamp`` CSV log into three columns.
 
     The file is read once.  A plain file (see :func:`_split_plain_log`) is
-    split in one pass; any other goes through ``csv.reader``, which names
+    split chunk by chunk; any other goes through ``csv.reader``, which names
     the offending line of a malformed file.  A NUL anywhere in the file
     raises :class:`TensorFileError` naming the line of the first one, on
     every Python version (``csv.reader`` accepts NUL from 3.11 on).
@@ -296,40 +304,60 @@ def load_record_log(path) -> RecordLog:
     return log if log is not None else _read_log_rows(path, text)
 
 
+# characters per chunk of whole lines that the plain split checks and splits at once
+_LOG_CHUNK = 1 << 14
+
+
 def _split_plain_log(text: str) -> RecordLog | None:
-    """The log of a plain file in one ``str.split`` pass, or None.
+    """The log of a plain file, split chunk by chunk, or None.
 
     Plain: no ``"``, no NUL, no CR outside a CRLF line end, a header of at
     least three fields, and exactly three fields on every later line, none
     longer than ``csv.field_size_limit()``.  ``csv.reader`` reads such a
     file to the same columns; every other file, the malformed ones
-    included, is left to it (None).
+    included, is left to it (None).  The body is checked and split in
+    chunks of whole lines of about ``_LOG_CHUNK`` characters, so the
+    check's arrays are chunk-sized; every source and destination goes
+    through one dict, so equal ids share one string.
     """
     if '"' in text or "\0" in text:
         return None
-    if "\r" in text:
-        text = text.replace("\r\n", "\n")
-        if "\r" in text:
-            return None
-    if not text.endswith("\n"):
-        text += "\n"
-    header, _, body = text.partition("\n")
     limit = csv.field_size_limit()
-    if header.count(",") < 2 or len(header) > limit:
+    nl = text.find("\n")
+    header = text if nl < 0 else text[: nl - (text[nl - 1 : nl] == "\r")]
+    if "\r" in header or header.count(",") < 2 or len(header) > limit:
         return None
-    # two commas on line t are commas 2t and 2t+1: with 2L commas in all,
-    # each between its line's start and end, every line holds exactly two
-    raw = np.frombuffer(body.encode("utf-8"), np.uint8)
-    ends = np.flatnonzero(raw == ord("\n"))
-    commas = np.flatnonzero(raw == ord(","))
-    starts = np.concatenate(([0], ends + 1))[:-1]
-    if commas.size != 2 * ends.size or np.any(commas[0::2] < starts) or np.any(commas[1::2] > ends):
-        return None
-    if ends.size and (ends - starts).max() > limit:  # UTF-8 bytes bound a field's characters
-        return None
-    fields = body.replace("\n", ",").split(",")
-    fields.pop()  # after the last line end
-    return RecordLog(fields[0::3], fields[1::3], fields[2::3])
+    log = RecordLog()
+    seen: dict[str, str] = {}
+    pos = len(text) if nl < 0 else nl + 1
+    while pos < len(text):
+        end = text.find("\n", pos + _LOG_CHUNK)
+        end = len(text) if end < 0 else end + 1
+        chunk = text[pos:end]
+        pos = end
+        if "\r" in chunk:
+            chunk = chunk.replace("\r\n", "\n")
+            if "\r" in chunk:
+                return None
+        if not chunk.endswith("\n"):
+            chunk += "\n"
+        # two commas on line t are commas 2t and 2t+1: with 2L commas in all,
+        # each between its line's start and end, every line holds exactly two
+        raw = np.frombuffer(chunk.encode("utf-8"), np.uint8)
+        ends = np.flatnonzero(raw == ord("\n"))
+        commas = np.flatnonzero(raw == ord(","))
+        starts = np.concatenate(([0], ends[:-1] + 1))
+        if commas.size != 2 * ends.size or np.any(commas[0::2] < starts) or np.any(commas[1::2] > ends):
+            return None
+        if (ends - starts).max() > limit:  # UTF-8 bytes bound a field's characters
+            return None
+        fields = chunk.replace("\n", ",").split(",")
+        fields.pop()  # after the last line end
+        sources, destinations = fields[0::3], fields[1::3]
+        log.sources.extend(map(seen.setdefault, sources, sources))
+        log.destinations.extend(map(seen.setdefault, destinations, destinations))
+        log.timestamps.extend(fields[2::3])
+    return log
 
 
 def _read_log_rows(path, text: str) -> RecordLog:
@@ -444,17 +472,20 @@ def bin_and_symmetrize(
     i and j communicated (either direction) inside bin k.  Values are
     indicators, not counts.  With ``restrict_bidirectional`` the vocabulary
     is limited to ids that both sent and received at least one message.
+    The sorted, distinct cell codes of both orientations are the canonical
+    order, so the tensor goes through the trusted constructor.
     """
     if bin_size < 1:
         raise ValueError("bin_size must be >= 1")
     if not log:
         raise ValueError("record log is empty")
 
-    # both ids of every record in record order: s0, d0, s1, d1, ...
+    # the vocabulary in first-seen order over s0, d0, s1, d1, ...
     ids = [None] * (2 * len(log))
     ids[0::2] = log.sources
     ids[1::2] = log.destinations
     vocab = dict.fromkeys(ids)
+    del ids
     if restrict_bidirectional:
         both = set(log.sources).intersection(log.destinations)
         if not both:
@@ -465,16 +496,28 @@ def bin_and_symmetrize(
     table = {ident: pos for pos, ident in enumerate(vocab)}
     m = len(table)
     n = -(-len(log) // bin_size)  # ceil
+    _check_cells((m, m, n))
+    # the codes of both orientations, then the result's four arrays at most
+    _check_size("the binned cell codes", 2 * len(log), 5 * 8)
 
     # codes -1 mark ids left out by the restriction; such records are dropped
-    codes = np.fromiter(map(table.get, ids, repeat(-1)), np.int64, len(ids))
-    a, b = codes[0::2], codes[1::2]
-    kept = (a >= 0) & (b >= 0)
-    a, b = a[kept], b[kept]
-    bins = np.flatnonzero(kept) // bin_size
-    # both orientations; repeats (and a self-loop's two copies) sum, then become 1
-    T = SparseTensor3(
-        (m, m, n), np.concatenate((a, b)), np.concatenate((b, a)),
-        np.concatenate((bins, bins)), np.ones(2 * a.size),
-    )
-    return T._with_values(np.ones(T.nnz)), labels
+    a = np.fromiter(map(table.get, log.sources, repeat(-1)), np.int64, len(log))
+    b = np.fromiter(map(table.get, log.destinations, repeat(-1)), np.int64, len(log))
+    bins = np.arange(len(log)) // bin_size
+    if restrict_bidirectional:
+        kept = (a >= 0) & (b >= 0)
+        a, b, bins = a[kept], b[kept], bins[kept]
+        del kept
+    # the cells (bin*m + a)*m + b and (bin*m + b)*m + a in one buffer, sorted in
+    # place; a repeat (and a self-loop's two copies) is dropped, every value is 1
+    bins *= m
+    codes = np.concatenate(((bins + a) * m + b, (bins + b) * m + a))
+    del a, b, bins
+    codes.sort()
+    first = np.ones(codes.size, dtype=bool)
+    np.not_equal(codes[1:], codes[:-1], out=first[1:])
+    if not first.all():
+        codes = codes[first]
+    del first
+    i, j, k = _decode(codes, m, m)
+    return SparseTensor3._canonical((m, m, n), i, j, k, np.ones(j.size)), labels

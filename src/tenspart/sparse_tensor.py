@@ -17,7 +17,7 @@ sorted codes (:func:`_decode`), freeing each nnz-sized temporary once it
 is read: about 32 bytes per input entry at its peak, the 32 bytes per
 stored entry of the result included.  Operations whose result is
 canonical by construction (value-only normalizations, permutations that
-sort their own codes) go through the private trusted constructor
+sort their own codes, the binning of a record log) go through the private trusted constructor
 ``SparseTensor3._canonical``, which only drops explicit zeros and may share
 index arrays with its source; a value-only map (``_with_values``) shares
 its source's canonical stack pattern as well.  A reordering of all three
@@ -271,6 +271,15 @@ _BLOCK_ENTRIES = 1 << 18
 _MAX_CELLS = 2**63 - 1
 
 
+def _check_cells(dims: tuple[int, int, int]) -> None:
+    """Raise ``TensorShapeError`` when extents (l, m, n) have too many cells for int64 codes."""
+    l, m, n = dims
+    if l * m * n > _MAX_CELLS:
+        raise TensorShapeError(
+            f"dims {dims} have l*m*n = {l * m * n} cells; entry codes need l*m*n < 2**63"
+        )
+
+
 def _decode(lin: np.ndarray, l: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(i, j, k) of the codes lin = (k*l + i)*m + j; ``lin`` is overwritten and returned as j.
 
@@ -330,11 +339,8 @@ class SparseTensor3(_Contractions):
         dims = tuple(int(d) for d in dims)
         if len(dims) != 3 or any(d <= 0 for d in dims):
             raise TensorShapeError(f"dims must be three positive extents, got {dims}")
+        _check_cells(dims)
         l, m, n = dims
-        if l * m * n > _MAX_CELLS:
-            raise TensorShapeError(
-                f"dims {dims} have l*m*n = {l * m * n} cells; entry codes need l*m*n < 2**63"
-            )
         i = np.asarray(i, dtype=np.int64).ravel()
         j = np.asarray(j, dtype=np.int64).ravel()
         k = np.asarray(k, dtype=np.int64).ravel()

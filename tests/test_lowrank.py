@@ -1,3 +1,4 @@
+import csv
 import math
 import warnings
 from dataclasses import replace
@@ -961,6 +962,29 @@ class TestReconstruct:
 
 
 class TestSerialization:
+    def test_matrix_csv_matches_csv_writer(self, tmp_path, rng):
+        from tenspart.lowrank import _write_matrix_csv
+
+        def reference(path, name, M):
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh)
+                writer.writerow([name, M.shape[0], M.shape[1]])
+                for row in M:
+                    writer.writerow([repr(float(x)) for x in row])
+
+        odd = [-0.0, 0.0, 5e-324, -2.5e-310, 1e308, -1e308, 1.0 / 3.0]
+        core = rng.standard_normal((2, 3, 4))
+        cases = [
+            ("U", rng.standard_normal((40, 3))),
+            ("V", rng.choice(odd, (25, 4))),
+            ("W", np.array([[-0.0]])),
+            ("core_2x3x4", core.reshape(2, 12)),
+        ]
+        for name, M in cases:
+            _write_matrix_csv(tmp_path / "got.csv", name, M)
+            reference(tmp_path / "want.csv", name, M)
+            assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
     def test_save_files_and_report(self, tmp_path, rng):
         T = random_sparse(rng, (5, 4, 3), density=0.6)
         ap = hooi(T, (2, 2, 2), TIGHT)

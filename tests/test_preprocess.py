@@ -1,6 +1,7 @@
 import csv
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from tenspart import (
     save_coordinate_file,
     symmetric_embed,
 )
-from tenspart import preprocess
+from tenspart import preprocess, sparse_tensor
 from tenspart.preprocess import (
     LabelTable,
     RecordLog,
@@ -27,6 +28,7 @@ from tenspart.preprocess import (
     _load_coordinate_lines,
     save_labels,
 )
+from tenspart.sparse_tensor import TensorShapeError
 
 from conftest import BEYOND_SQUARE_RANGE, pow2_scaled, random_sparse, random_symmetric
 
@@ -476,6 +478,14 @@ class TestBinAndSymmetrize:
         with pytest.raises(ValueError, match="columns differ in length"):
             RecordLog(["a", "b"], ["b"], ["0", "1"])
 
+    def test_too_many_cells_refused(self, monkeypatch):
+        # the constructor's l*m*n refusal, with its text; 2 ids in 2 bins are 8 cells
+        monkeypatch.setattr(sparse_tensor, "_MAX_CELLS", 7)
+        log = log_of([("a", "b", "0"), ("b", "a", "1")])
+        with pytest.raises(TensorShapeError, match=r"dims \(2, 2, 2\) have l\*m\*n = 8 cells"):
+            bin_and_symmetrize(log, bin_size=1)
+        assert bin_and_symmetrize(log, bin_size=2)[0].dims == (2, 2, 1)
+
     @staticmethod
     def loop_oracle(log, bin_size, restrict_bidirectional=False):
         """The per-record set loop that bin_and_symmetrize replaced."""
@@ -663,6 +673,15 @@ class TestRecordLogFile:
         return text
 
     def test_plain_split_matches_csv_reference_fuzzed(self, tmp_path):
+        self.check_fuzzed_parity(tmp_path)
+
+    def test_plain_split_matches_csv_reference_fuzzed_small_chunks(self, tmp_path, monkeypatch):
+        # chunks of a few lines: CRLF ends, multi-byte ids and a late malformed
+        # line land in later chunks, and the fallback still names the line
+        monkeypatch.setattr(preprocess, "_LOG_CHUNK", 24)
+        self.check_fuzzed_parity(tmp_path)
+
+    def check_fuzzed_parity(self, tmp_path):
         def outcome(fn, *args):
             try:
                 return fn(*args)
@@ -688,3 +707,33 @@ class TestRecordLogFile:
         finally:
             csv.field_size_limit(default)
         assert 150 <= plain <= 850  # both paths are exercised
+
+    def test_equal_ids_share_one_object(self, tmp_path):
+        p = tmp_path / "log.csv"
+        p.write_text("s,d,t\nab,cd,1\ncd,ab,2\nab,ab,3\n")
+        log = load_record_log(p)
+        assert log == RecordLog(["ab", "cd", "ab"], ["cd", "ab", "ab"], ["1", "2", "3"])
+        ids = log.sources + log.destinations
+        assert len({id(x) for x in ids}) == len(set(ids)) == 2
+
+    def test_memory_budget(self, tmp_path):
+        # 100k records between 1500 ids: the loaded log keeps its timestamp
+        # strings and three lists, and no string per id occurrence
+        records, ids, bin_size = 100_000, 1500, 10_000
+        rng = np.random.default_rng(5)
+        src = rng.integers(0, ids, records).tolist()
+        dst = rng.integers(0, ids, records).tolist()
+        p = tmp_path / "log.csv"
+        p.write_text("s,d,t\n" + "".join(f"u{a},u{b},{t}\n" for t, (a, b) in enumerate(zip(src, dst))))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            log = load_record_log(p)
+            retained = tracemalloc.get_traced_memory()[0] - base
+            T, labels = bin_and_symmetrize(log, bin_size)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len(log) == records and len(labels) == ids and T.dims[2] == records // bin_size
+        assert retained <= 100 * records
+        assert peak <= 200 * records
