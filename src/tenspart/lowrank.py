@@ -11,12 +11,14 @@ data only through mode contractions against matrices with few columns
 (``half_product``, with the transposed slices too in an unshared solve,
 and ``reduce_half``), so an implicit operator (see
 :mod:`tenspart.expansion`) can stand in for a sparse tensor and gets the
-same start.  Restarts sweep in lockstep and share each sparse product;
-the start's sketch sweeps with them, as one more run of the first batch,
-and the first restart takes its place once its start is lifted.  A
-sequence of solves on nearby operators (the terms of an expansion) can
-recycle the start's range finder: each sketch then makes one sweep from
-the last one's bases.
+same start.  One HOOI run is a generator (:func:`_run`) that asks for
+each sparse product it needs, and one scheduler (:func:`_lockstep`) makes
+each product once for all the runs of a batch waiting on it.  The
+start's sketch is a run of the first batch too, and it hands over to
+restart 0 by ``yield from`` once its result is lifted to restart 0's
+start.  A sequence of solves on nearby operators (the terms of an
+expansion) can recycle the start's range finder: each sketch then makes
+one sweep from the last one's bases.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Callable
 
 import numpy as np
 
@@ -69,7 +70,8 @@ class RankApproximation:
 
     U, V, W have orthonormal columns; core = A . (U, V, W).  The objective
     history holds ||core|| per iteration; it is nondecreasing for
-    :func:`hooi`, but not yet for the shared-factor solver (see the xfail
+    :func:`hooi`, but not yet for the shared-factor solver, whose update
+    of U = V in :func:`_run` is not an ascent step (see the strict xfail
     ``test_shared_factor_history_monotone`` in ``tests/test_lowrank.py``).
     ``rank_deficient`` is set when, in any sweep, a contraction a factor was
     taken from had numerical rank below that factor's rank.  For
@@ -150,96 +152,86 @@ def _core_from_c12(C12: np.ndarray, W: np.ndarray) -> np.ndarray:
     return np.einsum("kpq,kr->pqr", C12, W)
 
 
-@dataclass
-class _Run:
-    """One run of a lockstep batch: its start (U, V, W), ranks and sweep limit.
+def _run(T, start, ranks, max_iters: int, rel_tol: float, shared: bool):
+    """One HOOI run from ``start`` = (U, V, W), as a generator of its sparse products.
 
-    ``then``, if set, maps the run's finished approximation to the run that
-    takes its place in the batch (the sketch's lift to restart 0).
-    """
-
-    start: tuple[np.ndarray, np.ndarray, np.ndarray]
-    ranks: tuple[int, int, int]
-    max_iters: int
-    then: Callable[[RankApproximation], "_Run"] | None = None
-
-
-def _side_by_side(T, factors: list[np.ndarray], transposed: bool = False):
-    """One half product of the factors side by side, and each factor's block of its columns."""
-    edges = np.cumsum([0] + [F.shape[1] for F in factors]).tolist()
-    P = T.half_product(np.hstack(factors), transposed)
-    return P, [slice(a, b) for a, b in zip(edges, edges[1:])]
-
-
-def _sweeps(T, runs: list[_Run], rel_tol: float, shared: bool) -> list[RankApproximation]:
-    """Alternating HOOI updates of every run, in lockstep; one result per run.
-
+    It yields ``(factor, transposed)`` for every half product it needs, is
+    sent back ``(P, cols)``, a half product with that factor among its
+    columns and the slice of them that is its block, and returns its
+    :class:`RankApproximation`.  A sweep updates U from the canonical-stack
+    product of V, then, unshared, V from the transposed product of U, then
+    W from the canonical-stack product of the new V; it converges when the
+    objective moves by at most ``rel_tol`` relative, and the run stops then
+    or after ``max_iters`` sweeps.  The last product of a sweep is the one
+    the next sweep's U update needs, since V has not changed since, so it
+    is carried over: a shared sweep makes one product, an unshared one two.
     With ``shared`` the mode-1 and mode-2 factors are one matrix U = V,
     updated from the mode-1 contraction (equal to the mode-2 one on a
-    (1,2)-symmetric operator), so a start's V is not read.
-
-    Each run has its own ranks and sweep limit, and leaves once it
-    converges (relative objective change at most ``rel_tol``) or reaches
-    its limit.  The runs share every sparse product: it takes the factors
-    of the runs in the batch side by side, and each run reduces its own
-    block of columns with its own factors, so it gets the bits it would get
-    alone.  Each factor update makes one product.  The canonical-stack half
-    product P = ``T.half_product(V)`` that the modes-(1,2) contraction ends
-    a sweep with is the one the next sweep's modes-(2,3) contraction
-    needs, since V has not changed since; it is carried over and dropped
-    right after that reduction, so at most one half product is alive.  A
-    run enters the batch at a canonical-stack product, with its start's V:
-    all runs at the first, and the run that a finished run's ``then``
-    returns at the next one after it, so that run makes no product of its
-    own.  The result for a run with ``then`` is that of the last run of
-    its chain.  A shared sweep thus makes one canonical-stack product; an
-    unshared one adds the modes-(1,3) contraction, the only product with
-    the transposed slices.
+    (1,2)-symmetric operator), so the start's V is not read.  Each product
+    and its reduction are dropped before the next request, so at most one
+    product is alive and a run waiting on one holds no contraction.
     """
-    results: list[RankApproximation | None] = [None] * len(runs)
-
-    def enter(slot: int, run: _Run):
-        U, V, W = run.start
-        return slot, run, RankApproximation(U, U if shared else V, W, None, converged=False)
-
-    sweeping, entering = [], [enter(slot, run) for slot, run in enumerate(runs)]
-    while sweeping or entering:
-        P, cols = _side_by_side(T, [ap.V for _, _, ap in sweeping + entering])
-        entered = list(zip(entering, cols[len(sweeping) :]))
-        going, entering = [], []
-        for (slot, run, ap), c in zip(sweeping, cols):
-            C12 = T.reduce_half(P, 3, ap.U, c)  # contract_modes12(U, V): (n, r1, r2)
-            ap.W, low = _leading(C12.reshape(C12.shape[0], -1), run.ranks[2])
-            ap.rank_deficient |= low
-            ap.core = _core_from_c12(C12, ap.W)
-            obj = _norm(ap.core)
-            history = ap.objective_history
-            ap.converged = bool(history) and abs(obj - history[-1]) <= rel_tol * max(obj, 1e-300)
-            history.append(obj)
-            if not (ap.converged or len(history) == run.max_iters):
-                going.append(((slot, run, ap), c))
-            elif run.then is None:
-                results[slot] = ap
-            else:
-                entering.append(enter(slot, run.then(ap)))
-        going += entered
-        for (_, run, ap), c in going:
-            C = T.reduce_half(P, 1, ap.W, c)  # contract_modes23(V, W): (l, r2, r3)
-            ap.U, low = _leading(C.reshape(C.shape[0], -1), run.ranks[0])
-            ap.rank_deficient |= low
-        P = None  # dropped before the next product
-        sweeping = [member for member, _ in going]
+    U, V, W = start
+    ap = RankApproximation(U, U if shared else V, W, None, converged=False)
+    P, cols = yield ap.V, False
+    while True:
+        C = T.reduce_half(P, 1, ap.W, cols)  # contract_modes23(V, W): (l, r2, r3)
+        ap.U, low = _leading(C.reshape(C.shape[0], -1), ranks[0])
+        ap.rank_deficient |= low
+        P = C = None
         if shared:
-            for _, _, ap in sweeping:
-                ap.V = ap.U
-        elif sweeping:
-            Q, cols = _side_by_side(T, [ap.U for _, _, ap in sweeping], transposed=True)
-            for (_, run, ap), c in zip(sweeping, cols):
-                C = T.reduce_half(Q, 1, ap.W, c)  # contract_modes13(U, W): (m, r1, r3)
-                ap.V, low = _leading(C.reshape(C.shape[0], -1), run.ranks[1])
-                ap.rank_deficient |= low
-            Q = None
-    return results
+            ap.V = ap.U
+        else:
+            Q, cols = yield ap.U, True
+            C = T.reduce_half(Q, 1, ap.W, cols)  # contract_modes13(U, W): (m, r1, r3)
+            ap.V, low = _leading(C.reshape(C.shape[0], -1), ranks[1])
+            ap.rank_deficient |= low
+            Q = C = None
+        P, cols = yield ap.V, False
+        C12 = T.reduce_half(P, 3, ap.U, cols)  # contract_modes12(U, V): (n, r1, r2)
+        ap.W, low = _leading(C12.reshape(C12.shape[0], -1), ranks[2])
+        ap.rank_deficient |= low
+        ap.core = _core_from_c12(C12, ap.W)
+        obj = _norm(ap.core)
+        history = ap.objective_history
+        ap.converged = bool(history) and abs(obj - history[-1]) <= rel_tol * max(obj, 1e-300)
+        history.append(obj)
+        if ap.converged or len(history) == max_iters:
+            return ap
+
+
+def _lockstep(T, runs: list) -> list[RankApproximation]:
+    """Drive the :func:`_run` generators ``runs`` in lockstep; their results, in order.
+
+    Each round makes one canonical-stack product for every run waiting on
+    one, then one transposed product for every run waiting on one.  A
+    product takes the waiting runs' factors side by side, and each run
+    reduces its own block of columns with its own factors, so it gets the
+    bits it would get alone.  A run that asks for a canonical-stack product
+    while the round's first one is shared out waits for the next round.
+    """
+    done, waiting = {}, {False: [], True: []}
+
+    def step(run, reply):
+        try:
+            factor, transposed = run.send(reply)
+        except StopIteration as stop:
+            done[run] = stop.value
+        else:
+            waiting[transposed].append((run, factor))
+
+    for run in runs:
+        step(run, None)
+    while waiting[False] or waiting[True]:
+        for transposed in (False, True):
+            batch, waiting[transposed] = waiting[transposed], []
+            if batch:
+                edges = np.cumsum([0] + [factor.shape[1] for _, factor in batch]).tolist()
+                P = T.half_product(np.hstack([factor for _, factor in batch]), transposed)
+                for (run, _), a, b in zip(batch, edges, edges[1:]):
+                    step(run, (P, slice(a, b)))
+                P = None  # dropped before the next product
+    return [done[run] for run in runs]
 
 
 def _check_ranks(ranks, dims) -> None:
@@ -260,9 +252,11 @@ def _check_ranks(ranks, dims) -> None:
             )
 
 
-def _sketch(T, ranks, shared: bool, sketch: list | None) -> tuple[_Run, Callable]:
-    """The sketch run of :func:`hosvd_init` and the lift of its result to the start.
+def _sketch(T, ranks, shared: bool, sketch: list | None):
+    """The sketch run of :func:`hosvd_init` as ``(start, p, sweeps, lift)``.
 
+    ``start``, ``p`` and ``sweeps`` are the run's start, oversampled ranks
+    and sweep limit; ``lift`` maps its result to the start at ``ranks``.
     The one check site of every solve and start, through ``dims`` and ``nnz``:
     shape, ranks, entries, then, when ``shared``, the (1,2)-symmetry of a
     sparse tensor (an implicit operator's is its builder's to check).
@@ -295,7 +289,7 @@ def _sketch(T, ranks, shared: bool, sketch: list | None) -> tuple[_Run, Callable
         U = one(0)
         return U, U if shared else one(1), one(2)
 
-    return _Run(start, p, sweeps), lift
+    return start, p, sweeps, lift
 
 
 def hosvd_init(
@@ -312,9 +306,11 @@ def hosvd_init(
     truncated HOSVD when every p_i equals d_i or d_j d_k.  The problem is
     checked as a solve's is (see :func:`_sketch`).
 
-    This is the sketch run of every solve, run alone, and its lift: a
-    solve sweeps the sketch in lockstep with its restarts (see
-    :func:`_solve`), so its start has the bits this call returns.
+    This is the sketch run of every solve, driven alone by
+    :func:`_lockstep`, and its lift: a solve runs the same sketch in
+    lockstep with its restarts (see :func:`_solve`), and a run has the
+    same bits in a batch as alone, so the solve's start is the one this
+    call returns.
 
     With ``shared`` (a (1,2)-symmetric operator and r1 == r2) the sketch
     sweeps keep V = U, as the shared-factor solver does, and the mode-1
@@ -328,20 +324,21 @@ def hosvd_init(
     them instead of two from the random draw.  Without it (the default)
     every call draws afresh.
     """
-    run, lift = _sketch(T, ranks, shared, sketch)
-    return lift(_sweeps(T, [run], SolverConfig().rel_tol, shared)[0])
+    start, p, sweeps, lift = _sketch(T, ranks, shared, sketch)
+    return lift(_lockstep(T, [_run(T, start, p, sweeps, SolverConfig().rel_tol, shared)])[0])
 
 
 def _batch_size(T, ranks, p, shared: bool) -> int:
-    """Runs per lockstep batch of :func:`_sweeps`, the sketch at ranks ``p`` in one run's place.
+    """Runs per :func:`_lockstep` batch, the sketch at ranks ``p`` in one run's place.
 
     As many as keep every dense array of a product within the operator's
     stored entries: the canonical half product, n*l per column of V, and
     in an unshared solve the transposed half product and the tiled factor
     it multiplies, n*m and n*l per column of U.  The first batch holds the
-    sketch (then restart 0, no wider) and restarts of ``ranks``; later
-    batches hold restarts only, so they fit as well.  At least one: a lone
-    run's products are as wide as they ever were.
+    run that sketches and then, at the same place, sweeps restart 0 (no
+    wider than the sketch), beside restarts of ``ranks``; later batches
+    hold restarts only, so they fit as well.  At least one: a lone run's
+    products are as wide as they ever were.
     """
     l, m, n = T.dims
     limits = [(n * l, 1)] if shared else [(n * l, 1), (n * max(l, m), 0)]
@@ -363,32 +360,40 @@ def _best(runs: list[RankApproximation], rel_tol: float) -> RankApproximation:
 
 
 def _solve(T, ranks, cfg: SolverConfig, shared: bool, sketch: list | None = None) -> RankApproximation:
-    """Best of ``cfg.num_restarts`` sweep runs, by :func:`_best`.
+    """Best of ``cfg.num_restarts`` HOOI runs, by :func:`_best`.
 
     Restart 0 starts from the :func:`hosvd_init` sketch on every operator,
     sparse tensor or implicit, sketched with the same ``shared`` as the
     sweeps (and recycling ``sketch``, if given); so a shared solve makes no
     modes-(1,3) contraction.  The others start from orthonormal factors
-    drawn from ``cfg.seed``.  The runs sweep in lockstep, in batches of
-    :func:`_batch_size`, and share each batch's sparse products.  The
-    first batch also sweeps the sketch: its two sweeps (one when recycled)
-    ride the restarts' first products, and restart 0 takes its place at
-    the next canonical-stack product after its start is lifted.  The
-    problem is checked in :func:`_sketch`, as :func:`hosvd_init`'s is.
+    drawn from ``cfg.seed``.  The runs go to :func:`_lockstep` in batches
+    of :func:`_batch_size` and share each batch's sparse products.  The
+    first run of the first batch is the sketch run and then, by
+    ``yield from``, restart 0 from the lifted sketch: the sketch's two
+    sweeps (one when recycled) ride the restarts' first products, and
+    restart 0 asks for its first product, a canonical-stack one, in the
+    round the sketch ends, so it joins the next round's.  The problem is
+    checked in :func:`_sketch`, as :func:`hosvd_init`'s is, before any
+    restart is drawn.
     """
-    first, lift = _sketch(T, ranks, shared, sketch)
+    start, p, sweeps, lift = _sketch(T, ranks, shared, sketch)
+
+    def restart0():
+        sketched = yield from _run(T, start, p, sweeps, cfg.rel_tol, shared)
+        return (yield from _run(T, lift(sketched), ranks, cfg.max_iters, cfg.rel_tol, shared))
+
     l, m, n = T.dims
-    first.then = lambda sketched: _Run(lift(sketched), ranks, cfg.max_iters)
-    runs = [first]
+    runs = [restart0()]
     rng = np.random.default_rng(cfg.seed)
     for _ in range(1, cfg.num_restarts):
         U = _random_orthonormal(rng, l, ranks[0])
         V = U if shared else _random_orthonormal(rng, m, ranks[1])
-        runs.append(_Run((U, V, _random_orthonormal(rng, n, ranks[2])), ranks, cfg.max_iters))
-    size = _batch_size(T, ranks, first.ranks, shared)
+        W = _random_orthonormal(rng, n, ranks[2])
+        runs.append(_run(T, (U, V, W), ranks, cfg.max_iters, cfg.rel_tol, shared))
+    size = _batch_size(T, ranks, p, shared)
     found = []
     for b in range(0, len(runs), size):
-        found += _sweeps(T, runs[b : b + size], cfg.rel_tol, shared)
+        found += _lockstep(T, runs[b : b + size])
     best = _best(found, cfg.rel_tol)
     if not best.converged:
         warnings.warn("HOOI did not converge within max_iters", RuntimeWarning)

@@ -178,6 +178,11 @@ def significance_ranking(
     }
 
 
+def _check_labels(labels: LabelTable | None, extent: int) -> None:
+    if labels is not None and len(labels) != extent:
+        raise ValueError(f"{len(labels)} labels for a mode-1 extent of {extent}")
+
+
 def partition_tensor(
     T: SparseTensor3,
     approx: RankApproximation,
@@ -192,7 +197,9 @@ def partition_tensor(
     permutations and splits, and the report is flagged ``symmetric``.
     ``corner_width`` defaults to 10% of the smaller mode-1/2 extent; it
     must be positive, and a width of at least half that extent skips the
-    corner table.
+    corner table.  ``labels``, when given, must hold one label per mode-1
+    index, and ``top_k`` must be at least 1; both are checked before any
+    work.
 
     The corner table and the total norm are read off T's own entries before
     the reordered tensor is built: every entry's block is looked up through
@@ -206,6 +213,9 @@ def partition_tensor(
     l, m, n = T.dims
     if approx.U.shape[0] != l or approx.V.shape[0] != m or approx.W.shape[0] != n:
         raise ValueError("approximation factors do not match tensor dims")
+    _check_labels(labels, l)
+    if top_k < 1:
+        raise ValueError(f"top_k must be >= 1, got {top_k}")
     p1, u1, u2 = monotone_reorder(approx.U)
     p2, _, v2 = monotone_reorder(approx.V)
     if approx.W.shape[1] >= 2:
@@ -269,10 +279,12 @@ def restrict_and_recurse(
 ):
     """Re-run the approximation and partition on the subtensor T[I, J, K].
 
-    Labels, when given, are carried through to the restricted mode-1 index
+    Labels, when given, must hold one label per mode-1 index of T (checked
+    before any work) and are carried through to the restricted mode-1 index
     set, and ``corner_width`` is passed to :func:`partition_tensor`.
     Raises when the restriction has no support.
     """
+    _check_labels(labels, T.dims[0])
     sub = subtensor(T, I, J, K)
     if sub.nnz == 0:
         raise ValueError("restricted subtensor has no support")

@@ -364,7 +364,9 @@ def _read_log_rows(path, text: str) -> RecordLog:
     """``csv.reader`` over the log; the reference semantics of :func:`load_record_log`.
 
     A NUL is refused before ``csv.reader`` sees the text, with the line
-    ``csv.reader`` would count (line ends: LF, CRLF or a lone CR).
+    ``csv.reader`` would count (line ends: LF, CRLF or a lone CR).  Every
+    source and destination goes through one dict, as in
+    :func:`_split_plain_log`, so equal ids share one string.
     """
     at = text.find("\0")
     if at >= 0:
@@ -373,6 +375,7 @@ def _read_log_rows(path, text: str) -> RecordLog:
         raise TensorFileError(f"{path}:{line}: line contains NUL")
     reader = csv.reader(io.StringIO(text, newline=""))
     log = RecordLog()
+    seen: dict[str, str] = {}
     try:
         header = next(reader, None)
         if header is None:
@@ -384,8 +387,8 @@ def _read_log_rows(path, text: str) -> RecordLog:
                 continue
             if len(row) < 3:
                 raise TensorFileError(f"{path}:{reader.line_num}: expected 3 fields")
-            log.sources.append(row[0])
-            log.destinations.append(row[1])
+            log.sources.append(seen.setdefault(row[0], row[0]))
+            log.destinations.append(seen.setdefault(row[1], row[1]))
             log.timestamps.append(row[2])
     except csv.Error as exc:
         raise TensorFileError(f"{path}:{reader.line_num}: {exc}") from None

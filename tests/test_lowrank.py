@@ -1,6 +1,7 @@
 import csv
 import math
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -28,7 +29,8 @@ from tenspart.sparse_tensor import _norm
 from conftest import planted_bipartite, pow2_scaled, random_orthogonal, random_sparse, random_symmetric
 
 TIGHT = SolverConfig(rel_tol=1e-12, max_iters=500)
-SWEEPS = lowrank._sweeps  # the lockstep sweep loop, before any test patches it
+RUN = lowrank._run  # one HOOI run, before any test patches it
+LOCKSTEP = lowrank._lockstep  # the scheduler of a batch of runs, likewise
 
 
 def subspace_distance(A, B):
@@ -324,7 +326,7 @@ def reference_sweeps(T, U, V, W, ranks, cfg, shared):
     """The sweep loop written from the three contraction shorthands.
 
     Every contraction makes its own sparse product; this is the loop the
-    carried half product of ``lowrank._sweeps`` must reproduce bit for bit.
+    carried half product of ``lowrank._run`` must reproduce bit for bit.
     """
     r1, r2, r3 = ranks
     history = []
@@ -349,18 +351,15 @@ def reference_sweeps(T, U, V, W, ranks, cfg, shared):
     return lowrank.RankApproximation(U, V, W, core, history, converged, deficient)
 
 
-def reference_runs(T, runs, rel_tol, shared):
-    """``lowrank._sweeps`` as separate reference runs, one chain of runs at a time."""
-    results = []
-    for run in runs:
-        while True:
-            cfg = SolverConfig(max_iters=run.max_iters, rel_tol=rel_tol)
-            ap = reference_sweeps(T, *run.start, run.ranks, cfg, shared)
-            if run.then is None:
-                break
-            run = run.then(ap)
-        results.append(ap)
-    return results
+def reference_run(T, start, ranks, max_iters, rel_tol, shared):
+    """``lowrank._run`` as a reference run: it asks the scheduler for no product."""
+    return reference_sweeps(T, *start, ranks, SolverConfig(max_iters=max_iters, rel_tol=rel_tol), shared)
+    yield  # a generator, as ``_run`` is
+
+
+def alone(T, start, ranks, max_iters, rel_tol, shared):
+    """One ``lowrank._run`` driven by the scheduler with no other run beside it."""
+    return LOCKSTEP(T, [RUN(T, start, ranks, max_iters, rel_tol, shared)])[0]
 
 
 def assert_same_bits(a, b):
@@ -392,14 +391,14 @@ class TestCarriedHalfProduct:
         T = random_sparse(rng, dims, density=0.4)
         cfg = SolverConfig(seed=5, num_restarts=3)
         carried = hooi(T, ranks, cfg)
-        monkeypatch.setattr(lowrank, "_sweeps", reference_runs)  # the start's sketch too
+        monkeypatch.setattr(lowrank, "_run", reference_run)  # the start's sketch too
         assert_same_bits(carried, hooi(T, ranks, cfg))
 
     def test_hooi_on_deflated_operator_bitwise_equals_reference(self, rng, monkeypatch):
         R = two_term_operator(rng, random_symmetric(rng, 9, 5, density=0.5))
         cfg = SolverConfig(seed=1, num_restarts=2)
         carried = hooi(R, (2, 2, 1), cfg)
-        monkeypatch.setattr(lowrank, "_sweeps", reference_runs)
+        monkeypatch.setattr(lowrank, "_run", reference_run)
         assert_same_bits(carried, hooi(R, (2, 2, 1), cfg))
 
     @pytest.mark.parametrize("deflated", [False, True])
@@ -411,7 +410,7 @@ class TestCarriedHalfProduct:
         U = np.linalg.qr(rng.standard_normal((10, ranks[0])))[0]
         W = np.linalg.qr(rng.standard_normal((5, ranks[2])))[0]
         cfg = SolverConfig(max_iters=50, rel_tol=1e-12)
-        got = lowrank._sweeps(T, [lowrank._Run((U, U, W), ranks, cfg.max_iters)], cfg.rel_tol, shared=True)[0]
+        got = alone(T, (U, U, W), ranks, cfg.max_iters, cfg.rel_tol, shared=True)
         assert got.V is got.U
         assert_same_bits(got, reference_sweeps(T, U, U, W, ranks, cfg, shared=True))
 
@@ -449,7 +448,7 @@ class TestOperatorProtocol:
 
 def sketch_ranks(T, ranks, shared):
     """The oversampled ranks p of the solve's sketch run."""
-    return lowrank._sketch(T, ranks, shared, None)[0].ranks
+    return lowrank._sketch(T, ranks, shared, None)[1]
 
 
 class TestLockstepRestarts:
@@ -459,49 +458,63 @@ class TestLockstepRestarts:
 
     @pytest.fixture
     def batches(self, monkeypatch):
-        """(runs, results, handed) of every ``_sweeps`` call; ``handed`` holds the
-        approximation each finished run gave its ``then`` (the sketch's)."""
+        """(runs, results) of every ``_lockstep`` call."""
         calls = []
 
-        def recorded(T, runs, rel_tol, shared):
-            handed = []
-
-            def tapped(run):
-                if run.then is None:
-                    return run
-                return replace(run, then=lambda ap: handed.append(ap) or run.then(ap))
-
-            results = SWEEPS(T, [tapped(run) for run in runs], rel_tol, shared)
-            calls.append((runs, results, handed))
+        def recorded(T, runs):
+            results = LOCKSTEP(T, runs)
+            calls.append((runs, results))
             return results
 
-        monkeypatch.setattr(lowrank, "_sweeps", recorded)
+        monkeypatch.setattr(lowrank, "_lockstep", recorded)
         return calls
 
-    def check_runs_alone(self, T, batches, ranks, cfg, shared):
-        [(runs, results, handed)] = batches  # one batch: the sketch (then restart 0) and the restarts
-        first, *rest = runs
-        assert len(runs) == cfg.num_restarts and first.ranks == sketch_ranks(T, ranks, shared)
-        sketch = SWEEPS(T, [replace(first, then=None)], cfg.rel_tol, shared)[0]
-        assert_same_bits(handed[0], sketch)
-        alone = [SWEEPS(T, [run], cfg.rel_tol, shared)[0] for run in [first.then(sketch)] + rest]
-        for a, b in zip(results, alone):
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        """(start, ranks, max_iters, result) of every ``_run``, in the order the
+        runs make their first request: the sketch, the restarts >= 1, then
+        restart 0, which the sketch hands over to once it ends."""
+        made = []
+
+        def tapped(T, start, ranks, max_iters, rel_tol, shared):
+            run = [start, ranks, max_iters, None]
+            made.append(run)
+            run[3] = yield from RUN(T, start, ranks, max_iters, rel_tol, shared)
+            return run[3]
+
+        monkeypatch.setattr(lowrank, "_run", tapped)
+        return made
+
+    def check_runs_alone(self, T, batches, runs, ranks, cfg, shared):
+        [(batch, results)] = batches  # one batch: the sketch (then restart 0) and the restarts
+        assert len(batch) == cfg.num_restarts and len(runs) == cfg.num_restarts + 1
+        (start, p, sweeps, handed), *rest, restart0 = runs
+        assert p == sketch_ranks(T, ranks, shared)
+        sketch = alone(T, start, p, sweeps, cfg.rel_tol, shared)
+        assert_same_bits(handed, sketch)
+        # restart 0 starts from the lone sketch's lift
+        lift = lowrank._sketch(T, ranks, shared, None)[3]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(restart0[0], lift(sketch)))
+        assert restart0[1:3] == [ranks, cfg.max_iters]
+        starts = [(lift(sketch), ranks, cfg.max_iters)] + [run[:3] for run in rest]
+        lone = [alone(T, *run, cfg.rel_tol, shared) for run in starts]
+        for a, b in zip(results, lone):
             assert_same_bits(a, b)
         # the runs leave the batch at different sweeps
-        assert len({len(a.objective_history) for a in alone}) > 1
-        return lowrank._best(alone, cfg.rel_tol)
+        assert len({len(a.objective_history) for a in lone}) > 1
+        return lowrank._best(lone, cfg.rel_tol)
 
     @pytest.mark.parametrize("dims, ranks", [((16, 15, 6), (2, 2, 2)), ((20, 18, 5), (3, 2, 2))])
-    def test_hooi(self, batches, dims, ranks):
+    def test_hooi(self, batches, runs, dims, ranks):
         T = random_sparse(np.random.default_rng(21), dims, density=1.0)
         cfg = SolverConfig(rel_tol=1e-10, seed=2, num_restarts=3)
         assert lowrank._batch_size(T, ranks, sketch_ranks(T, ranks, False), shared=False) >= 3
         got = hooi(T, ranks, cfg)
-        assert_same_bits(got, self.check_runs_alone(T, batches, ranks, cfg, False))
+        assert_same_bits(got, self.check_runs_alone(T, batches, runs, ranks, cfg, False))
 
     @pytest.mark.parametrize("deflated", [False, True])
     @pytest.mark.parametrize("ranks", [(2, 2, 2), (2, 2, 1)])
-    def test_hooi_symmetric(self, batches, deflated, ranks):
+    def test_hooi_symmetric(self, batches, runs, deflated, ranks):
         rng = np.random.default_rng(22)
         T = random_symmetric(rng, 20, 6, density=0.9)
         if deflated:
@@ -509,7 +522,7 @@ class TestLockstepRestarts:
         cfg = SolverConfig(rel_tol=1e-10, seed=3, num_restarts=3)
         assert lowrank._batch_size(T, ranks, sketch_ranks(T, ranks, True), shared=True) >= 3
         got = hooi_symmetric(T, ranks, cfg)
-        best = self.check_runs_alone(T, batches, ranks, cfg, True)
+        best = self.check_runs_alone(T, batches, runs, ranks, cfg, True)
         if ranks == (2, 2, 1):
             best = lowrank._fix_rotation_221(best)
         assert_same_bits(got, best)
@@ -521,7 +534,7 @@ class TestLockstepRestarts:
         assert 0 < T.nnz < 6000 and lowrank._batch_size(T, (2, 2, 2), p, shared=False) == 1
         hooi(T, (2, 2, 2), SolverConfig(num_restarts=3))
         # the sketch and then restart 0, then one restart each
-        assert [len(runs) for runs, _, _ in batches] == [1, 1, 1]
+        assert [len(runs) for runs, _ in batches] == [1, 1, 1]
 
     def test_wide_products_within_nnz(self, rng, monkeypatch, batches):
         T = random_sparse(rng, (24, 20, 6), density=0.8)
@@ -536,7 +549,7 @@ class TestLockstepRestarts:
 
         monkeypatch.setattr(SparseTensor3, "half_product", recorded)
         hooi(T, (2, 2, 2), SolverConfig(num_restarts=3))
-        assert [len(runs) for runs, _, _ in batches] == [3]
+        assert [len(runs) for runs, _ in batches] == [3]
         # the sketch's p = 10 columns beside the two restarts' 2 each, then
         # narrower as runs leave; every array of a product holds at most nnz entries
         assert products[0][0] == 14
@@ -567,8 +580,7 @@ class TestProductCount:
             T = two_term_operator(rng, T)
         U, W = random_orthogonal(rng, 8)[:, :2], random_orthogonal(rng, 5)[:, :1]
         cfg = SolverConfig(max_iters=max_iters, rel_tol=1e-15)
-        run = lowrank._Run((U, U, W), (2, 2, 1), max_iters)
-        sweeps = len(lowrank._sweeps(T, [run], cfg.rel_tol, shared=True)[0].objective_history)
+        sweeps = len(alone(T, (U, U, W), (2, 2, 1), max_iters, cfg.rel_tol, shared=True).objective_history)
         # one product to start, then one per sweep, carried into the next
         assert reads == [2] * (1 + sweeps)
 
@@ -577,8 +589,7 @@ class TestProductCount:
         T = random_sparse(rng, (8, 7, 5), density=0.5)
         U, V, W = (random_orthogonal(rng, d)[:, :2] for d in (8, 7, 5))
         cfg = SolverConfig(max_iters=max_iters, rel_tol=1e-15)
-        run = lowrank._Run((U, V, W), (2, 2, 2), max_iters)
-        sweeps = len(lowrank._sweeps(T, [run], cfg.rel_tol, shared=False)[0].objective_history)
+        sweeps = len(alone(T, (U, V, W), (2, 2, 2), max_iters, cfg.rel_tol, shared=False).objective_history)
         # one sweep alone: 2 canonical and 1 transposed; each further sweep
         # adds one of each
         assert reads == [2] + [1, 2] * sweeps
@@ -597,11 +608,11 @@ class TestProductCount:
         assert lowrank._batch_size(T, ranks, sketch_ranks(T, ranks, shared), shared) >= restarts
         solved = []
 
-        def recorded(*args):
-            solved.extend(SWEEPS(*args))
-            return solved[-len(args[1]) :]
+        def recorded(T, runs):
+            solved.extend(LOCKSTEP(T, runs))
+            return solved[-len(runs) :]
 
-        monkeypatch.setattr(lowrank, "_sweeps", recorded)
+        monkeypatch.setattr(lowrank, "_lockstep", recorded)
         solve = hooi_symmetric if shared else hooi
         solve(T, ranks, SolverConfig(rel_tol=1e-10, num_restarts=restarts))
         S0, *S = (len(ap.objective_history) for ap in solved)
@@ -643,6 +654,35 @@ class TestProductCount:
         R = two_term_operator(rng, fresh)
         hosvd_init(R, (2, 2, 1), shared=True)
         assert 1 not in fresh._stacks
+
+
+class TestHalfProductLifetime:
+    """A solve holds at most one half product at a time: every product is
+    freed before the next one is made, by the scheduler and by every run."""
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_earlier_products_freed(self, monkeypatch, shared):
+        made = []  # a weak reference to every half product returned
+        half = SparseTensor3.half_product
+
+        def tracked(self, V, transposed=False):
+            assert all(ref() is None for ref in made), "an earlier half product is alive"
+            P = half(self, V, transposed)
+            made.append(weakref.ref(P))
+            return P
+
+        monkeypatch.setattr(SparseTensor3, "half_product", tracked)
+        rng = np.random.default_rng(24)
+        cfg = SolverConfig(rel_tol=1e-10, num_restarts=3)
+        if shared:  # the operator's products hold the sparse tensor's
+            R = two_term_operator(rng, random_symmetric(rng, 20, 6, density=0.9))
+            assert lowrank._batch_size(R, (2, 2, 1), sketch_ranks(R, (2, 2, 1), True), True) >= 3
+            hooi_symmetric(R, (2, 2, 1), cfg)
+        else:
+            T = random_sparse(rng, (24, 20, 6), density=0.8)
+            assert lowrank._batch_size(T, (2, 2, 2), sketch_ranks(T, (2, 2, 2), False), False) >= 3
+            hooi(T, (2, 2, 2), cfg)
+        assert len(made) > 10 and made[-1]() is None
 
 
 class TestRankCheck:

@@ -16,6 +16,7 @@ from tenspart import (
     hooi_symmetric,
     monotone_reorder,
     normalize_slices_adjacency,
+    partition,
     partition_tensor,
     restrict_and_recurse,
     sign_change_split,
@@ -179,6 +180,17 @@ class TestSignificanceRanking:
             significance_ranking(np.ones(3), np.ones(3), LabelTable.default(4), 2)
 
 
+@pytest.fixture
+def no_work(monkeypatch):
+    """Make every step of a partition after its argument checks fail."""
+
+    def work(*args, **kwargs):
+        raise AssertionError("work started before the arguments were checked")
+
+    for name in ("monotone_reorder", "permute_modes", "subtensor", "hooi", "hooi_symmetric"):
+        monkeypatch.setattr(partition, name, work)
+
+
 class TestPartitionTensor:
     def test_recovers_planted_two_block(self):
         T, membership = two_block_tensor((12, 8), 3, seed=3, noise=0.01)
@@ -246,6 +258,23 @@ class TestPartitionTensor:
         report, _ = partition_tensor(T, ap, labels=labels, top_k=3)
         assert set(report.top_terms) == {"head", "middle", "tail"}
         assert len(report.top_terms["head"]) == 3
+
+    @pytest.mark.parametrize("count", [17, 9, 0])
+    def test_labels_of_another_length_refused(self, no_work, count):
+        # 17 labels were cut to the first 12, and 9 failed with a bare IndexError
+        T, _ = two_block_tensor((6, 6), 2, seed=1)
+        ap = hooi_symmetric(T, (2, 2, 1), TIGHT)
+        labels = LabelTable(tuple(f"node{t}" for t in range(count)))
+        with pytest.raises(ValueError, match=f"^{count} labels for a mode-1 extent of 12$"):
+            partition_tensor(T, ap, labels=labels)
+
+    @pytest.mark.parametrize("top_k", [0, -2])
+    def test_top_k_below_one_refused(self, no_work, top_k):
+        # a top_k below 1 gave empty head, middle and tail lists
+        T, _ = two_block_tensor((6, 6), 2, seed=1)
+        ap = hooi_symmetric(T, (2, 2, 1), TIGHT)
+        with pytest.raises(ValueError, match=f"^top_k must be >= 1, got {top_k}$"):
+            partition_tensor(T, ap, labels=LabelTable.default(12), top_k=top_k)
 
     @staticmethod
     def random_approx(rng, dims, symmetric=False):
@@ -369,6 +398,14 @@ class TestRestrictAndRecurse:
         assert got.top_terms == want.top_terms
         named = {name for column in got.top_terms.values() for name, _ in column}
         assert named and named <= {f"v{t}" for t in I}
+
+    @pytest.mark.parametrize("count", [17, 9])
+    def test_labels_of_another_length_refused(self, no_work, count):
+        # checked against T's mode-1 extent, before the restriction is built
+        T, _ = two_block_tensor((8, 6), 3, seed=2, noise=0.05)
+        labels = LabelTable(tuple(f"v{t}" for t in range(count)))
+        with pytest.raises(ValueError, match=f"^{count} labels for a mode-1 extent of 14$"):
+            restrict_and_recurse(T, [0, 2, 3], [0, 2, 3], [0, 1], (2, 2, 1), TIGHT, labels=labels, symmetric=True)
 
     def test_empty_restriction_rejected(self):
         T = SparseTensor3.from_entries((6, 6, 2), [(0, 0, 0, 1.0), (1, 1, 1, 2.0)])

@@ -718,22 +718,27 @@ class TestRecordLogFile:
 
     def test_memory_budget(self, tmp_path):
         # 100k records between 1500 ids: the loaded log keeps its timestamp
-        # strings and three lists, and no string per id occurrence
+        # strings and three lists, and no string per id occurrence; on the
+        # plain split and, with one id quoted, on the csv.reader path
         records, ids, bin_size = 100_000, 1500, 10_000
         rng = np.random.default_rng(5)
         src = rng.integers(0, ids, records).tolist()
         dst = rng.integers(0, ids, records).tolist()
-        p = tmp_path / "log.csv"
-        p.write_text("s,d,t\n" + "".join(f"u{a},u{b},{t}\n" for t, (a, b) in enumerate(zip(src, dst))))
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            log = load_record_log(p)
-            retained = tracemalloc.get_traced_memory()[0] - base
-            T, labels = bin_and_symmetrize(log, bin_size)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert len(log) == records and len(labels) == ids and T.dims[2] == records // bin_size
-        assert retained <= 100 * records
-        assert peak <= 200 * records
+        body = "s,d,t\n" + "".join(f"u{a},u{b},{t}\n" for t, (a, b) in enumerate(zip(src, dst)))
+        at = body.index("\nu1,") + 1
+        for text in (body, body[:at] + '"u1"' + body[at + 2 :]):
+            p = tmp_path / "log.csv"
+            p.write_text(text)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                log = load_record_log(p)
+                retained = tracemalloc.get_traced_memory()[0] - base
+                T, labels = bin_and_symmetrize(log, bin_size)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert len(log) == records and len(labels) == ids and T.dims[2] == records // bin_size
+            assert retained <= 100 * records
+            assert peak <= 200 * records
+            del log, T, labels
