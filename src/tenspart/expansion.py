@@ -37,6 +37,7 @@ from .sparse_tensor import (
     SparseTensor3,
     _Contractions,
     _check_size,
+    _find,
     _ldexp,
     _norm,
     _require_12_symmetric,
@@ -220,16 +221,6 @@ def _inner_B(Ba: sp.csr_matrix, Bb: sp.csr_matrix) -> tuple[float, int]:
     """<Ba, Bb> of two canonical CSR matrices as (s, e), from :func:`_scaled_sum`."""
     where, at = _find(_codes(Ba), _codes(Bb))
     return _scaled_sum(Ba.data[at], Bb.data[where])
-
-
-def _find(sorted_codes: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(where, at) with codes[where] == sorted_codes[at], over the codes present."""
-    if not sorted_codes.size:
-        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
-    at = np.searchsorted(sorted_codes, codes)
-    np.minimum(at, sorted_codes.size - 1, out=at)
-    where = np.flatnonzero(sorted_codes[at] == codes)
-    return where, at[where]
 
 
 def _canonical_csr(B: sp.spmatrix) -> sp.csr_matrix:

@@ -157,9 +157,12 @@ def significance_ranking(
 
     Expects already-reordered u1/u2 and labels permuted the same way.  The
     middle sample is centered at the sign-change split of u2.  Scores are
-    the |u1| magnitudes (small values mark insignificant indices).
+    the |u1| magnitudes (small values mark insignificant indices).  ``k``
+    must be at least 1 and at most the extent.
     """
     extent = len(u1)
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     if k > extent:
         raise ValueError(f"k={k} exceeds extent {extent}")
     if len(labels) != extent:

@@ -12,13 +12,15 @@ on disk, 0-based in memory).  Lines end in LF or CRLF; no other character
 (CR alone, U+0085, U+2028, ...) breaks a line, so a label may hold it.
 
 Record log: CSV with a header row and columns ``source,destination,timestamp``
-(further columns are ignored).  Ids are arbitrary strings, mapped to a
-contiguous vocabulary in first-seen order.  The file is read once and split
-into three columns of strings, with no object per record: a plain file (no
-``"``, no NUL, no CR outside a CRLF line end, and exactly three fields on
-every line after the header) chunk by chunk of whole lines, with one string
-per distinct id, any other file by ``csv.reader``, the reference, whose
-errors name the line.
+(further columns are ignored).  The timestamp column must be present but is
+not read: records are binned by their order in the file.  Ids are arbitrary
+strings, mapped to a contiguous vocabulary in first-seen order.  The file is
+read once and split into two columns of strings, sources and destinations,
+with no object per record: a plain file (no ``"``, no NUL, no CR outside a
+CRLF line end, and exactly three fields on every line after the header)
+chunk by chunk of whole lines, any other file by ``csv.reader``, the
+reference, whose errors name the line.  Either way equal ids share one
+string.
 """
 
 from __future__ import annotations
@@ -81,18 +83,18 @@ class LabelTable:
 
 @dataclass
 class RecordLog:
-    """Ordered records as three equal-length columns of strings.
+    """Ordered records as two equal-length columns of strings.
 
-    Record r is ``(sources[r], destinations[r], timestamps[r])``; no tuple
-    per record is kept.
+    Record r is the message ``sources[r]`` -> ``destinations[r]``; its
+    position r is all that binning reads of its time.  No tuple per record
+    is kept.
     """
 
     sources: list[str] = field(default_factory=list)
     destinations: list[str] = field(default_factory=list)
-    timestamps: list[str] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        if not len(self.sources) == len(self.destinations) == len(self.timestamps):
+        if len(self.sources) != len(self.destinations):
             raise ValueError("record log columns differ in length")
 
     def __len__(self) -> int:
@@ -290,13 +292,15 @@ def save_labels(table: LabelTable, path) -> None:
 
 
 def load_record_log(path) -> RecordLog:
-    """Read a ``source,destination,timestamp`` CSV log into three columns.
+    """Read a ``source,destination,timestamp`` CSV log into its two id columns.
 
-    The file is read once.  A plain file (see :func:`_split_plain_log`) is
-    split chunk by chunk; any other goes through ``csv.reader``, which names
-    the offending line of a malformed file.  A NUL anywhere in the file
-    raises :class:`TensorFileError` naming the line of the first one, on
-    every Python version (``csv.reader`` accepts NUL from 3.11 on).
+    Sources and destinations are kept in file order; the timestamp and any
+    further fields are checked for presence only.  The file is read once.
+    A plain file (see :func:`_split_plain_log`) is split chunk by chunk;
+    any other goes through ``csv.reader``, which names the offending line
+    of a malformed file.  A NUL anywhere in the file raises
+    :class:`TensorFileError` naming the line of the first one, on every
+    Python version (``csv.reader`` accepts NUL from 3.11 on).
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         text = fh.read()
@@ -317,8 +321,9 @@ def _split_plain_log(text: str) -> RecordLog | None:
     file to the same columns; every other file, the malformed ones
     included, is left to it (None).  The body is checked and split in
     chunks of whole lines of about ``_LOG_CHUNK`` characters, so the
-    check's arrays are chunk-sized; every source and destination goes
-    through one dict, so equal ids share one string.
+    check's arrays and the chunk's field strings are chunk-sized: only
+    sources and destinations are kept, through one dict, so equal ids
+    share one string; the timestamps go with their chunk.
     """
     if '"' in text or "\0" in text:
         return None
@@ -356,7 +361,6 @@ def _split_plain_log(text: str) -> RecordLog | None:
         sources, destinations = fields[0::3], fields[1::3]
         log.sources.extend(map(seen.setdefault, sources, sources))
         log.destinations.extend(map(seen.setdefault, destinations, destinations))
-        log.timestamps.extend(fields[2::3])
     return log
 
 
@@ -389,7 +393,6 @@ def _read_log_rows(path, text: str) -> RecordLog:
                 raise TensorFileError(f"{path}:{reader.line_num}: expected 3 fields")
             log.sources.append(seen.setdefault(row[0], row[0]))
             log.destinations.append(seen.setdefault(row[1], row[1]))
-            log.timestamps.append(row[2])
     except csv.Error as exc:
         raise TensorFileError(f"{path}:{reader.line_num}: {exc}") from None
     return log

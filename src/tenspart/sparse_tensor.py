@@ -298,6 +298,17 @@ def _decode(lin: np.ndarray, l: int, m: int) -> tuple[np.ndarray, np.ndarray, np
     return i, lin, k
 
 
+def _find(sorted_codes: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(where, at) with codes[where] == sorted_codes[at], over the codes present."""
+    if not sorted_codes.size:
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    at = np.searchsorted(sorted_codes, codes)
+    np.minimum(at, sorted_codes.size - 1, out=at)
+    hit = sorted_codes[at] == codes
+    at = at[hit]
+    return np.flatnonzero(hit), at
+
+
 class _Contractions:
     """Contraction shorthands, each one :meth:`half_product` finished by one
     :meth:`reduce_half` of the operator that inherits them; the solvers
@@ -624,11 +635,12 @@ def inner(A, B) -> float:
         raise TensorShapeError(f"shape mismatch: {dims_a} vs {dims_b}")
 
     if a_sparse and b_sparse:
+        # the cell codes of a canonical tensor are sorted and distinct
         l, m, _ = A.dims
-        lin_a = (A.k * l + A.i) * m + A.j
-        lin_b = (B.k * l + B.i) * m + B.j
-        _, ia, ib = np.intersect1d(lin_a, lin_b, assume_unique=True, return_indices=True)
-        return _ldexp(*_scaled_sum(A.vals[ia], B.vals[ib]))
+        where, at = _find((A.k * l + A.i) * m + A.j, (B.k * l + B.i) * m + B.j)
+        a, b = A.vals[at], B.vals[where]
+        del where, at  # the sum's scaled copies then take their place
+        return _ldexp(*_scaled_sum(a, b))
     if a_sparse:
         return _ldexp(*_scaled_sum(A.vals, np.asarray(B, dtype=float)[A.i, A.j, A.k]))
     if b_sparse:

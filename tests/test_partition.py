@@ -179,6 +179,12 @@ class TestSignificanceRanking:
         with pytest.raises(ValueError):
             significance_ranking(np.ones(3), np.ones(3), LabelTable.default(4), 2)
 
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_k_below_one_refused(self, k):
+        # a k below 1 gave empty head, middle and tail lists
+        with pytest.raises(ValueError, match=f"^k must be >= 1, got {k}$"):
+            significance_ranking(np.ones(3), np.ones(3), LabelTable.default(3), k)
+
 
 @pytest.fixture
 def no_work(monkeypatch):

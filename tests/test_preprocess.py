@@ -34,8 +34,8 @@ from conftest import BEYOND_SQUARE_RANGE, pow2_scaled, random_sparse, random_sym
 
 
 def log_of(records):
-    """The RecordLog of a list of (source, destination, timestamp) tuples."""
-    return RecordLog([r[0] for r in records], [r[1] for r in records], [r[2] for r in records])
+    """The RecordLog of a list of (source, destination) pairs."""
+    return RecordLog([s for s, _ in records], [d for _, d in records])
 
 
 def _save_coordinate_lines(T, path):
@@ -431,27 +431,25 @@ class TestNonsymmetricNormalization:
 
 class TestBinAndSymmetrize:
     def test_single_record(self):
-        T, labels = bin_and_symmetrize(log_of([("a", "b", "0")]), bin_size=1)
+        T, labels = bin_and_symmetrize(log_of([("a", "b")]), bin_size=1)
         assert T.dims == (2, 2, 1)
         d = T.to_dense()
         assert d[0, 1, 0] == 1 and d[1, 0, 0] == 1 and d.sum() == 2
         assert labels.labels == ("a", "b")
 
     def test_duplicate_record_is_indicator(self):
-        log = log_of([("a", "b", "0"), ("a", "b", "1")])
+        log = log_of([("a", "b"), ("a", "b")])
         T, _ = bin_and_symmetrize(log, bin_size=2)
         assert T.to_dense().sum() == 2  # still 0/1, both directions
 
     def test_binning_matches_set_oracle(self, rng):
         ids = ["h0", "h1", "h2", "h3"]
-        records = [
-            (ids[rng.integers(4)], ids[rng.integers(4)], str(t)) for t in range(10)
-        ]
+        records = [(ids[rng.integers(4)], ids[rng.integers(4)]) for _ in range(10)]
         T, labels = bin_and_symmetrize(log_of(records), bin_size=3)
         assert T.dims[2] == 4
         lookup = {lab: idx for idx, lab in enumerate(labels.labels)}
         expected = set()
-        for pos, (s, d, _) in enumerate(records):
+        for pos, (s, d) in enumerate(records):
             a, b = lookup[s], lookup[d]
             expected.add((a, b, pos // 3))
             expected.add((b, a, pos // 3))
@@ -459,13 +457,13 @@ class TestBinAndSymmetrize:
         assert got == expected
 
     def test_symmetric_binary_output(self, rng):
-        records = [(f"s{rng.integers(5)}", f"s{rng.integers(5)}", "t") for _ in range(30)]
+        records = [(f"s{rng.integers(5)}", f"s{rng.integers(5)}") for _ in range(30)]
         T, _ = bin_and_symmetrize(log_of(records), bin_size=7)
         assert is_12_symmetric(T)
         assert set(np.unique(T.vals)) <= {1.0}
 
     def test_bidirectional_restriction(self):
-        log = log_of([("a", "b", "0"), ("b", "a", "1"), ("c", "a", "2")])
+        log = log_of([("a", "b"), ("b", "a"), ("c", "a")])
         T, labels = bin_and_symmetrize(log, bin_size=3, restrict_bidirectional=True)
         assert set(labels.labels) == {"a", "b"}
         assert T.dims[0] == 2
@@ -476,12 +474,12 @@ class TestBinAndSymmetrize:
 
     def test_unequal_columns_rejected(self):
         with pytest.raises(ValueError, match="columns differ in length"):
-            RecordLog(["a", "b"], ["b"], ["0", "1"])
+            RecordLog(["a", "b"], ["b"])
 
     def test_too_many_cells_refused(self, monkeypatch):
         # the constructor's l*m*n refusal, with its text; 2 ids in 2 bins are 8 cells
         monkeypatch.setattr(sparse_tensor, "_MAX_CELLS", 7)
-        log = log_of([("a", "b", "0"), ("b", "a", "1")])
+        log = log_of([("a", "b"), ("b", "a")])
         with pytest.raises(TensorShapeError, match=r"dims \(2, 2, 2\) have l\*m\*n = 8 cells"):
             bin_and_symmetrize(log, bin_size=1)
         assert bin_and_symmetrize(log, bin_size=2)[0].dims == (2, 2, 1)
@@ -489,20 +487,20 @@ class TestBinAndSymmetrize:
     @staticmethod
     def loop_oracle(log, bin_size, restrict_bidirectional=False):
         """The per-record set loop that bin_and_symmetrize replaced."""
-        records = list(zip(log.sources, log.destinations, log.timestamps))
+        records = list(zip(log.sources, log.destinations))
         if bin_size < 1:
             raise ValueError("bin_size must be >= 1")
         if not records:
             raise ValueError("record log is empty")
         vocab = {}
-        for src, dst, _ in records:
+        for src, dst in records:
             for ident in (src, dst):
                 if ident not in vocab:
                     vocab[ident] = len(vocab)
         keep = None
         if restrict_bidirectional:
-            senders = {src for src, _, _ in records}
-            receivers = {dst for _, dst, _ in records}
+            senders = {src for src, _ in records}
+            receivers = {dst for _, dst in records}
             both = senders & receivers
             if not both:
                 raise ValueError("no id both sent and received; nothing left after restriction")
@@ -512,7 +510,7 @@ class TestBinAndSymmetrize:
         n = -(-len(records) // bin_size)
         seen = set()
         i, j, k = [], [], []
-        for pos, (src, dst, _) in enumerate(records):
+        for pos, (src, dst) in enumerate(records):
             if keep is not None and (src not in keep or dst not in keep):
                 continue
             a, b = table[src], table[dst]
@@ -535,7 +533,7 @@ class TestBinAndSymmetrize:
             ids = [f"h{x}" for x in range(int(rng.integers(1, 6)))]
             # few ids and short bins: self-loops and repeated pairs within a bin
             records = [
-                (ids[rng.integers(len(ids))], ids[rng.integers(len(ids))], "t")
+                (ids[rng.integers(len(ids))], ids[rng.integers(len(ids))])
                 for _ in range(int(rng.integers(0, 25)))
             ]
             log = log_of(records)
@@ -555,7 +553,7 @@ class TestRecordLogFile:
         p = tmp_path / "log.csv"
         p.write_text("source,destination,timestamp\na,b,1\nb,c,2\n")
         log = load_record_log(p)
-        assert log == RecordLog(["a", "b"], ["b", "c"], ["1", "2"])
+        assert log == RecordLog(["a", "b"], ["b", "c"])
 
     def test_short_row_rejected(self, tmp_path):
         p = tmp_path / "log.csv"
@@ -712,14 +710,46 @@ class TestRecordLogFile:
         p = tmp_path / "log.csv"
         p.write_text("s,d,t\nab,cd,1\ncd,ab,2\nab,ab,3\n")
         log = load_record_log(p)
-        assert log == RecordLog(["ab", "cd", "ab"], ["cd", "ab", "ab"], ["1", "2", "3"])
+        assert log == RecordLog(["ab", "cd", "ab"], ["cd", "ab", "ab"])
         ids = log.sources + log.destinations
         assert len({id(x) for x in ids}) == len(set(ids)) == 2
 
+    def test_timestamps_and_extra_columns_not_read(self, tmp_path, rng):
+        # records are binned by their order: logs that differ only in the
+        # timestamp and further columns give one tensor and one label table,
+        # on the plain split and on the csv.reader path
+        ids = [f"h{x}" for x in range(6)]
+        pairs = [(ids[rng.integers(6)], ids[rng.integers(6)]) for _ in range(40)]
+        times = [
+            [str(t) for t in range(40)],
+            [str(39 - t) for t in range(40)],  # reversed
+            ["" for _ in range(40)],
+            [f"2020-01-0{1 + t % 9}T00:00" for t in range(40)],
+        ]
+        texts = ["s,d,t\n" + "".join(f"{a},{b},{t}\n" for (a, b), t in zip(pairs, ts)) for ts in times]
+        plain = len(texts)
+        texts += [
+            # a quoted timestamp holding a comma and a line end
+            "s,d,t\n" + "".join(f'{a},{b},"{t},\n{t}"\n' for t, (a, b) in enumerate(pairs)),
+            # a fourth and fifth column
+            "s,d,t,x,y\n" + "".join(f"{a},{b},{t},{-t},z\n" for t, (a, b) in enumerate(pairs)),
+        ]
+        p = tmp_path / "log.csv"
+        results = []
+        for n, text in enumerate(texts):
+            p.write_text(text)
+            assert (preprocess._split_plain_log(text) is not None) == (n < plain)
+            results.append(bin_and_symmetrize(load_record_log(p), bin_size=7))
+        T, labels = results[0]
+        assert T.dims == (len(labels), len(labels), 6) and T.nnz > 0
+        for other in results[1:]:
+            assert other[0] == T and other[1] == labels
+
     def test_memory_budget(self, tmp_path):
-        # 100k records between 1500 ids: the loaded log keeps its timestamp
-        # strings and three lists, and no string per id occurrence; on the
-        # plain split and, with one id quoted, on the csv.reader path
+        # 100k records between 1500 ids: the loaded log keeps two lists and
+        # one string per distinct id, no timestamp and no string per id
+        # occurrence; on the plain split and, with one id quoted, on the
+        # csv.reader path
         records, ids, bin_size = 100_000, 1500, 10_000
         rng = np.random.default_rng(5)
         src = rng.integers(0, ids, records).tolist()
@@ -739,6 +769,6 @@ class TestRecordLogFile:
             finally:
                 tracemalloc.stop()
             assert len(log) == records and len(labels) == ids and T.dims[2] == records // bin_size
-            assert retained <= 100 * records
-            assert peak <= 200 * records
+            assert retained <= 24 * records
+            assert peak <= 120 * records
             del log, T, labels

@@ -775,6 +775,24 @@ class TestInnerAndNorm:
         with pytest.raises(TensorShapeError):
             inner(random_sparse(rng, (2, 2, 2)), random_sparse(rng, (2, 2, 3)))
 
+    def test_inner_memory_per_entry(self):
+        # both code arrays, one search position and one match mask per entry
+        # of B, then the matched values: about 33 B per entry, whether the
+        # patterns coincide or are independent.  Bound: 40 B per entry
+        rng = np.random.default_rng(6)
+        dims, nnz = (1000, 700, 10), 400_000
+        A = SparseTensor3(dims, *(rng.integers(0, d, nnz) for d in dims), rng.standard_normal(nnz))
+        same = SparseTensor3(dims, A.i, A.j, A.k, rng.standard_normal(A.nnz))
+        other = SparseTensor3(dims, *(rng.integers(0, d, A.nnz) for d in dims), rng.standard_normal(A.nnz))
+        for B in (same, other):
+            tracemalloc.start()
+            try:
+                inner(A, B)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 40 * max(A.nnz, B.nnz)
+
     def test_norm_single_negative_entry(self):
         T = SparseTensor3((1, 1, 1), [0], [0], [0], [-3.0])
         assert frobenius_norm(T) == 3.0
