@@ -42,6 +42,7 @@ from .partition import (
     block_norms,
     corner_block_norms,
     monotone_reorder,
+    partition_report,
     partition_tensor,
     restrict_and_recurse,
     sign_change_split,

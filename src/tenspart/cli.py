@@ -1,7 +1,8 @@
 """Command-line driver: ingest, normalize, approx, partition, expand.
 
 Every run writes its reports into ``--out DIR`` together with the full
-effective configuration and sha256 checksums of the input files, so that
+effective configuration and sha256 checksums of every file it read (the
+input, and the ``--labels`` and ``--recurse`` files when given), so that
 identical configs on identical inputs reproduce identical reports.
 
 Exit codes: 0 success, 2 validation error, 3 solver non-convergence
@@ -33,9 +34,14 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
+# the flags of the files a command reads; every one of them is checksummed
+_READ_FILES = ("input", "labels", "recurse")
+
+
 def _write_run_config(args: argparse.Namespace) -> None:
     cfg = {k: v for k, v in vars(args).items() if k != "func"}  # paths written by default=str
-    cfg["input_checksums"] = {str(p): _sha256(p) for p in [args.input] if Path(p).is_file()}
+    read = (getattr(args, flag, None) for flag in _READ_FILES)
+    cfg["input_checksums"] = {str(p): _sha256(p) for p in read if p is not None and Path(p).is_file()}
     with open(args.out / "run_config.json", "w", encoding="utf-8") as fh:
         json.dump(cfg, fh, indent=2, default=str)
 
@@ -128,9 +134,7 @@ def cmd_partition(args) -> int:
     T = _load_tensor(args)
     labels = _load_labels(args, T.dims[0])
     approx = _run_approx(args, T)
-    report, _ = partition.partition_tensor(
-        T, approx, labels=labels, corner_width=args.corner_width
-    )
+    report = partition.partition_report(T, approx, labels=labels, corner_width=args.corner_width)
     if index_sets is not None:
         nested, _ = partition.restrict_and_recurse(
             T,

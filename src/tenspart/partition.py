@@ -26,6 +26,7 @@ __all__ = [
     "block_norms",
     "corner_block_norms",
     "significance_ranking",
+    "partition_report",
     "partition_tensor",
     "restrict_and_recurse",
     "save_partition_report",
@@ -186,32 +187,30 @@ def _check_labels(labels: LabelTable | None, extent: int) -> None:
         raise ValueError(f"{len(labels)} labels for a mode-1 extent of {extent}")
 
 
-def partition_tensor(
+def partition_report(
     T: SparseTensor3,
     approx: RankApproximation,
     labels: LabelTable | None = None,
     corner_width: int | None = None,
     top_k: int = 25,
-):
-    """Reorder the tensor by the approximation factors and report the splits.
+) -> PartitionReport:
+    """Report how the approximation factors reorder and split the tensor.
 
-    Returns (report, reordered tensor).  Each mode is reordered by its own
-    factor; when V is U (a shared-factor solve) modes 1 and 2 get equal
-    permutations and splits, and the report is flagged ``symmetric``.
-    ``corner_width`` defaults to 10% of the smaller mode-1/2 extent; it
-    must be positive, and a width of at least half that extent skips the
-    corner table.  ``labels``, when given, must hold one label per mode-1
-    index, and ``top_k`` must be at least 1; both are checked before any
-    work.
+    Each mode is reordered by its own factor; when V is U (a shared-factor
+    solve) modes 1 and 2 get equal permutations and splits, and the report
+    is flagged ``symmetric``.  ``corner_width`` defaults to 10% of the
+    smaller mode-1/2 extent; it must be positive, and a width of at least
+    half that extent skips the corner table.  ``labels``, when given, must
+    hold one label per mode-1 index, and ``top_k`` must be at least 1;
+    both are checked before any work.
 
-    The corner table and the total norm are read off T's own entries before
-    the reordered tensor is built: every entry's block is looked up through
-    the per-index block tables composed with the inverse permutations, so
-    the table is bitwise what :func:`block_norms` of the reordered tensor
+    No reordered tensor is built.  The corner table and the total norm are
+    read off T's own entries: every entry's block is looked up through the
+    per-index block tables composed with the inverse permutations, so the
+    table is bitwise what :func:`block_norms` of the reordered tensor
     gives, and the total comes from the same pass's exact level sums,
     bitwise :func:`frobenius_norm` of T.  That pass holds three nnz-sized
-    arrays, and the reordering peaks at about 33 bytes per entry with the
-    reordered tensor included.
+    arrays.
     """
     l, m, n = T.dims
     if approx.U.shape[0] != l or approx.V.shape[0] != m or approx.W.shape[0] != n:
@@ -241,19 +240,15 @@ def partition_tensor(
         ids += _block_of(b2, p2)[T.j]
         table, total_norm = _norm(T.vals, ids, 9, total=True)
         table = table.reshape(3, 3)
-        del ids  # before the reordering, whose arrays set the peak
     else:
         total_norm = frobenius_norm(T)
-
-    reordered = permute_modes(T, p1, p2, p3)
 
     top_terms = None
     if labels is not None:
         reord_labels = LabelTable(tuple(labels[int(t)] for t in p1))
         top_terms = significance_ranking(u1, u2, reord_labels, min(top_k, l))
 
-    score = np.abs(approx.U[:, 0])
-    report = PartitionReport(
+    return PartitionReport(
         mode1_perm=p1,
         mode2_perm=p2,
         mode3_perm=p3,
@@ -263,10 +258,27 @@ def partition_tensor(
         block_norm_table=table,
         block_boundaries=boundaries,
         top_terms=top_terms,
-        insignificance_scores=score,
+        insignificance_scores=np.abs(approx.U[:, 0]),
         symmetric=approx.V is approx.U,
     )
-    return report, reordered
+
+
+def partition_tensor(
+    T: SparseTensor3,
+    approx: RankApproximation,
+    labels: LabelTable | None = None,
+    corner_width: int | None = None,
+    top_k: int = 25,
+):
+    """(:func:`partition_report`, T reordered by the report's permutations).
+
+    The arguments are those of :func:`partition_report`, checked there
+    before any work.  The report is made first, so its nnz-sized arrays
+    are freed before the reordering (:func:`permute_modes`), which peaks
+    at about 33 bytes per entry with the reordered tensor included.
+    """
+    report = partition_report(T, approx, labels, corner_width, top_k)
+    return report, permute_modes(T, report.mode1_perm, report.mode2_perm, report.mode3_perm)
 
 
 def restrict_and_recurse(

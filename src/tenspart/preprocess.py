@@ -28,6 +28,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 import re
 import warnings
 from dataclasses import dataclass, field
@@ -111,40 +112,63 @@ def load_coordinate_file(path) -> SparseTensor3:
 
     Duplicate triples are summed; explicit zeros are dropped.  Extents come
     from an optional ``dims l m n`` header, else from the largest index
-    seen per mode.  Plain files are parsed in one call to numpy's C text
-    reader; anything else (comments, odd bytes, a malformed or invalid
-    line) goes through the line-by-line reader, whose errors name the line.
+    seen per mode.  A plain file (see :func:`_parse_plain_coordinates`) is
+    checked once as bytes and then parsed by numpy's C text reader from
+    its path, chunk by chunk, into four typed columns, which the loader
+    decrements in place and hands to the tensor read-only: a file in
+    canonical order, as :func:`save_coordinate_file` writes it, is kept as
+    read without a sort or a copy.  Anything else (comments, odd bytes, a
+    malformed or invalid line, a compressed-file suffix, a file changed
+    between the check and the parse) goes through the line-by-line
+    reader, whose errors name the line.
     """
-    with open(path, "rb") as fh:
-        parsed = _parse_plain_coordinates(fh.read())
+    parsed = _parse_plain_coordinates(path)
     if parsed is None:
         return _load_coordinate_lines(path)
     dims, i, j, k, v = parsed
     if dims is None:
         dims = (int(i.max()), int(j.max()), int(k.max()))
-    return SparseTensor3(dims, i - 1, j - 1, k - 1, v)
+    for column in (i, j, k):
+        column -= 1
+    for column in (i, j, k, v):
+        column.flags.writeable = False  # read-only and owned: the constructor need not copy it
+    return SparseTensor3(dims, i, j, k, v)
 
 
 _LEADING_BLANKS = re.compile(rb"[ \t\r\n]*")
-_DIMS_HEADER = re.compile(rb"dims[ \t]+(\d+)[ \t]+(\d+)[ \t]+(\d+)[ \t]*\r?(?:\n|\Z)")
+_DIMS_HEADER = re.compile(rb"dims[ \t]+(\d+)[ \t]+(\d+)[ \t]+(\d+)[ \t]*(?:\r\n?|\n|\Z)")
 # the bytes of a plain body; numpy may read any other byte unlike the line reader
 _PLAIN_BYTES = b"0123456789+-.eE \t\r\n"
 _ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("k", np.int64), ("v", np.float64)])
+# suffixes numpy's file opener decompresses by name
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
 
-def _parse_plain_coordinates(data: bytes):
-    """(dims or None, i, j, k, v) with 1-based indices, or None.
+def _parse_plain_coordinates(path):
+    """(dims or None, i, j, k, v) with 1-based indices in owned columns, or None.
 
     Accepts only files the line reader reads to the same tensor: an
     optional ``dims`` header of plain digits on the first non-blank line,
     then a body of digits, ``+-.eE``, blanks and line ends that numpy's
     ``loadtxt`` reads as lines of four fields (three ``int64`` indices
     >= 1 and a finite double; numpy parses both as ``int`` and ``float``
-    do).  Returns None for everything else, including a file without
-    entries, so the line reader decides and names the offending line.
+    do).  The bytes are checked on one read of the file and freed; then
+    ``loadtxt`` reads the file again from its absolute path, which it does
+    in chunks, skipping the lines before the body as its text-mode open
+    counts them (LF, CRLF and a lone CR end a line).  Returns None for
+    everything else, including a file without entries, a name numpy would
+    decompress, and a file whose inode, size or modification time differ
+    between the two reads, so the line reader decides and names the
+    offending line.
     """
+    path = os.path.abspath(os.fsdecode(path))  # numpy takes a relative "scheme://..." for a URL
+    if path.endswith(_COMPRESSED):
+        return None
+    with open(path, "rb") as fh:
+        checked = os.fstat(fh.fileno())
+        data = fh.read()
     start = _LEADING_BLANKS.match(data).end()
-    dims = None
+    dims = header = None
     if data.startswith(b"dims", start):
         header = _DIMS_HEADER.match(data, start)
         if header is None:
@@ -153,16 +177,23 @@ def _parse_plain_coordinates(data: bytes):
         start = _LEADING_BLANKS.match(data, header.end()).end()
     if start == len(data) or data[start:].translate(None, _PLAIN_BYTES):
         return None
-    body = io.BytesIO(data)
-    body.seek(start)
+    head = data[:start]
+    skip = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+    del data, head, header  # a match holds the bytes it was made on
     try:
         # numpy < 2 only warns on "1.0" in an int column; as an error it raises ValueError
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            rows = np.loadtxt(body, dtype=_ENTRY, comments=None, ndmin=1)
-    except ValueError:
+            rows = np.loadtxt(path, dtype=_ENTRY, comments=None, skiprows=skip, ndmin=1,
+                              encoding="latin1")
+        parsed = os.stat(path)
+    except (ValueError, OSError):
         return None
-    i, j, k, v = rows["i"], rows["j"], rows["k"], rows["v"]
+    same = ("st_dev", "st_ino", "st_size", "st_mtime_ns")
+    if any(getattr(checked, f) != getattr(parsed, f) for f in same):
+        return None
+    i, j, k, v = (rows[name].copy() for name in _ENTRY.names)
+    del rows
     if min(i.min(), j.min(), k.min()) < 1 or not np.all(np.isfinite(v)):
         return None
     return dims, i, j, k, v
@@ -433,7 +464,7 @@ def normalize_slices_frobenius(T: SparseTensor3) -> SparseTensor3:
 
 
 def _inv_sqrt(d: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(d)
+    out = np.zeros(d.shape)  # float for the integer bincount of no entries too
     pos = d > 0
     out[pos] = 1.0 / np.sqrt(d[pos])
     return out
@@ -450,15 +481,19 @@ def nonsymmetric_normalize(T: SparseTensor3) -> SparseTensor3:
     keeps the input's index arrays and its canonical stack's pattern, if
     built (the symmetry check of :func:`normalize_slices_adjacency` builds it).
     The degree arrays, n*(l + m) entries, are checked against memory first.
+    Each side's codes and gathered factor are freed before the other side's
+    are built, so the pass holds at most three nnz-sized arrays, the result
+    included; the product is (v * r) * c either way.
     """
     _check_nonnegative(T)
     l, m, n = T.dims
     _check_size("the slice degrees", 2 * n * (l + m))  # both bincounts and their inverse roots
     row = T.k * l + T.i
+    vals = _inv_sqrt(np.bincount(row, weights=T.vals, minlength=n * l))[row]
+    del row  # the row pass is done before the column pass starts
+    np.multiply(T.vals, vals, out=vals)  # v * r, as v * r * c evaluates it
     col = T.k * m + T.j
-    ir = _inv_sqrt(np.bincount(row, weights=T.vals, minlength=n * l))
-    ic = _inv_sqrt(np.bincount(col, weights=T.vals, minlength=n * m))
-    vals = T.vals * ir[row] * ic[col]
+    vals *= _inv_sqrt(np.bincount(col, weights=T.vals, minlength=n * m))[col]
     return T._with_values(vals)
 
 

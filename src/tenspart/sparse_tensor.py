@@ -15,7 +15,13 @@ before any code is formed.  It builds the codes in one buffer, sorts them
 in place, gathers only the values and decodes the indices from the
 sorted codes (:func:`_decode`), freeing each nnz-sized temporary once it
 is read: about 32 bytes per input entry at its peak, the 32 bytes per
-stored entry of the result included.  Operations whose result is
+stored entry of the result included.  Input whose codes strictly increase
+(canonical order without duplicates, as a written ``.tns`` file holds
+them) skips the sort, the value gather, the sums and the decode, with the
+same bits as a result: the codes are freed, zeros are dropped, and an
+input array is copied only if the caller can still write its memory (a
+writable array, or a view of one).  A fresh conversion, and a read-only
+array that owns its data, are kept as they are.  Operations whose result is
 canonical by construction (value-only normalizations, permutations that
 sort their own codes, the binning of a record log) go through the private trusted constructor
 ``SparseTensor3._canonical``, which only drops explicit zeros and may share
@@ -309,6 +315,20 @@ def _find(sorted_codes: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.n
     return np.flatnonzero(hit), at
 
 
+def _column(x, dtype) -> tuple[np.ndarray, bool]:
+    """(``x`` as a 1-D array of ``dtype``, whether the caller can still write its memory).
+
+    A fresh conversion (of a list or tuple, or an array copied to convert
+    or flatten it) is the constructor's own; so is a read-only array that
+    owns its data.  Any other array is, or views, memory of the caller's.
+    """
+    a = np.asarray(x, dtype=dtype).ravel()
+    if isinstance(x, (list, tuple)) or not np.may_share_memory(a, x):
+        return a, False
+    owner = x if isinstance(x, np.ndarray) else a  # ravel views even a 1-D array
+    return a, owner.flags.writeable or not owner.flags.owndata
+
+
 class _Contractions:
     """Contraction shorthands, each one :meth:`half_product` finished by one
     :meth:`reduce_half` of the operator that inherits them; the solvers
@@ -341,7 +361,10 @@ class SparseTensor3(_Contractions):
     vals:
         Entry values.  Duplicated (i, j, k) triples are summed, explicit
         zeros are dropped, and the result is sorted into canonical
-        (k, i, j) order.
+        (k, i, j) order.  Entries given in that order without duplicates
+        are taken without a sort; the tensor then keeps a read-only input
+        array that owns its data, and copies any array whose memory the
+        caller can still write.
     """
 
     __slots__ = ("dims", "i", "j", "k", "vals", "_stacks")
@@ -352,10 +375,9 @@ class SparseTensor3(_Contractions):
             raise TensorShapeError(f"dims must be three positive extents, got {dims}")
         _check_cells(dims)
         l, m, n = dims
-        i = np.asarray(i, dtype=np.int64).ravel()
-        j = np.asarray(j, dtype=np.int64).ravel()
-        k = np.asarray(k, dtype=np.int64).ravel()
-        vals = np.asarray(vals, dtype=float).ravel()
+        (i, j, k, vals), writable = zip(
+            *(_column(x, dtype) for x, dtype in ((i, np.int64), (j, np.int64), (k, np.int64), (vals, float)))
+        )
         if not (len(i) == len(j) == len(k) == len(vals)):
             raise TensorShapeError("index and value arrays must have equal length")
         if not np.all(np.isfinite(vals)):
@@ -364,13 +386,22 @@ class SparseTensor3(_Contractions):
             if idx.size and (idx.min() < 0 or idx.max() >= extent):
                 raise IndexError(f"index {name} out of range for extent {extent}")
 
-        # codes increase along canonical (k, i, j) order, built and sorted in one
-        # buffer; the sort is stable, so each run of duplicates sums in input
-        # order (reduceat adds the sum of a run's rest to its first value)
+        # codes increase along canonical (k, i, j) order, built in one buffer
         lin = k * l
         lin += i
         lin *= m
         lin += j
+        if np.all(lin[1:] > lin[:-1]):  # canonical already: no sort, sum or decode
+            del lin
+            keep = vals != 0.0  # drop explicit zeros
+            if keep.all():  # keep no memory that the caller can still write
+                cols = (x.copy() if w else x for x, w in zip((i, j, k, vals), writable))
+            else:
+                cols = (x[keep] for x in (i, j, k, vals))
+            self._set(dims, *cols)
+            return
+        # sorted in place; the sort is stable, so each run of duplicates sums in
+        # input order (reduceat adds the sum of a run's rest to its first value)
         del i, j, k  # copies of the caller's indices, when converted, go now
         order, lin = _stable_sort(lin, l * m * n)
         vals = vals[order]

@@ -161,6 +161,49 @@ class TestRunConfig:
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_every_read_file_checksummed(self, tmp_path):
+        # partition reads the tensor, the labels and the --recurse index sets;
+        # all three are checksummed, and a labels file that differs (which
+        # changes the report's top terms) gives a different checksum
+        src = tmp_path / "in.tns"
+        write_symmetric_tensor(src, l=12)
+        sets = tmp_path / "sets.json"
+        sets.write_text(json.dumps({"I": list(range(6)), "J": list(range(6))}))
+        checksums = []
+        for n, name in enumerate(("node", "vertex")):
+            labels = tmp_path / f"labels{n}.txt"
+            labels.write_text("".join(f"{name}{t}\n" for t in range(12)), encoding="utf-8")
+            out = tmp_path / f"out{n}"
+            argv = ["partition", str(src), "--symmetric", "--rank", "2", "2", "1",
+                    "--labels", str(labels), "--recurse", str(sets), "--out", str(out)]
+            assert main(argv) == EXIT_OK
+            cfg = json.loads((out / "run_config.json").read_text())
+            assert set(cfg["input_checksums"]) == {str(src), str(labels), str(sets)}
+            checksums.append(cfg["input_checksums"])
+        assert checksums[0][str(src)] == checksums[1][str(src)]
+        assert checksums[0][str(sets)] == checksums[1][str(sets)]
+        assert checksums[0][str(tmp_path / "labels0.txt")] != checksums[1][str(tmp_path / "labels1.txt")]
+
+    def test_same_path_new_labels_new_checksum(self, tmp_path):
+        # one labels path rewritten between two runs: equal configs but for the
+        # checksum, so the runs are told apart
+        src = tmp_path / "in.tns"
+        write_symmetric_tensor(src)
+        labels = tmp_path / "labels.txt"
+        configs = []
+        for n, name in enumerate(("node", "vertex")):
+            labels.write_text("".join(f"{name}{t}\n" for t in range(10)), encoding="utf-8")
+            out = tmp_path / "out"
+            argv = ["expand", str(src), "--theta", "0.1", "--terms", "1",
+                    "--labels", str(labels), "--out", str(out)]
+            assert main(argv) == EXIT_OK
+            configs.append(json.loads((out / "run_config.json").read_text()))
+        assert configs[0]["input_checksums"].keys() == {str(src), str(labels)}
+        assert configs[0]["input_checksums"] != configs[1]["input_checksums"]
+        for cfg in configs:
+            del cfg["input_checksums"]
+        assert configs[0] == configs[1]
+
     def test_written_when_not_converged(self, tmp_path):
         src = tmp_path / "in.tns"
         write_symmetric_tensor(src)
@@ -277,6 +320,14 @@ class TestPartition:
         perm = np.loadtxt(out / "partition_perm_mode1.txt", dtype=int)
         split_groups = {frozenset(perm[:6].tolist()), frozenset(perm[6:].tolist())}
         assert split_groups == {frozenset(range(6)), frozenset(range(6, 12))}
+
+    def test_builds_no_reordered_tensor(self, tmp_path, monkeypatch):
+        # the command writes the report only, so it reorders nothing
+        src = tmp_path / "in.tns"
+        write_symmetric_tensor(src, l=12)
+        monkeypatch.setattr(tenspart.partition, "permute_modes", lambda *a: pytest.fail("reordered"))
+        argv = ["partition", str(src), "--rank", "2", "2", "1", "--symmetric", "--out", str(tmp_path / "out")]
+        assert main(argv) == EXIT_OK
 
     def test_writes_approximation_report(self, tmp_path):
         src = tmp_path / "in.tns"

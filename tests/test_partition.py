@@ -331,6 +331,20 @@ class TestPartitionTensor:
         assert report.block_norm_table.shape == (3, 3) and reordered.nnz == T.nnz
         assert peak <= 42 * T.nnz
 
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_report_alone_builds_no_reordering(self, rng, monkeypatch, symmetric):
+        # partition_report is partition_tensor's report, bit for bit, without
+        # the reordered tensor
+        T, _ = two_block_tensor((7, 5), 3, seed=2, noise=0.05)
+        ap = hooi_symmetric(T, (2, 2, 1), TIGHT) if symmetric else hooi(T, (2, 2, 2), TIGHT)
+        labels = LabelTable.default(12)
+        want, _ = partition_tensor(T, ap, labels=labels, corner_width=2, top_k=4)
+        monkeypatch.setattr(partition, "permute_modes", lambda *a: pytest.fail("reordered"))
+        got = partition.partition_report(T, ap, labels=labels, corner_width=2, top_k=4)
+        assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+        for name in ("mode1_perm", "mode2_perm", "mode3_perm", "block_norm_table", "insignificance_scores"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
     def test_dim_mismatch_rejected(self, rng):
         T = random_sparse(rng, (8, 8, 3), density=0.5)
         ap = hooi(random_sparse(rng, (7, 7, 3), density=0.5), (2, 2, 2), TIGHT)

@@ -1,5 +1,6 @@
 import csv
 import math
+import os
 import re
 import tracemalloc
 
@@ -119,6 +120,28 @@ class TestCoordinateFile:
         with pytest.raises(TensorFileError, match=":2"):
             load_coordinate_file(p)
 
+    def test_load_memory_per_entry(self, tmp_path, monkeypatch):
+        # 200k entries in canonical order, as save_coordinate_file writes them:
+        # the parsed rows (32 B per entry) and their four owned columns, which
+        # the tensor keeps without a sort or a copy (32 B per entry).  Bound:
+        # 72 B per entry at the peak, 33 B per entry retained
+        rng = np.random.default_rng(5)
+        dims, nnz = (1500, 1500, 10), 200_000
+        codes = np.sort(rng.choice(np.prod(dims), nnz, replace=False))
+        k, i, j = np.unravel_index(codes, (dims[2], dims[0], dims[1]))
+        T = SparseTensor3(dims, i, j, k, rng.integers(1, 4, nnz).astype(float))
+        p = tmp_path / "m.tns"
+        save_coordinate_file(T, p)
+        monkeypatch.setattr(sparse_tensor, "_stable_sort", lambda *a: pytest.fail("canonical file sorted"))
+        tracemalloc.start()
+        try:
+            S = load_coordinate_file(p)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert S == T
+        assert peak <= 72 * nnz and retained <= 33 * nnz
+
 
 def _outcome(loader, path):
     """(dims, i, j, k, vals) of the loaded tensor, or (error type, message)."""
@@ -185,9 +208,23 @@ class TestCoordinateFileParity:
             p.write_bytes((sep.join(lines) + tail).encode("utf-8"))
             self.check(p)
 
+    @staticmethod
+    def fast_path_only(monkeypatch):
+        """Fail on the line reader; return the list of what ``np.loadtxt`` is given."""
+        def no_fallback(path):
+            raise AssertionError("line reader used on a plain file")
+
+        given = []
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(preprocess, "_load_coordinate_lines", no_fallback)
+        monkeypatch.setattr(np, "loadtxt", lambda fname, *a, **kw: given.append(fname) or loadtxt(fname, *a, **kw))
+        return given
+
     @pytest.mark.parametrize("header", [True, False], ids=["header", "no_header"])
-    @pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["LF", "CRLF"])
+    @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
     def test_plain_file_takes_fast_path(self, tmp_path, rng, monkeypatch, eol, header):
+        # numpy reads the file by its absolute path (so in chunks), not from
+        # an iterable of lines
         T = random_sparse(rng, (120, 15, 11), density=0.05)
         p = tmp_path / "t.tns"
         save_coordinate_file(T, p)
@@ -197,11 +234,80 @@ class TestCoordinateFileParity:
         if header:
             assert expected == T
 
-        def no_fallback(path):
-            raise AssertionError("line reader used on a plain file")
-
-        monkeypatch.setattr(preprocess, "_load_coordinate_lines", no_fallback)
+        given = self.fast_path_only(monkeypatch)
         assert load_coordinate_file(p) == expected
+        assert given == [os.path.abspath(p)]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "\r\rdims 3 3 3\r1 1 1 1.0\r2 2 2 2.0\r",
+            "\r\n\r\ndims 3 3 3\r\n1 1 1 1.0\r\n2 2 2 2.0\r\n",
+            "\r\n \r\t\n dims 3 3 3 \r\r\n\r 1 1 1 1.0\n2 2 2 2.0",
+            "\n\r\r\ndims 3 3 3\r\n\r\n\n\r1 1 1 1.0\r2 2 2 2.0\r\n",
+            "\r\r\n\n1 1 1 1.0\r2 2 2 2.0",
+        ],
+        ids=["CR", "CRLF", "mixed", "mixed_blank_body_lines", "no_header"],
+    )
+    def test_blank_lines_before_header(self, tmp_path, monkeypatch, text):
+        # the lines before the body are skipped as numpy's text-mode open
+        # counts them: a count one short reads the header as an entry, one
+        # too many drops the first entry
+        p = tmp_path / "b.tns"
+        p.write_bytes(text.encode("ascii"))
+        expected = _load_coordinate_lines(p)
+        assert expected == SparseTensor3((3, 3, 3) if "dims" in text else (2, 2, 2),
+                                         [0, 1], [0, 1], [0, 1], [1.0, 2.0])
+        given = self.fast_path_only(monkeypatch)
+        assert load_coordinate_file(p) == expected and len(given) == 1
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_compressed_suffix_read_as_plain_text(self, tmp_path, rng, monkeypatch, suffix):
+        # numpy's opener would decompress a file by this name; the line reader
+        # reads it as the plain text it is
+        T = random_sparse(rng, (20, 15, 4), density=0.1)
+        p = tmp_path / f"t.tns{suffix}"
+        save_coordinate_file(T, p)
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **kw: pytest.fail("loadtxt opened " + str(a[0])))
+        assert load_coordinate_file(p) == T
+        self.check(p)
+
+    @pytest.mark.parametrize("change", ["grown", "same_size_touched", "replaced"])
+    def test_file_changed_between_check_and_parse(self, tmp_path, monkeypatch, change):
+        # the file is rewritten, still plain, after its bytes are checked and
+        # before numpy parses it: its size, its modification time or its inode
+        # differ, and the line reader reads what is there now
+        p = tmp_path / "c.tns"
+        p.write_text("dims 3 3 3\n1 1 1 1.0\n2 2 2 2.0\n")
+        before = os.stat(p)
+        new_text = {
+            "grown": "dims 3 3 3\n1 1 1 1.0\n2 2 2 2.0\n3 3 3 4.0\n",
+            "same_size_touched": "dims 3 3 3\n1 1 1 5.0\n2 2 2 2.0\n",
+            "replaced": "dims 3 3 3\n1 1 1 5.0\n2 2 2 2.0\n",
+        }[change]
+        loadtxt = np.loadtxt
+        read_by_lines = []
+
+        def rewrite_then_load(fname, *a, **kw):
+            if change == "replaced":
+                q = tmp_path / "new.tns"
+                q.write_text(new_text)
+                os.utime(q, ns=(before.st_atime_ns, before.st_mtime_ns))
+                os.replace(q, p)
+            else:
+                p.write_text(new_text)
+                if change == "same_size_touched":
+                    os.utime(p, ns=(before.st_atime_ns, before.st_mtime_ns + 1))
+            return loadtxt(fname, *a, **kw)
+
+        monkeypatch.setattr(np, "loadtxt", rewrite_then_load)
+        lines = preprocess._load_coordinate_lines
+        monkeypatch.setattr(preprocess, "_load_coordinate_lines",
+                            lambda path: read_by_lines.append(path) or lines(path))
+        T = load_coordinate_file(p)
+        assert read_by_lines == [p]
+        assert T == _load_coordinate_lines(p)
+        assert T != SparseTensor3((3, 3, 3), [0, 1], [0, 1], [0, 1], [1.0, 2.0])
 
     @pytest.mark.parametrize(
         "text",
@@ -225,6 +331,11 @@ class TestCoordinateFileParity:
             "1 1 1 1.0\n2 1 1 -1e400\n",
             "1 1 1\udca01.0\n",
             "1 1 1 1.0\udc85\n",
+            "\r\rdims 3 3 3\r1 1 1 1.0\r",
+            "\r\n\r\ndims 3 3 3\r\n1 1 1 1.0\r\n",
+            "\r\rdims 3 3 3\r\n\r1 1 1 1.0\n",
+            "\r\ndims 3 3 3\rx\n",
+            "\rdims 3 3\r3\r1 1 1 1.0\r",
         ],
     )
     def test_edge_cases(self, tmp_path, text):
@@ -418,6 +529,31 @@ class TestNonsymmetricNormalization:
         T = SparseTensor3((3, 2, 1), [0], [0], [0], [2.0])
         N = nonsymmetric_normalize(T)
         assert N.nnz == 1
+
+    def test_memory_per_entry(self):
+        # about 290k entries over 300 x 200 x 10 extents: the row factor gathered
+        # per entry and multiplied by the values in place, then the column codes
+        # and the column factor gathered.  Bound above the input, result (8 B
+        # per entry) and degree arrays included: 28 B per entry
+        rng = np.random.default_rng(1)
+        dims = (300, 200, 10)
+        codes = np.unique(rng.integers(0, np.prod(dims), 400_000))
+        k, i, j = np.unravel_index(codes, (dims[2], dims[0], dims[1]))
+        T = SparseTensor3(dims, i, j, k, rng.random(codes.size) + 0.5)
+        tracemalloc.start()
+        try:
+            N = nonsymmetric_normalize(T)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 28 * T.nnz
+        # bitwise the one-expression product v * r[row] * c[col] (every row and
+        # column has entries, so no degree is zero)
+        l, m, n = dims
+        row, col = T.k * l + T.i, T.k * m + T.j
+        r = 1.0 / np.sqrt(np.bincount(row, weights=T.vals, minlength=n * l))
+        c = 1.0 / np.sqrt(np.bincount(col, weights=T.vals, minlength=n * m))
+        assert N.vals.tobytes() == (T.vals * r[row] * c[col]).tobytes()
 
     def test_matches_embedding_oracle(self, rng):
         dense = np.abs(rng.standard_normal((5, 7, 2)))

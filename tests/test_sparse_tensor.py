@@ -131,6 +131,24 @@ class TestConstruction:
         assert 0.9 * nnz < T.nnz < nnz
         assert peak <= 40 * nnz
 
+    def test_memory_per_entry_canonical(self):
+        # the same extents with 500k distinct entries in canonical order, from
+        # writable arrays: the codes and their order check, freed before the
+        # four copies the result keeps.  Bound, result included: 40 B per entry
+        rng = np.random.default_rng(3)
+        dims, nnz = (1000, 700, 10), 500_000
+        codes = np.sort(rng.choice(np.prod(dims), nnz, replace=False))
+        k, i, j = np.unravel_index(codes, (dims[2], dims[0], dims[1]))
+        vals = rng.standard_normal(nnz)
+        tracemalloc.start()
+        try:
+            T = SparseTensor3(dims, i, j, k, vals)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert T.nnz == nnz and np.array_equal(T.i, i)
+        assert peak <= 40 * nnz
+
     def test_equality_by_entry_list(self, rng):
         T = random_sparse(rng, (4, 5, 3))
         S = SparseTensor3(T.dims, T.i[::-1], T.j[::-1], T.k[::-1], T.vals[::-1])
@@ -240,6 +258,102 @@ class TestConstruction:
             assert got == want
             assert all(not a.flags.writeable for a in (T.i, T.j, T.k, T.vals))
             assert T.i.dtype == T.j.dtype == T.k.dtype == np.int64
+
+
+def _sort_path(dims, i, j, k, vals):
+    """(i, j, k, vals) as the constructor's sort path gives them: a stable sort
+    of the codes, each run of duplicates summed in input order, zeros dropped."""
+    l, m, _ = dims
+    lin = (k * l + i) * m + j
+    order = np.argsort(lin, kind="stable")
+    uniq, start = np.unique(lin[order], return_index=True)
+    summed = np.add.reduceat(vals[order], start) if start.size else vals[:0]
+    keep = summed != 0.0
+    uniq = uniq[keep]
+    return uniq // m % l, uniq % m, uniq // (l * m), summed[keep]
+
+
+class TestCanonicalInput:
+    """Entries in canonical (k, i, j) order without duplicates skip the sort, the
+    duplicate sums and the decode; the result is bitwise the sort path's, and it
+    shares no memory that the caller can still write."""
+
+    @staticmethod
+    def entries(rng, dims, nnz, kind):
+        """(i, j, k, vals) of ``nnz`` random cells, in order or shuffled, with
+        or without duplicates, with some explicit zeros among the values."""
+        cells = rng.integers(0, np.prod(dims), nnz)
+        if kind.startswith("dup"):
+            codes = np.repeat(cells, rng.integers(1, 4, cells.size))
+        else:
+            codes = np.unique(cells)
+        codes = rng.permutation(codes) if kind.endswith("shuffled") else np.sort(codes)
+        vals = rng.choice([1e16, 1.0, -1e16, 0.5, 0.0, -0.0, -2.0, 5e-324], codes.size)
+        k, i, j = (np.array(a) for a in np.unravel_index(codes, (dims[2], dims[0], dims[1])))
+        return i, j, k, vals  # each owns its memory (unravel_index views one array)
+
+    @pytest.mark.parametrize("huge", [False, True])
+    @pytest.mark.parametrize("kind", ["sorted", "shuffled", "dup_sorted", "dup_shuffled"])
+    def test_fuzz_bitwise_equal_to_sort_path(self, huge, kind):
+        # extents up to 2**21, so codes take up to 63 bits; the values sum to
+        # different doubles in different orders (1e16 + 1.0 rounds to 1e16)
+        rng = np.random.default_rng(21)
+        for trial in range(150):
+            dims = tuple(int(d) for d in rng.integers(1, 2**21 if huge else 7, 3))
+            i, j, k, vals = self.entries(rng, dims, int(rng.integers(0, 30)), kind)
+            T = SparseTensor3(dims, i, j, k, vals)
+            for got, want in zip((T.i, T.j, T.k, T.vals), _sort_path(dims, i, j, k, vals)):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), trial
+            assert all(not a.flags.writeable for a in (T.i, T.j, T.k, T.vals))
+
+    def test_no_sort_on_canonical_input(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        calls = []
+        stable_sort = sparse_tensor._stable_sort
+        monkeypatch.setattr(sparse_tensor, "_stable_sort", lambda *a: calls.append(1) or stable_sort(*a))
+        dims = (40, 30, 5)
+        for kind in ("sorted", "shuffled"):
+            i, j, k, vals = self.entries(rng, dims, 500, kind)
+            SparseTensor3(dims, i, j, k, vals)
+            SparseTensor3(dims, i.tolist(), j.tolist(), k.tolist(), vals.tolist())
+            assert len(calls) == (0 if kind == "sorted" else 2)
+
+    @pytest.mark.parametrize("zeros", [False, True])
+    @pytest.mark.parametrize("layout", ["1d", "2d", "read_only_view"])
+    def test_caller_arrays_not_shared(self, layout, zeros):
+        # writable arrays, a writable 2-D array (its ravel views it) and
+        # read-only views of writable memory are copied; later writes to
+        # them do not reach the tensor, and their flags are left as they were
+        rng = np.random.default_rng(8)
+        dims = (6, 5, 4)
+        i, j, k, vals = self.entries(rng, dims, 40, "sorted")
+        if not zeros:
+            vals[vals == 0.0] = 3.0
+        base = [i, j, k, vals]
+        args = [b[:, None] if layout == "2d" else b for b in base]
+        if layout == "read_only_view":
+            args = [b[:] for b in base]
+            for a in args:
+                a.flags.writeable = False
+        T = SparseTensor3(dims, *args)
+        want = [a.copy() for a in (T.i, T.j, T.k, T.vals)]
+        assert all(b.flags.writeable for b in base)
+        assert all(a.flags.writeable == (layout != "read_only_view") for a in args)
+        for b in base:
+            assert not any(np.shares_memory(b, a) for a in (T.i, T.j, T.k, T.vals))
+            b[:] = 1
+        assert all(np.array_equal(a, w) for a, w in zip((T.i, T.j, T.k, T.vals), want))
+
+    def test_read_only_owned_arrays_kept(self):
+        # an array that owns its memory and is read-only is kept, not copied
+        rng = np.random.default_rng(9)
+        dims = (6, 5, 4)
+        i, j, k, vals = self.entries(rng, dims, 40, "sorted")
+        vals[vals == 0.0] = 3.0
+        for a in (i, j, k, vals):
+            a.flags.writeable = False
+        T = SparseTensor3(dims, i, j, k, vals)
+        assert all(np.shares_memory(a, b) for a, b in zip((T.i, T.j, T.k, T.vals), (i, j, k, vals)))
 
 
 class TestStableSort:
