@@ -13,20 +13,18 @@ from tenspart import (
     inner,
     mode_multiply,
     multi_multiply,
-    permute_mode,
-    symmetric_embed,
+    permute_modes,
 )
 
-# A 4x4x2 tensor from an explicit entry list.  Duplicate coordinates are
-# summed; explicit zeros are dropped.
-entries = [
-    (0, 1, 0, 2.0),
-    (1, 0, 0, 2.0),
-    (2, 3, 1, -1.5),
-    (3, 2, 1, -1.5),
-    (0, 1, 0, 1.0),  # duplicate -> summed with the first entry
-]
-T = SparseTensor3.from_entries((4, 4, 2), entries)
+# A 4x4x2 tensor from its coordinate columns i, j, k and values.  Duplicate
+# coordinates are summed; explicit zeros are dropped.
+T = SparseTensor3(
+    (4, 4, 2),
+    [0, 1, 2, 3, 0],
+    [1, 0, 3, 2, 1],
+    [0, 0, 1, 1, 0],
+    [2.0, 2.0, -1.5, -1.5, 1.0],  # the last entry is summed with the first
+)
 print("dims", T.dims, " nnz", T.nnz)
 print("slice 0:\n", T.to_dense()[:, :, 0])
 
@@ -43,16 +41,10 @@ print("\nnorm before", frobenius_norm(T), " after orthogonal transform",
       np.linalg.norm(rotated))
 
 # Inner products work sparsely: only shared coordinates contribute.
-S = SparseTensor3.from_entries((4, 4, 2), [(0, 1, 0, 1.0), (3, 3, 0, 9.0)])
+S = SparseTensor3((4, 4, 2), [0, 3], [1, 3], [0, 0], [1.0, 9.0])
 print("\n<T, S> =", inner(T, S))
 
-# Mode permutations relabel indices; the entry set just moves.
-P = permute_mode(T, np.array([3, 2, 1, 0]), 1)
+# Mode permutations relabel indices; the entry set just moves.  Here mode 1
+# is reversed and the identity leaves modes 2 and 3 as they are.
+P = permute_modes(T, [3, 2, 1, 0], np.arange(4), np.arange(2))
 print("norm preserved under permutation:", frobenius_norm(P) == frobenius_norm(T))
-
-# A general (non-symmetric) tensor C embeds into the (1,2)-symmetric block
-# tensor [[0, C], [C', 0]], which doubles the squared norm.
-C = SparseTensor3.from_entries((2, 3, 2), [(0, 1, 0, 1.0), (1, 2, 1, 2.0)])
-E = symmetric_embed(C)
-print("\nembedding dims", E.dims, " norm ratio",
-      frobenius_norm(E) / frobenius_norm(C))

@@ -12,10 +12,8 @@ from .sparse_tensor import (
     is_12_symmetric,
     mode_multiply,
     multi_multiply,
-    permute_mode,
     permute_modes,
     subtensor,
-    symmetric_embed,
 )
 from .preprocess import (
     LabelTable,

@@ -136,7 +136,7 @@ def cmd_partition(args) -> int:
     approx = _run_approx(args, T)
     report = partition.partition_report(T, approx, labels=labels, corner_width=args.corner_width)
     if index_sets is not None:
-        nested, _ = partition.restrict_and_recurse(
+        nested = partition.restrict_and_recurse(
             T,
             index_sets["I"],
             index_sets["J"],

@@ -85,11 +85,6 @@ class ExpansionTerm:
     structured: bool
     converged: bool
 
-    @property
-    def lambda_sum_ratio(self) -> float:
-        l1, l2 = self.eigenvalues
-        return abs(l1 + l2) / abs(l1) if l1 != 0 else float("inf")
-
 
 @dataclass
 class DeflatedOperator(_Contractions):
@@ -238,7 +233,7 @@ def rank221_term(R, cfg: SolverConfig | None = None, *, sketch: list | None = No
     The temporal vector is sign-fixed so its largest-|entry| component is
     positive; for planted nonnegative structure this makes w nonnegative.
     ``sketch`` recycles the start's range finder, as in
-    :func:`tenspart.lowrank.hosvd_init`.
+    :func:`tenspart.lowrank.hooi_symmetric`.
     """
     return hooi_symmetric(R, (2, 2, 1), cfg, sketch=sketch)
 

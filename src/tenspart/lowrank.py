@@ -252,7 +252,7 @@ def _check_ranks(ranks, dims) -> None:
             )
 
 
-def _sketch(T, ranks, shared: bool, sketch: list | None):
+def _sketch(T, ranks, shared: bool, sketch: list | None = None):
     """The sketch run of :func:`hosvd_init` as ``(start, p, sweeps, lift)``.
 
     ``start``, ``p`` and ``sweeps`` are the run's start, oversampled ranks
@@ -293,7 +293,7 @@ def _sketch(T, ranks, shared: bool, sketch: list | None):
 
 
 def hosvd_init(
-    T, ranks: tuple[int, int, int], shared: bool = False, *, sketch: list | None = None
+    T, ranks: tuple[int, int, int], shared: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sketched truncated-HOSVD starting factors.
 
@@ -315,16 +315,11 @@ def hosvd_init(
     With ``shared`` (a (1,2)-symmetric operator and r1 == r2) the sketch
     sweeps keep V = U, as the shared-factor solver does, and the mode-1
     factor is returned as V too; the sketch then never makes a modes-(1,3)
-    contraction, so it never multiplies by the transposed slices.
-
-    ``sketch`` recycles the range finder across a sequence of nearby
-    operators, such as the residuals of an expansion.  It is a list that
-    this call leaves holding its final bases (U, V, W); when it already
-    holds bases of the shapes (d_i, p_i), the sketch makes one sweep from
-    them instead of two from the random draw.  Without it (the default)
-    every call draws afresh.
+    contraction, so it never multiplies by the transposed slices.  Every
+    call draws afresh; a sequence of solves recycles the range finder
+    through :func:`hooi_symmetric`'s ``sketch``.
     """
-    start, p, sweeps, lift = _sketch(T, ranks, shared, sketch)
+    start, p, sweeps, lift = _sketch(T, ranks, shared)
     return lift(_lockstep(T, [_run(T, start, p, sweeps, SolverConfig().rel_tol, shared)])[0])
 
 
@@ -449,8 +444,14 @@ def hooi_symmetric(
     run is (1,2)-symmetric.  For ranks (2, 2, 1) the rotational freedom of
     the shared factor is fixed deterministically from the
     eigendecomposition of the 2x2 core slice.  The problem is checked in
-    :func:`_sketch`.  ``sketch`` recycles the start's range finder, as in
-    :func:`hosvd_init`.
+    :func:`_sketch`.
+
+    ``sketch`` recycles the start's range finder across a sequence of
+    nearby operators, such as the residuals of an expansion.  It is a list
+    that the solve leaves holding its sketch's final bases (U, V, W); when
+    it already holds bases of the shapes (d_i, p_i), the sketch makes one
+    sweep from them instead of two from the random draw.  Without it (the
+    default) every solve draws afresh.
     """
     best = _solve(T, ranks, cfg or SolverConfig(), shared=True, sketch=sketch)
     if tuple(ranks) == (2, 2, 1):

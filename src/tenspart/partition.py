@@ -32,6 +32,9 @@ __all__ = [
     "save_partition_report",
 ]
 
+# labels ranked at each end of mode 1, and in its middle sample
+_TOP_K = 25
+
 
 @dataclass
 class PartitionReport:
@@ -192,7 +195,6 @@ def partition_report(
     approx: RankApproximation,
     labels: LabelTable | None = None,
     corner_width: int | None = None,
-    top_k: int = 25,
 ) -> PartitionReport:
     """Report how the approximation factors reorder and split the tensor.
 
@@ -201,8 +203,9 @@ def partition_report(
     is flagged ``symmetric``.  ``corner_width`` defaults to 10% of the
     smaller mode-1/2 extent; it must be positive, and a width of at least
     half that extent skips the corner table.  ``labels``, when given, must
-    hold one label per mode-1 index, and ``top_k`` must be at least 1;
-    both are checked before any work.
+    hold one label per mode-1 index (checked before any work); the report
+    then ranks the first, middle and last ``_TOP_K`` = 25 of them, or all
+    when mode 1 is shorter (see :func:`significance_ranking`).
 
     No reordered tensor is built.  The corner table and the total norm are
     read off T's own entries: every entry's block is looked up through the
@@ -216,8 +219,6 @@ def partition_report(
     if approx.U.shape[0] != l or approx.V.shape[0] != m or approx.W.shape[0] != n:
         raise ValueError("approximation factors do not match tensor dims")
     _check_labels(labels, l)
-    if top_k < 1:
-        raise ValueError(f"top_k must be >= 1, got {top_k}")
     p1, u1, u2 = monotone_reorder(approx.U)
     p2, _, v2 = monotone_reorder(approx.V)
     if approx.W.shape[1] >= 2:
@@ -246,7 +247,7 @@ def partition_report(
     top_terms = None
     if labels is not None:
         reord_labels = LabelTable(tuple(labels[int(t)] for t in p1))
-        top_terms = significance_ranking(u1, u2, reord_labels, min(top_k, l))
+        top_terms = significance_ranking(u1, u2, reord_labels, min(_TOP_K, l))
 
     return PartitionReport(
         mode1_perm=p1,
@@ -268,7 +269,6 @@ def partition_tensor(
     approx: RankApproximation,
     labels: LabelTable | None = None,
     corner_width: int | None = None,
-    top_k: int = 25,
 ):
     """(:func:`partition_report`, T reordered by the report's permutations).
 
@@ -277,7 +277,7 @@ def partition_tensor(
     are freed before the reordering (:func:`permute_modes`), which peaks
     at about 33 bytes per entry with the reordered tensor included.
     """
-    report = partition_report(T, approx, labels, corner_width, top_k)
+    report = partition_report(T, approx, labels, corner_width)
     return report, permute_modes(T, report.mode1_perm, report.mode2_perm, report.mode3_perm)
 
 
@@ -291,13 +291,14 @@ def restrict_and_recurse(
     labels: LabelTable | None = None,
     symmetric: bool = False,
     corner_width: int | None = None,
-):
-    """Re-run the approximation and partition on the subtensor T[I, J, K].
+) -> PartitionReport:
+    """Re-run the approximation on the subtensor T[I, J, K] and report its partition.
 
     Labels, when given, must hold one label per mode-1 index of T (checked
     before any work) and are carried through to the restricted mode-1 index
-    set, and ``corner_width`` is passed to :func:`partition_tensor`.
-    Raises when the restriction has no support.
+    set, and ``corner_width`` is passed to :func:`partition_report`; no
+    reordered subtensor is built.  Raises when the restriction has no
+    support.
     """
     _check_labels(labels, T.dims[0])
     sub = subtensor(T, I, J, K)
@@ -307,7 +308,7 @@ def restrict_and_recurse(
     sub_labels = None
     if labels is not None:
         sub_labels = LabelTable(tuple(labels[int(t)] for t in np.asarray(I, dtype=int)))
-    return partition_tensor(sub, approx, labels=sub_labels, corner_width=corner_width)
+    return partition_report(sub, approx, labels=sub_labels, corner_width=corner_width)
 
 
 # ---------------------------------------------------------------------------

@@ -78,8 +78,8 @@ class LabelTable:
         return self.labels[index]
 
     @classmethod
-    def default(cls, extent: int, prefix: str = "idx") -> "LabelTable":
-        return cls(tuple(f"{prefix}{i}" for i in range(extent)))
+    def default(cls, extent: int) -> "LabelTable":
+        return cls(tuple(f"idx{i}" for i in range(extent)))
 
 
 @dataclass

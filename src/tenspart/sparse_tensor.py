@@ -68,7 +68,7 @@ from __future__ import annotations
 
 import math
 import os
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -80,8 +80,6 @@ __all__ = [
     "inner",
     "frobenius_norm",
     "is_12_symmetric",
-    "symmetric_embed",
-    "permute_mode",
     "permute_modes",
     "subtensor",
 ]
@@ -459,14 +457,6 @@ class SparseTensor3(_Contractions):
     # -- construction helpers -------------------------------------------------
 
     @classmethod
-    def from_entries(cls, dims, entries: Iterable[tuple[int, int, int, float]]) -> "SparseTensor3":
-        ent = list(entries)
-        if not ent:
-            return cls(dims)
-        i, j, k, v = zip(*ent)
-        return cls(dims, i, j, k, v)
-
-    @classmethod
     def from_dense(cls, array: np.ndarray) -> "SparseTensor3":
         """The tensor of the nonzero cells of a dense 3-array; NaN and inf are refused."""
         array = np.asarray(array, dtype=float)
@@ -480,10 +470,6 @@ class SparseTensor3(_Contractions):
     @property
     def nnz(self) -> int:
         return self.vals.size
-
-    def entries(self):
-        """Iterate (i, j, k, value) in canonical order."""
-        return zip(self.i.tolist(), self.j.tolist(), self.k.tolist(), self.vals.tolist())
 
     def to_dense(self) -> np.ndarray:
         _check_size("a dense tensor", math.prod(self.dims))
@@ -507,22 +493,6 @@ class SparseTensor3(_Contractions):
 
     def __repr__(self) -> str:
         return f"SparseTensor3(dims={self.dims}, nnz={self.nnz})"
-
-    # -- slice access ---------------------------------------------------------
-
-    def slice_runs(self):
-        """Yield (k, slice-of-entry-range) for each nonempty 3-slice.
-
-        Relies on the canonical (k, i, j) order: each 3-slice is one
-        contiguous run of the entry arrays.
-        """
-        if self.nnz == 0:
-            return
-        bounds = np.flatnonzero(np.diff(self.k)) + 1
-        starts = np.concatenate(([0], bounds))
-        stops = np.concatenate((bounds, [self.nnz]))
-        for s, t in zip(starts, stops):
-            yield int(self.k[s]), slice(int(s), int(t))
 
     # -- the contraction kernel -----------------------------------------------
 
@@ -742,20 +712,6 @@ def _require_12_symmetric(T: SparseTensor3, message: str) -> None:
         raise ValueError(message)
 
 
-def symmetric_embed(T: SparseTensor3) -> SparseTensor3:
-    """Embed T into the (1,2)-symmetric block tensor [[0, T], [T', 0]].
-
-    The 3-slices of T' are the transposes of the corresponding slices of T.
-    A tensor of dims (l, m, n) becomes (l+m, l+m, n).
-    """
-    l, m, n = T.dims
-    i = np.concatenate((T.i, T.j + l))
-    j = np.concatenate((T.j + l, T.i))
-    k = np.concatenate((T.k, T.k))
-    v = np.concatenate((T.vals, T.vals))
-    return SparseTensor3((l + m, l + m, n), i, j, k, v)
-
-
 def _check_permutation(perm: Sequence[int], extent: int) -> np.ndarray:
     perm = np.asarray(perm, dtype=np.int64).ravel()
     if perm.size != extent or not np.array_equal(np.sort(perm), np.arange(extent)):
@@ -763,24 +719,15 @@ def _check_permutation(perm: Sequence[int], extent: int) -> np.ndarray:
     return perm
 
 
-def permute_mode(T: SparseTensor3, perm: Sequence[int], mode: int) -> SparseTensor3:
-    """Reorder one mode of the tensor: result[..., p, ...] = T[..., perm[p], ...].
-
-    ``perm`` uses the gather convention also produced by ``argsort``, so
-    applying the permutation returned by monotone reordering moves the
-    corresponding rows/columns/slices of the tensor in lockstep with the
-    reordered factor columns.
-    """
-    perms = [np.arange(d) for d in T.dims]
-    perms[mode - 1] = perm
-    return permute_modes(T, *perms)
-
-
 def permute_modes(
     T: SparseTensor3, perm1: Sequence[int], perm2: Sequence[int], perm3: Sequence[int]
 ) -> SparseTensor3:
-    """Reorder all three modes at once, each as in :func:`permute_mode`.
+    """Reorder all three modes: result[p, q, r] = T[perm1[p], perm2[q], perm3[r]].
 
+    Each ``perm`` uses the gather convention also produced by ``argsort``,
+    so applying the permutations returned by monotone reordering moves the
+    rows, columns and slices of the tensor in lockstep with the reordered
+    factor columns; an identity permutation leaves its mode as it is.
     Equals chained single-mode permutations; the entries are sorted into
     canonical order once.  The new codes come from the inverse permutations
     in one buffer that is sorted in place; only the values are gathered,

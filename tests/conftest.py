@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tenspart import SparseTensor3, symmetric_embed
+from tenspart import SparseTensor3
 
 
 def random_sparse(rng, dims, density=0.3):
@@ -46,7 +46,19 @@ def planted_bipartite(m1, m2, n, tau, w, seed):
     v /= np.linalg.norm(v)
     w = np.asarray(w, dtype=float)
     C = SparseTensor3.from_dense(tau * np.einsum("i,j,k->ijk", u, v, w))
-    return symmetric_embed(C), u, v, w
+    return bipartite_embed(C), u, v, w
+
+
+def bipartite_embed(C):
+    """The (1,2)-symmetric block tensor [[0, C], [C', 0]] of dims (l+m, l+m, n)."""
+    l, m, n = C.dims
+    return SparseTensor3(
+        (l + m, l + m, n),
+        np.concatenate((C.i, C.j + l)),
+        np.concatenate((C.j + l, C.i)),
+        np.concatenate((C.k, C.k)),
+        np.concatenate((C.vals, C.vals)),
+    )
 
 
 @pytest.fixture

@@ -361,6 +361,30 @@ class TestPartition:
         assert rc == EXIT_OK
         assert (out / "partition_nested_report.json").exists()
 
+    def test_recurse_builds_no_reordered_tensor(self, tmp_path, monkeypatch):
+        # the nested run writes its report only, as a top-level run of the
+        # subtensor does, and its files are that run's, byte for byte
+        src = tmp_path / "in.tns"
+        T = write_symmetric_tensor(src, l=12)
+        labels = tmp_path / "labels.txt"
+        labels.write_text("".join(f"node{t}\n" for t in range(12)), encoding="utf-8")
+        I = [0, 1, 2, 3, 6, 7]
+        sets = tmp_path / "sets.json"
+        sets.write_text(json.dumps({"I": I, "J": I}))
+        monkeypatch.setattr(tenspart.partition, "permute_modes", lambda *a: pytest.fail("reordered"))
+        common = ["--rank", "2", "2", "1", "--symmetric", "--labels"]
+        argv = ["partition", str(src), *common, str(labels), "--recurse", str(sets),
+                "--out", str(tmp_path / "nested")]
+        assert main(argv) == EXIT_OK
+        save_coordinate_file(tenspart.subtensor(T, I, I, range(3)), tmp_path / "sub.tns")
+        (tmp_path / "sub_labels.txt").write_text("".join(f"node{t}\n" for t in I), encoding="utf-8")
+        argv = ["partition", str(tmp_path / "sub.tns"), *common, str(tmp_path / "sub_labels.txt"),
+                "--out", str(tmp_path / "top")]
+        assert main(argv) == EXIT_OK
+        for part in ("report.json", "perm_mode1.txt", "perm_mode2.txt", "perm_mode3.txt", "tables.txt"):
+            nested = (tmp_path / "nested" / f"partition_nested_{part}").read_bytes()
+            assert nested == (tmp_path / "top" / f"partition_{part}").read_bytes(), part
+
     @pytest.mark.parametrize(
         "content, message",
         [('{"I": [0, 1, 2]}', "missing index set J"), ("[[0, 1], [0, 1]]", "expected a JSON object")],

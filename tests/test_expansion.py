@@ -21,7 +21,6 @@ from tenspart import (
     overlap_cosines,
     rank221_term,
     subgraph_export,
-    symmetric_embed,
     threshold_B,
 )
 from tenspart import expansion
@@ -134,7 +133,6 @@ class TestBipartitePlantedTerm:
         assert t.structured
         l1, l2 = t.eigenvalues
         assert l1 * l2 < 0
-        assert t.lambda_sum_ratio <= 0.05
 
     @pytest.mark.parametrize("s", [531, -545])
     def test_structure_flag_at_any_scale(self, s):
@@ -143,7 +141,6 @@ class TestBipartitePlantedTerm:
         T, _, _, _ = planted_bipartite(4, 5, 2, tau=2.0, w=w, seed=11)
         terms, _ = expand(pow2_scaled(T, s), 1, theta=0.0, mode="absolute", cfg=TIGHT)
         assert terms[0].structured
-        assert terms[0].lambda_sum_ratio <= 0.05
 
     def test_unstructured_positive_blocks(self):
         # two same-sign diagonal blocks: eigenvalues both positive
@@ -782,7 +779,7 @@ class TestSubgraphExport:
         for m, density, symmetric in ((20, 0.0, True), (20, 0.1, False), (20, 1.0, False), (7, 0.4, True)):
             B = sp.random(m, m, density=density, random_state=rng, format="csr")
             term = dataclasses.replace(terms[0], B_hat=(B + B.T).tocsr() if symmetric else B)
-            labels = LabelTable.default(m, prefix="v")
+            labels = LabelTable(tuple(f"v{t}" for t in range(m)))
             got = subgraph_export(term, labels)
             assert got == oracle(term, labels)
             assert all(type(v) is float for _, _, v in got[0])

@@ -217,8 +217,8 @@ class TestHosvdInit:
             assert subspace_distance(Q, (vec / np.linalg.norm(vec))[:, None]) <= 1e-12
 
     def test_full_rank_diagonal(self):
-        entries = [(t, t, t, float(t + 1)) for t in range(3)]
-        T = SparseTensor3.from_entries((3, 3, 3), entries)
+        t = np.arange(3)
+        T = SparseTensor3((3, 3, 3), t, t, t, t + 1.0)
         U, V, W = hosvd_init(T, (3, 3, 3))
         obj = frobenius_norm(multi_multiply(T, U, V, W))
         assert obj == pytest.approx(frobenius_norm(T), rel=1e-12)
@@ -306,19 +306,22 @@ class TestHosvdInit:
 
     def test_sketch_recycles_only_bases_of_its_shapes(self, rng):
         T = random_symmetric(rng, 12, 5, density=0.5)
-        same = lambda a, b: all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
+
+        def same(a, b):
+            return all(getattr(a, f).tobytes() == getattr(b, f).tobytes() for f in ("U", "V", "W", "core"))
+
         sketch = []
-        # an empty list draws afresh, as a call without one does, and keeps the bases
-        assert same(hosvd_init(T, (2, 2, 1), shared=True, sketch=sketch), hosvd_init(T, (2, 2, 1), shared=True))
+        # an empty list draws afresh, as a solve without one does, and keeps the bases
+        assert same(hooi_symmetric(T, (2, 2, 1), sketch=sketch), hooi_symmetric(T, (2, 2, 1)))
         assert [b.shape for b in sketch[0]] == [(12, 10), (12, 10), (5, 5)]
         first = sketch[0]
         # bases of other shapes (p = 11/11/5 here) are not read
-        assert same(hosvd_init(T, (3, 3, 1), shared=True, sketch=sketch), hosvd_init(T, (3, 3, 1), shared=True))
+        assert same(hooi_symmetric(T, (3, 3, 1), sketch=sketch), hooi_symmetric(T, (3, 3, 1)))
         assert [b.shape for b in sketch[0]] == [(12, 11), (12, 11), (5, 5)]
-        # one sweep from matching bases: a start of the requested shape
+        # one sweep from matching bases: a solve of the requested shape
         sketch[:] = [first]
-        U, V, W = hosvd_init(T, (2, 2, 1), shared=True, sketch=sketch)
-        assert V is U and U.shape == (12, 2) and W.shape == (5, 1)
+        ap = hooi_symmetric(T, (2, 2, 1), sketch=sketch)
+        assert ap.V is ap.U and ap.U.shape == (12, 2) and ap.W.shape == (5, 1)
         assert sketch[0][0] is not first[0]
 
 

@@ -261,9 +261,9 @@ class TestPartitionTensor:
         T, _ = two_block_tensor((6, 6), 2, seed=1)
         labels = LabelTable(tuple(f"node{t}" for t in range(12)))
         ap = hooi_symmetric(T, (2, 2, 1), TIGHT)
-        report, _ = partition_tensor(T, ap, labels=labels, top_k=3)
+        report, _ = partition_tensor(T, ap, labels=labels)
         assert set(report.top_terms) == {"head", "middle", "tail"}
-        assert len(report.top_terms["head"]) == 3
+        assert len(report.top_terms["head"]) == 12  # all of them, under the 25 ranked
 
     @pytest.mark.parametrize("count", [17, 9, 0])
     def test_labels_of_another_length_refused(self, no_work, count):
@@ -273,14 +273,6 @@ class TestPartitionTensor:
         labels = LabelTable(tuple(f"node{t}" for t in range(count)))
         with pytest.raises(ValueError, match=f"^{count} labels for a mode-1 extent of 12$"):
             partition_tensor(T, ap, labels=labels)
-
-    @pytest.mark.parametrize("top_k", [0, -2])
-    def test_top_k_below_one_refused(self, no_work, top_k):
-        # a top_k below 1 gave empty head, middle and tail lists
-        T, _ = two_block_tensor((6, 6), 2, seed=1)
-        ap = hooi_symmetric(T, (2, 2, 1), TIGHT)
-        with pytest.raises(ValueError, match=f"^top_k must be >= 1, got {top_k}$"):
-            partition_tensor(T, ap, labels=LabelTable.default(12), top_k=top_k)
 
     @staticmethod
     def random_approx(rng, dims, symmetric=False):
@@ -338,9 +330,9 @@ class TestPartitionTensor:
         T, _ = two_block_tensor((7, 5), 3, seed=2, noise=0.05)
         ap = hooi_symmetric(T, (2, 2, 1), TIGHT) if symmetric else hooi(T, (2, 2, 2), TIGHT)
         labels = LabelTable.default(12)
-        want, _ = partition_tensor(T, ap, labels=labels, corner_width=2, top_k=4)
+        want, _ = partition_tensor(T, ap, labels=labels, corner_width=2)
         monkeypatch.setattr(partition, "permute_modes", lambda *a: pytest.fail("reordered"))
-        got = partition.partition_report(T, ap, labels=labels, corner_width=2, top_k=4)
+        got = partition.partition_report(T, ap, labels=labels, corner_width=2)
         assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
         for name in ("mode1_perm", "mode2_perm", "mode3_perm", "block_norm_table", "insignificance_scores"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
@@ -398,9 +390,7 @@ class TestRestrictAndRecurse:
         assert set(first.tolist()) == set(range(10))
 
         I = first
-        sub_report, _ = restrict_and_recurse(
-            T, I, I, [0, 1], (2, 2, 1), TIGHT, symmetric=True
-        )
+        sub_report = restrict_and_recurse(T, I, I, [0, 1], (2, 2, 1), TIGHT, symmetric=True)
         s2 = sub_report.split_points[1]
         inner = {int(I[t]) for t in sub_report.mode1_perm[:s2]}
         assert inner in ({0, 1, 2, 3, 4, 5}, {6, 7, 8, 9})
@@ -410,12 +400,12 @@ class TestRestrictAndRecurse:
         T, _ = two_block_tensor((8, 6), 3, seed=2, noise=0.05)
         labels = LabelTable(tuple(f"v{t}" for t in range(14)))
         I = np.array([0, 2, 3, 5, 7, 9, 10, 12])
-        got, _ = restrict_and_recurse(T, I, I, [0, 1, 2], (2, 2, 1), TIGHT, labels=labels, symmetric=True)
+        got = restrict_and_recurse(T, I, I, [0, 1, 2], (2, 2, 1), TIGHT, labels=labels, symmetric=True)
         sub = subtensor(T, I, I, [0, 1, 2])
-        want, _ = partition_tensor(
+        want = partition.partition_report(
             sub, hooi_symmetric(sub, (2, 2, 1), TIGHT), labels=LabelTable(tuple(f"v{t}" for t in I))
         )
-        assert got.top_terms == want.top_terms
+        assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
         named = {name for column in got.top_terms.values() for name, _ in column}
         assert named and named <= {f"v{t}" for t in I}
 
@@ -428,7 +418,7 @@ class TestRestrictAndRecurse:
             restrict_and_recurse(T, [0, 2, 3], [0, 2, 3], [0, 1], (2, 2, 1), TIGHT, labels=labels, symmetric=True)
 
     def test_empty_restriction_rejected(self):
-        T = SparseTensor3.from_entries((6, 6, 2), [(0, 0, 0, 1.0), (1, 1, 1, 2.0)])
+        T = SparseTensor3((6, 6, 2), [0, 1], [0, 1], [0, 1], [1.0, 2.0])
         with pytest.raises(ValueError):
             restrict_and_recurse(T, [2, 3], [4, 5], [0, 1], (1, 1, 1))
 
@@ -438,7 +428,7 @@ class TestSavePartitionReport:
         T, _ = two_block_tensor((6, 6), 2, seed=2)
         labels = LabelTable.default(12)
         ap = hooi_symmetric(T, (2, 2, 1), TIGHT)
-        report, _ = partition_tensor(T, ap, labels=labels, top_k=3)
+        report, _ = partition_tensor(T, ap, labels=labels)
         save_partition_report(report, tmp_path)
         data = json.loads((tmp_path / "partition_report.json").read_text())
         assert data["split_points"]["1"] == report.split_points[1]

@@ -19,7 +19,6 @@ from tenspart import (
     normalize_slices_adjacency,
     normalize_slices_frobenius,
     save_coordinate_file,
-    symmetric_embed,
 )
 from tenspart import preprocess, sparse_tensor
 from tenspart.preprocess import (
@@ -31,7 +30,7 @@ from tenspart.preprocess import (
 )
 from tenspart.sparse_tensor import TensorShapeError
 
-from conftest import BEYOND_SQUARE_RANGE, pow2_scaled, random_sparse, random_symmetric
+from conftest import BEYOND_SQUARE_RANGE, bipartite_embed, pow2_scaled, random_sparse, random_symmetric
 
 
 def log_of(records):
@@ -43,7 +42,7 @@ def _save_coordinate_lines(T, path):
     """One f-string per entry; the byte-for-byte reference of save_coordinate_file."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"dims {T.dims[0]} {T.dims[1]} {T.dims[2]}\n")
-        for i, j, k, v in T.entries():
+        for i, j, k, v in zip(T.i.tolist(), T.j.tolist(), T.k.tolist(), T.vals.tolist()):
             fh.write(f"{i + 1} {j + 1} {k + 1} {v!r}\n")
 
 
@@ -437,6 +436,12 @@ class TestAdjacencyNormalization:
             normalize_slices_adjacency(T)
 
 
+def slice_runs(T):
+    """The entry range of each nonempty 3-slice: one run each, in canonical order."""
+    bounds = np.flatnonzero(np.diff(T.k)) + 1
+    return [slice(s, t) for s, t in zip([0, *bounds.tolist()], [*bounds.tolist(), T.nnz]) if s < t]
+
+
 class TestFrobeniusNormalization:
     def test_single_entry(self):
         T = SparseTensor3((2, 2, 1), [0], [1], [0], [5.0])
@@ -451,7 +456,7 @@ class TestFrobeniusNormalization:
     def test_all_slices_unit(self, rng):
         T = random_sparse(rng, (6, 6, 5), density=0.6)
         N = normalize_slices_frobenius(T)
-        for kk, run in N.slice_runs():
+        for run in slice_runs(N):
             assert abs(np.sqrt((N.vals[run] ** 2).sum()) - 1.0) <= 1e-14
 
 
@@ -459,7 +464,7 @@ def degree_normalize_oracle(T):
     """Per-slice np.add.at degrees, as the normalization was first written."""
     l, m, _ = T.dims
     vals = T.vals.copy()
-    for _, run in T.slice_runs():
+    for run in slice_runs(T):
         dr, dc = np.zeros(l), np.zeros(m)
         np.add.at(dr, T.i[run], T.vals[run])
         np.add.at(dc, T.j[run], T.vals[run])
@@ -489,7 +494,7 @@ class TestNormalizationParity:
         for _ in range(10):
             T = random_sparse(rng, (7, 5, 6), density=0.3)
             vals = T.vals.copy()
-            for _, run in T.slice_runs():
+            for run in slice_runs(T):
                 vals[run] = T.vals[run] / math.sqrt(math.fsum(T.vals[run] * T.vals[run]))
             N = normalize_slices_frobenius(T)
             assert np.array_equal(N.vals, vals) and np.shares_memory(N.j, T.j)
@@ -499,7 +504,7 @@ class TestNormalizationParity:
         T = random_sparse(rng, (4, 3, 400), density=0.2)
         T = SparseTensor3(T.dims, T.i, T.j, T.k, T.vals * 2.0 ** rng.integers(-500, 500, T.nnz))
         vals = T.vals.copy()
-        for _, run in T.slice_runs():
+        for run in slice_runs(T):
             vals[run] = T.vals[run] / math.sqrt(math.fsum(T.vals[run] * T.vals[run]))
         assert np.bincount(T.k, minlength=400).min() == 0
         N = normalize_slices_frobenius(T)  # the empty slices stay empty
@@ -560,7 +565,7 @@ class TestNonsymmetricNormalization:
         dense[rng.random((5, 7, 2)) > 0.5] = 0.0
         T = SparseTensor3.from_dense(dense)
         N = nonsymmetric_normalize(T)
-        emb = normalize_slices_adjacency(symmetric_embed(T))
+        emb = normalize_slices_adjacency(bipartite_embed(T))
         block = emb.to_dense()[:5, 5:, :]
         assert np.abs(N.to_dense() - block).max() <= 1e-13
 
@@ -589,7 +594,7 @@ class TestBinAndSymmetrize:
             a, b = lookup[s], lookup[d]
             expected.add((a, b, pos // 3))
             expected.add((b, a, pos // 3))
-        got = {(int(i), int(j), int(k)) for i, j, k, _ in T.entries()}
+        got = set(zip(T.i.tolist(), T.j.tolist(), T.k.tolist()))
         assert got == expected
 
     def test_symmetric_binary_output(self, rng):

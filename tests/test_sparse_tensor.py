@@ -15,10 +15,8 @@ from tenspart import (
     is_12_symmetric,
     mode_multiply,
     multi_multiply,
-    permute_mode,
     permute_modes,
     subtensor,
-    symmetric_embed,
 )
 from tenspart import lowrank, sparse_tensor
 from tenspart.expansion import DeflatedOperator, threshold_B
@@ -163,7 +161,7 @@ class TestConstruction:
         T = random_sparse(rng, (4, 3, 5))
         with pytest.raises(ValueError):
             getattr(T, name)[0] = 1
-        P = permute_mode(T, np.arange(3)[::-1], 2)  # built by the trusted constructor
+        P = permute_one(T, np.arange(3)[::-1], 2)  # built by the trusted constructor
         with pytest.raises(ValueError):
             getattr(P, name)[0] = 1
 
@@ -1093,59 +1091,45 @@ class TestSymmetry:
         assert peak <= 12 * T.nnz
 
 
-class TestSymmetricEmbed:
-    def test_scalar_case(self):
-        T = SparseTensor3((1, 1, 1), [0], [0], [0], [4.5])
-        E = symmetric_embed(T)
-        assert E.dims == (2, 2, 1)
-        assert np.allclose(E.to_dense()[:, :, 0], [[0, 4.5], [4.5, 0]])
-
-    def test_empty(self):
-        E = symmetric_embed(SparseTensor3((3, 4, 2)))
-        assert E.dims == (7, 7, 2) and E.nnz == 0
-
-    def test_structure_and_norm(self, rng):
-        T = random_sparse(rng, (3, 4, 2), density=0.7)
-        E = symmetric_embed(T)
-        assert is_12_symmetric(E)
-        assert abs(frobenius_norm(E) - math.sqrt(2) * frobenius_norm(T)) <= 1e-13
-        d = E.to_dense()
-        assert np.array_equal(d[:3, 3:, :], T.to_dense())
-        assert np.all(d[:3, :3, :] == 0) and np.all(d[3:, 3:, :] == 0)
+def permute_one(T, perm, mode):
+    """``permute_modes`` of one mode, the identity on the other two."""
+    perms = [np.arange(d) for d in T.dims]
+    perms[mode - 1] = perm
+    return permute_modes(T, *perms)
 
 
 class TestPermute:
     def test_identity(self, rng):
         T = random_sparse(rng, (4, 3, 2))
-        assert permute_mode(T, np.arange(3), 2) == T
+        assert permute_modes(T, np.arange(4), np.arange(3), np.arange(2)) == T
 
     def test_inverse_roundtrip(self, rng):
         T = random_sparse(rng, (4, 5, 3))
         perm = rng.permutation(5)
         inv = np.argsort(perm)
-        assert permute_mode(permute_mode(T, perm, 2), inv, 2) == T
+        assert permute_one(permute_one(T, perm, 2), inv, 2) == T
 
     def test_elementwise_oracle(self, rng):
         T = random_sparse(rng, (4, 5, 3), density=0.5)
         perm = rng.permutation(5)
-        P = permute_mode(T, perm, 2)
+        P = permute_one(T, perm, 2)
         assert np.array_equal(P.to_dense(), T.to_dense()[:, perm, :])
 
     def test_norm_preserved_exactly(self, rng):
         T = random_sparse(rng, (6, 6, 4))
         perm = rng.permutation(6)
-        assert frobenius_norm(permute_mode(T, perm, 1)) == frobenius_norm(T)
+        assert frobenius_norm(permute_one(T, perm, 1)) == frobenius_norm(T)
 
     def test_non_bijection_rejected(self, rng):
         T = random_sparse(rng, (4, 3, 2))
         with pytest.raises(ValueError):
-            permute_mode(T, [0, 0, 1], 2)
+            permute_one(T, [0, 0, 1], 2)
 
     def test_three_modes_equal_chained(self, rng):
         for dims in ((4, 5, 3), (7, 7, 1), (1, 6, 5)):
             T = random_sparse(rng, dims, density=0.5)
             p1, p2, p3 = (rng.permutation(d) for d in dims)
-            chained = permute_mode(permute_mode(permute_mode(T, p1, 1), p2, 2), p3, 3)
+            chained = permute_one(permute_one(permute_one(T, p1, 1), p2, 2), p3, 3)
             P = permute_modes(T, p1, p2, p3)
             assert P == chained and P.dims == chained.dims
             assert np.array_equal(P.to_dense(), T.to_dense()[p1][:, p2][:, :, p3])
