@@ -89,6 +89,7 @@ def cmd_ingest(args) -> int:
         T, labels = preprocess.bin_and_symmetrize(
             log, args.bin_size, restrict_bidirectional=args.bidirectional_only
         )
+        del log  # about 17 bytes per record, not needed by the writers
     if labels is not None:  # first: a label that cannot be written leaves no tensor behind
         preprocess.save_labels(labels, args.out / "labels.txt")
     preprocess.save_coordinate_file(T, args.out / "tensor.tns")

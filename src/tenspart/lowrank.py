@@ -18,7 +18,10 @@ start's sketch is a run of the first batch too, and it hands over to
 restart 0 by ``yield from`` once its result is lifted to restart 0's
 start.  A sequence of solves on nearby operators (the terms of an
 expansion) can recycle the start's range finder: each sketch then makes
-one sweep from the last one's bases.
+one sweep from the last one's bases.  A solve or start on a sparse tensor
+drops the slice stacks it built for its products when it returns or
+raises, and keeps those the tensor held before (:func:`_stacks_kept`), so
+nothing the size of the tensor's entries outlives the call.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -106,7 +110,7 @@ def _fix_column_signs(Q: np.ndarray) -> np.ndarray:
     return Q * _column_signs(Q)
 
 
-def _leading(M: np.ndarray, r: int) -> tuple[np.ndarray, bool]:
+def _leading(M: np.ndarray, r: int, overwrite: bool = False) -> tuple[np.ndarray, bool]:
     """Basis of the r leading left singular directions of M, and whether rank(M) < r.
 
     The basis has orthonormal columns, ordered by singular value and
@@ -122,6 +126,8 @@ def _leading(M: np.ndarray, r: int) -> tuple[np.ndarray, bool]:
     square M: the basis is the top-r eigenvectors of MMᵀ.  The singular
     values are the column norms of M V (or Mᵀ U), accurate to about
     eps·||M|| in absolute terms, which is the scale of the rank test.
+    With ``overwrite`` a float M is scaled in place, for a caller that does
+    not read it again: one array of its size fewer, and the same bits.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
@@ -130,7 +136,7 @@ def _leading(M: np.ndarray, r: int) -> tuple[np.ndarray, bool]:
         raise ValueError("M contains non-finite values")
     if not 1 <= r <= min(M.shape):
         raise ValueError(f"r={r} out of range for shape {M.shape}")
-    M = np.ldexp(M, -_exponent(M))
+    M = np.ldexp(M, -_exponent(M), out=M if overwrite else None)
     if M.shape[0] > M.shape[1]:
         Y = M @ np.linalg.eigh(M.T @ M)[1][:, ::-1][:, :r]
         s = np.linalg.norm(Y, axis=0)
@@ -169,14 +175,16 @@ def _run(T, start, ranks, max_iters: int, rel_tol: float, shared: bool):
     updated from the mode-1 contraction (equal to the mode-2 one on a
     (1,2)-symmetric operator), so the start's V is not read.  Each product
     and its reduction are dropped before the next request, so at most one
-    product is alive and a run waiting on one holds no contraction.
+    product is alive and a run waiting on one holds no contraction.  The U
+    and V updates hand their contraction to :func:`_leading` to scale in
+    place; the W update reads its C12 again for the core, so it does not.
     """
     U, V, W = start
     ap = RankApproximation(U, U if shared else V, W, None, converged=False)
     P, cols = yield ap.V, False
     while True:
         C = T.reduce_half(P, 1, ap.W, cols)  # contract_modes23(V, W): (l, r2, r3)
-        ap.U, low = _leading(C.reshape(C.shape[0], -1), ranks[0])
+        ap.U, low = _leading(C.reshape(C.shape[0], -1), ranks[0], overwrite=True)
         ap.rank_deficient |= low
         P = C = None
         if shared:
@@ -184,7 +192,7 @@ def _run(T, start, ranks, max_iters: int, rel_tol: float, shared: bool):
         else:
             Q, cols = yield ap.U, True
             C = T.reduce_half(Q, 1, ap.W, cols)  # contract_modes13(U, W): (m, r1, r3)
-            ap.V, low = _leading(C.reshape(C.shape[0], -1), ranks[1])
+            ap.V, low = _leading(C.reshape(C.shape[0], -1), ranks[1], overwrite=True)
             ap.rank_deficient |= low
             Q = C = None
         P, cols = yield ap.V, False
@@ -252,6 +260,28 @@ def _check_ranks(ranks, dims) -> None:
             )
 
 
+@contextmanager
+def _stacks_kept(T):
+    """Leave a sparse ``T``'s slice stacks as they were on entry, on return or raise.
+
+    The stacks a solve or start builds for its own products repeat the
+    tensor's entries: the canonical stack's int32 copy of j and its row
+    pointers, and the transposed products' 4-byte column index.  They are
+    dropped when it ends, so the caller's later passes (a reordering, say)
+    find that memory free.  A stack ``T`` held on entry stays: one built by
+    an earlier symmetry check, or shared by a value-only map from the
+    tensor it normalized.  A second solve on the same tensor builds them
+    again.  An implicit operator's stacks are its builder's to keep.
+    """
+    held = set(T._stacks) if isinstance(T, SparseTensor3) else None
+    try:
+        yield
+    finally:
+        if held is not None:
+            for key in T._stacks.keys() - held:
+                del T._stacks[key]
+
+
 def _sketch(T, ranks, shared: bool, sketch: list | None = None):
     """The sketch run of :func:`hosvd_init` as ``(start, p, sweeps, lift)``.
 
@@ -317,10 +347,13 @@ def hosvd_init(
     factor is returned as V too; the sketch then never makes a modes-(1,3)
     contraction, so it never multiplies by the transposed slices.  Every
     call draws afresh; a sequence of solves recycles the range finder
-    through :func:`hooi_symmetric`'s ``sketch``.
+    through :func:`hooi_symmetric`'s ``sketch``.  The slice stacks the
+    sketch builds on a sparse ``T`` are dropped when it returns or raises
+    (:func:`_stacks_kept`).
     """
-    start, p, sweeps, lift = _sketch(T, ranks, shared)
-    return lift(_lockstep(T, [_run(T, start, p, sweeps, SolverConfig().rel_tol, shared)])[0])
+    with _stacks_kept(T):
+        start, p, sweeps, lift = _sketch(T, ranks, shared)
+        return lift(_lockstep(T, [_run(T, start, p, sweeps, SolverConfig().rel_tol, shared)])[0])
 
 
 def _batch_size(T, ranks, p, shared: bool) -> int:
@@ -369,26 +402,28 @@ def _solve(T, ranks, cfg: SolverConfig, shared: bool, sketch: list | None = None
     restart 0 asks for its first product, a canonical-stack one, in the
     round the sketch ends, so it joins the next round's.  The problem is
     checked in :func:`_sketch`, as :func:`hosvd_init`'s is, before any
-    restart is drawn.
+    restart is drawn.  The stacks it builds are dropped by
+    :func:`_stacks_kept` before it returns or raises.
     """
-    start, p, sweeps, lift = _sketch(T, ranks, shared, sketch)
+    with _stacks_kept(T):
+        start, p, sweeps, lift = _sketch(T, ranks, shared, sketch)
 
-    def restart0():
-        sketched = yield from _run(T, start, p, sweeps, cfg.rel_tol, shared)
-        return (yield from _run(T, lift(sketched), ranks, cfg.max_iters, cfg.rel_tol, shared))
+        def restart0():
+            sketched = yield from _run(T, start, p, sweeps, cfg.rel_tol, shared)
+            return (yield from _run(T, lift(sketched), ranks, cfg.max_iters, cfg.rel_tol, shared))
 
-    l, m, n = T.dims
-    runs = [restart0()]
-    rng = np.random.default_rng(cfg.seed)
-    for _ in range(1, cfg.num_restarts):
-        U = _random_orthonormal(rng, l, ranks[0])
-        V = U if shared else _random_orthonormal(rng, m, ranks[1])
-        W = _random_orthonormal(rng, n, ranks[2])
-        runs.append(_run(T, (U, V, W), ranks, cfg.max_iters, cfg.rel_tol, shared))
-    size = _batch_size(T, ranks, p, shared)
-    found = []
-    for b in range(0, len(runs), size):
-        found += _lockstep(T, runs[b : b + size])
+        l, m, n = T.dims
+        runs = [restart0()]
+        rng = np.random.default_rng(cfg.seed)
+        for _ in range(1, cfg.num_restarts):
+            U = _random_orthonormal(rng, l, ranks[0])
+            V = U if shared else _random_orthonormal(rng, m, ranks[1])
+            W = _random_orthonormal(rng, n, ranks[2])
+            runs.append(_run(T, (U, V, W), ranks, cfg.max_iters, cfg.rel_tol, shared))
+        size = _batch_size(T, ranks, p, shared)
+        found = []
+        for b in range(0, len(runs), size):
+            found += _lockstep(T, runs[b : b + size])
     best = _best(found, cfg.rel_tol)
     if not best.converged:
         warnings.warn("HOOI did not converge within max_iters", RuntimeWarning)
@@ -402,7 +437,10 @@ def hooi(T, ranks: tuple[int, int, int], cfg: SolverConfig | None = None) -> Ran
     solve is repeated from seeded random orthonormal factors and the run
     with the largest objective is returned (the earliest, among runs within
     ``cfg.rel_tol`` of each other).  Non-convergence is flagged on the
-    result, not fatal.
+    result, not fatal.  The slice stacks it builds on a sparse ``T`` are
+    dropped when it returns or raises, and those ``T`` held before stay
+    (:func:`_stacks_kept`); so a second call on the same tensor builds them
+    again, unless the caller built them first.
     """
     return _solve(T, ranks, cfg or SolverConfig(), shared=False)
 
@@ -444,7 +482,9 @@ def hooi_symmetric(
     run is (1,2)-symmetric.  For ranks (2, 2, 1) the rotational freedom of
     the shared factor is fixed deterministically from the
     eigendecomposition of the 2x2 core slice.  The problem is checked in
-    :func:`_sketch`.
+    :func:`_sketch`.  The canonical stack that the check or the sweeps
+    build on a sparse ``T`` is dropped when it returns or raises, as in
+    :func:`hooi`.
 
     ``sketch`` recycles the start's range finder across a sequence of
     nearby operators, such as the residuals of an expansion.  It is a list

@@ -35,9 +35,13 @@ Tensors are immutable after construction: the ``i``, ``j``, ``k`` and
 returns a new tensor or a dense array.  Immutability is what makes the
 per-tensor cache safe: there is one slice stack, the 3-slices stacked as
 one CSR matrix in canonical order, and on first use by a transposed
-half product one more column index over it (4 bytes per entry), both
-computed at most once.  The (1,2)-symmetry check reads the canonical
-stack in blocks of whole slices and transposes one block at a time.
+half product one more column index over it (4 bytes per entry).  Each is
+built on first use and kept until dropped, so it can be built more than
+once: the solvers (:mod:`tenspart.lowrank`) drop the stacks they built
+when they return or raise, and keep any the tensor held before, such as
+the one a symmetry check built or a value-only map shared.  The
+(1,2)-symmetry check reads the canonical stack in blocks of whole slices
+and transposes one block at a time.
 
 Dense factor matrices, vectors and small core tensors are plain numpy
 arrays.  Contractions that shrink a mode (multiplication by a matrix with
@@ -497,7 +501,7 @@ class SparseTensor3(_Contractions):
     # -- the contraction kernel -----------------------------------------------
 
     def _slice_stack(self, col_mode: int) -> sp.csr_matrix:
-        """The 3-slices as one CSR matrix with mode ``col_mode`` in its columns, cached.
+        """The 3-slices as one CSR matrix with mode ``col_mode`` in its columns.
 
         2: the canonical stack, rows k*l + i and columns j, which is
         canonical order, so the entry arrays are used as they stand; its
@@ -505,6 +509,8 @@ class SparseTensor3(_Contractions):
         D = diag(A_1, ..., A_n), rows k*l + i and columns k*m + j, which
         shares the canonical stack's row pointers and values and adds one
         column index (int32 while n*m < 2**31, so 4 bytes per entry).
+        Each is cached in ``_stacks`` on first use and built again after a
+        solve that built it has dropped it.
         """
         if col_mode not in self._stacks:
             l, m, n = self.dims
@@ -532,7 +538,8 @@ class SparseTensor3(_Contractions):
         scipy's CSC product adds each a_ijk V[i, p] into row k*m + j in
         increasing i, the order a stack of the transposed slices would use.
         The result, and the tiled V, are checked against memory before any
-        stack, index or tile is built.
+        stack, index or tile is built.  A stack built here stays cached on
+        the tensor; the solvers drop those they built when they end.
         """
         l, m, n = self.dims
         p = V.shape[1]
@@ -664,11 +671,11 @@ def is_12_symmetric(T: SparseTensor3, tol: float = 0.0) -> bool:
     one block-diagonal CSR matrix, whose transpose (scipy's CSR-to-CSC
     conversion) holds a_jik where the matrix holds a_ijk.  On equal
     patterns the values are compared position by position, otherwise
-    their sparse difference is.  A block's temporaries (its column index,
-    scipy's copy of its values and the transpose's indices and values) take
-    about 25 bytes per entry, so the check holds a few MB beyond the
-    canonical stack unless one slice is larger; no stack of the transposed
-    slices is built or cached.
+    their sparse difference is.  A block's temporaries (its column index
+    and the transpose's indices and values; the block's values are read
+    where they stand) take about 17 bytes per entry, so the check holds a
+    few MB beyond the canonical stack unless one slice is larger; no stack
+    of the transposed slices is built or cached.
     """
     l, m, n = T.dims
     if l != m:
@@ -695,8 +702,13 @@ def _symmetric_block(T: SparseTensor3, S: sp.csr_matrix, k0: int, k1: int, tol: 
     col = np.subtract(T.k[a:b], k0, dtype=S.indices.dtype)  # column (k - k0)*l + j
     col *= l
     col += S.indices[a:b]
-    A = sp.csr_matrix((S.data[a:b], col, S.indptr[r0 : r1 + 1] - a), shape=(r1 - r0, r1 - r0))
-    At = A.T.tocsr()
+    # the arrays are set on an empty matrix: scipy's constructor, and so .T,
+    # would copy a data view under half its base (8 bytes per entry)
+    A = sp.csr_matrix((r1 - r0, r1 - r0))
+    A.data, A.indices = S.data[a:b], col
+    A.indptr = np.subtract(S.indptr[r0 : r1 + 1], a, dtype=col.dtype)
+    At = A.tocsc()  # the transpose's CSR arrays
+    At = sp.csr_matrix((At.data, At.indices, At.indptr), shape=A.shape)
     if np.array_equal(A.indptr, At.indptr) and np.array_equal(A.indices, At.indices):
         diff = np.subtract(A.data, At.data, out=At.data)
     else:

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +61,31 @@ class TestIngest:
         assert (out / "labels.txt").exists()
         T = load_coordinate_file(out / "tensor.tns")
         assert T.dims[2] == 2
+
+    def test_log_dropped_before_the_writers(self, tmp_path, monkeypatch):
+        # a loaded log keeps about 17 bytes per record; once binned, nothing
+        # reads it, so it is gone before labels.txt and tensor.tns are written
+        from tenspart import preprocess
+
+        load, save = preprocess.load_record_log, preprocess.save_coordinate_file
+        logs, alive = [], []
+
+        def loaded(path):
+            log = load(path)
+            logs.append(weakref.ref(log))
+            return log
+
+        def saved(T, path):
+            alive.append(logs[0]() is not None)
+            save(T, path)
+
+        monkeypatch.setattr(preprocess, "load_record_log", loaded)
+        monkeypatch.setattr(preprocess, "save_coordinate_file", saved)
+        src = tmp_path / "log.csv"
+        src.write_text("source,destination,timestamp\nalice,bob,1\nbob,carol,2\n", encoding="utf-8")
+        argv = ["ingest", str(src), "--format", "log-csv", "--out", str(tmp_path / "o")]
+        assert main(argv) == EXIT_OK
+        assert alive == [False]
 
     def test_csv_error_exits_validation(self, tmp_path, capsys):
         src = tmp_path / "log.csv"

@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 import warnings
 import weakref
 from dataclasses import replace
@@ -22,8 +23,10 @@ from tenspart import (
     lowrank,
     multi_multiply,
     reconstruct,
+    sparse_tensor,
 )
 from tenspart.lowrank import save_approximation
+from tenspart.preprocess import normalize_slices_adjacency
 from tenspart.sparse_tensor import _norm
 
 from conftest import planted_bipartite, pow2_scaled, random_orthogonal, random_sparse, random_symmetric
@@ -686,6 +689,157 @@ class TestHalfProductLifetime:
             assert lowrank._batch_size(T, (2, 2, 2), sketch_ranks(T, (2, 2, 2), False), False) >= 3
             hooi(T, (2, 2, 2), cfg)
         assert len(made) > 10 and made[-1]() is None
+
+
+def start_unshared(T, ranks):
+    return hosvd_init(T, ranks)
+
+
+def start_shared(T, ranks):
+    return hosvd_init(T, ranks, shared=True)
+
+
+class TestStackLifetime:
+    """A solve or start leaves a sparse tensor's slice stacks as it found
+    them: the stacks it built for its products are dropped when it returns
+    or raises, and a stack the tensor held before stays, the same object."""
+
+    CALLS = [(hooi, (2, 2, 2)), (hooi_symmetric, (2, 2, 1)), (start_unshared, (2, 2, 2)), (start_shared, (2, 2, 1))]
+
+    @staticmethod
+    def tensor():
+        """A (1,2)-symmetric 12x12x4 tensor on which every solve converges."""
+        return planted_bipartite(5, 7, 4, 2.0, [0.5, 0.5, 0.5, 0.5], seed=1)[0]
+
+    @pytest.mark.parametrize("call, ranks", CALLS)
+    def test_empty_cache_stays_empty(self, call, ranks):
+        T = self.tensor()
+        call(T, ranks)
+        assert T._stacks == {}
+
+    @pytest.mark.parametrize("call", [hooi, start_unshared])
+    def test_empty_after_a_refused_transposed_product(self, rng, monkeypatch, call):
+        # dims (20, 20, 4) and sketch ranks p = (10, 10, 4): the first,
+        # canonical product needs n*l*p = 800 entries (6400 B) and builds the
+        # canonical stack; the transposed one needs n*(m + l)*p = 1600
+        # (12800 B), more than the 10000 B allowed here
+        T = random_sparse(rng, (20, 20, 4), density=0.5)
+        monkeypatch.setattr(sparse_tensor, "_physical_memory", lambda: 10000.0)
+        with pytest.raises(ValueError, match="a transposed half product"):
+            call(T, (2, 2, 2))
+        assert T._stacks == {}
+
+    def test_empty_after_a_refused_shared_product(self, rng, monkeypatch):
+        # the symmetry check builds the canonical stack (161 row pointers);
+        # the first half product (800 entries, 6400 B) is refused
+        T = random_symmetric(rng, 20, 4, density=0.5)
+        monkeypatch.setattr(sparse_tensor, "_physical_memory", lambda: 4000.0)
+        with pytest.raises(ValueError, match="a half product"):
+            hooi_symmetric(T, (2, 2, 1))
+        assert T._stacks == {}
+
+    def test_empty_after_a_refused_symmetry_check(self, rng):
+        T = random_sparse(rng, (6, 6, 3), density=0.6)
+        with pytest.raises(ValueError, match="not \\(1,2\\)-symmetric"):
+            hooi_symmetric(T, (2, 2, 1))
+        assert T._stacks == {}
+
+    @pytest.mark.parametrize("call, ranks", CALLS)
+    @pytest.mark.parametrize("held", [(2,), (2, 1)])
+    def test_prebuilt_stacks_stay(self, call, ranks, held):
+        T = self.tensor()
+        stacks = {mode: T._slice_stack(mode) for mode in held}
+        call(T, ranks)
+        assert set(T._stacks) == set(held)
+        assert all(T._stacks[mode] is S for mode, S in stacks.items())
+
+    @pytest.mark.parametrize("call, ranks", CALLS)
+    def test_stack_shared_by_normalization_survives(self, call, ranks):
+        # the normalization's symmetry check builds the raw tensor's stack,
+        # and the normalized tensor shares its pattern from the start
+        N = normalize_slices_adjacency(self.tensor())
+        S = N._stacks[2]
+        call(N, ranks)
+        assert set(N._stacks) == {2} and N._stacks[2] is S
+
+    def test_unshared_solve_retains_no_entry_sized_array(self):
+        # 500k entries: a kept canonical stack (its int32 copy of j) and
+        # column index would hold about 8 bytes per entry (4 MB); the result
+        # holds O(extent * r) bytes, and nothing else may stay
+        l, m, n, nnz = 2000, 1500, 30, 500_000
+        rng = np.random.default_rng(3)
+        codes = np.unique(rng.integers(0, l * m * n, size=nnz + nnz // 10))[:nnz]
+        rng.shuffle(codes)
+        k, rest = np.divmod(codes, l * m)
+        i, j = np.divmod(rest, m)
+        T = SparseTensor3((l, m, n), i, j, k, rng.random(codes.size) + 0.5)
+        del codes, k, rest, i, j
+        assert T.nnz == nnz
+        cfg = SolverConfig(max_iters=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # 3 sweeps may not converge
+            hooi(SparseTensor3((6, 5, 4), [0, 1, 2], [0, 1, 2], [0, 1, 2], [1.0, 2.0, 3.0]), (1, 1, 1), cfg)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                ap = hooi(T, (2, 2, 2), cfg)
+                rise = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+        result = sum(x.nbytes for x in (ap.U, ap.V, ap.W, ap.core))
+        assert result == 8 * 2 * (l + m + n) + 64
+        assert rise <= 2**16 + 2 * result
+        assert T._stacks == {}
+
+
+class TestInPlaceScaling:
+    """The U and V updates scale their own contraction in place in
+    :func:`lowrank._leading`; every result keeps the bits of a copy."""
+
+    @pytest.fixture
+    def copying(self, monkeypatch):
+        leading = lowrank._leading
+        calls = []
+
+        def never_in_place(M, r, overwrite=False):
+            calls.append(overwrite)
+            return leading(M, r)
+
+        def apply():
+            monkeypatch.setattr(lowrank, "_leading", never_in_place)
+            return calls
+
+        return apply
+
+    def test_scales_in_place_with_the_same_bits(self, rng):
+        M = rng.standard_normal((40, 6)) * 2.0**300
+        copy = M.copy()
+        Q, low = lowrank._leading(copy, 3, overwrite=True)
+        R, low_r = lowrank._leading(M, 3)
+        assert Q.tobytes() == R.tobytes() and low == low_r
+        assert not np.array_equal(copy, M)  # scaled where it stood
+
+    @pytest.mark.parametrize("solve, ranks", [(hooi, (2, 2, 2)), (hooi_symmetric, (2, 2, 1))])
+    def test_solver_bits_unchanged(self, rng, copying, solve, ranks):
+        T = random_symmetric(rng, 14, 5, density=0.5)
+        cfg = SolverConfig(num_restarts=3)
+        got = solve(T, ranks, cfg)
+        calls = copying()
+        want = solve(T, ranks, cfg)
+        assert True in calls and False in calls
+        for a, b in ((got.U, want.U), (got.V, want.V), (got.W, want.W), (got.core, want.core)):
+            assert a.tobytes() == b.tobytes()
+        assert got.objective_history == want.objective_history
+
+    def test_expand_bits_unchanged(self, rng, copying):
+        T = random_symmetric(rng, 14, 5, density=0.5)
+        got, got_norms = expand(T, 2, theta=0.25)
+        calls = copying()
+        want, want_norms = expand(T, 2, theta=0.25)
+        assert True in calls and got_norms == want_norms
+        for a, b in zip(got, want):
+            for x, y in ((a.U, b.U), (a.w, b.w), (a.core, b.core), (a.B_hat.data, b.B_hat.data)):
+                assert x.tobytes() == y.tobytes()
 
 
 class TestRankCheck:

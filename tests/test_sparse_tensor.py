@@ -1090,6 +1090,27 @@ class TestSymmetry:
             tracemalloc.stop()
         assert peak <= 12 * T.nnz
 
+    def test_block_reads_its_values_in_place(self):
+        # three slices of over 2**17 entries each, so every block is one slice
+        # and its values a view under half of the tensor's: scipy's
+        # constructor would copy them (8 B per entry, about 25 B in all); the
+        # column index and the transpose's indices and values take about 17
+        rng = np.random.default_rng(8)
+        l, n = 600, 3
+        upper = np.triu(rng.random((n, l, l)) < 0.4)
+        k, i, j = np.nonzero(upper | upper.transpose(0, 2, 1))
+        T = SparseTensor3((l, l, n), i, j, k, np.ones(k.size))
+        S = T._slice_stack(2)
+        entries = int(S.indptr[2 * l] - S.indptr[l])
+        assert entries >= 2**17 and 2 * entries < T.nnz
+        tracemalloc.start()
+        try:
+            assert sparse_tensor._symmetric_block(T, S, 1, 2, 0.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 18 * entries
+
 
 def permute_one(T, perm, mode):
     """``permute_modes`` of one mode, the identity on the other two."""
