@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import expansion, lowrank, partition, preprocess
-from .sparse_tensor import SparseTensor3
+from .sparse_tensor import SparseTensor3, _index_sets
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -82,14 +82,20 @@ def _load_labels(args, extent: int):
 
 def cmd_ingest(args) -> int:
     if args.format == "tns":
+        if args.bin_size is not None or args.bidirectional_only:
+            raise ValueError("--bin-size and --bidirectional-only apply to --format log-csv only")
         T = preprocess.load_coordinate_file(args.input)
         labels = None
     else:
+        if args.bin_size is None:
+            args.bin_size = 1  # recorded in run_config.json as in effect
+        if args.bin_size < 1:
+            raise ValueError(f"--bin-size must be >= 1, got {args.bin_size}")
         log = preprocess.load_record_log(args.input)
         T, labels = preprocess.bin_and_symmetrize(
             log, args.bin_size, restrict_bidirectional=args.bidirectional_only
         )
-        del log  # about 17 bytes per record, not needed by the writers
+        del log  # about 8 bytes per record, not needed by the writers
     if labels is not None:  # first: a label that cannot be written leaves no tensor behind
         preprocess.save_labels(labels, args.out / "labels.txt")
     preprocess.save_coordinate_file(T, args.out / "tensor.tns")
@@ -130,18 +136,28 @@ def _load_index_sets(path) -> dict:
     return sets
 
 
+def _check_index_sets(path, sets: dict, dims) -> list:
+    """[I, J, K] of a ``--recurse`` file (K: every slice when absent), checked against ``dims``."""
+    try:
+        return _index_sets(dims, sets["I"], sets["J"], sets.get("K", range(dims[2])))
+    except (ValueError, IndexError) as exc:
+        raise ValueError(f"--recurse {path}: {exc}") from None
+
+
 def cmd_partition(args) -> int:
+    if args.corner_width is not None and args.corner_width < 1:
+        raise ValueError(f"--corner-width must be >= 1, got {args.corner_width}")
     index_sets = None if args.recurse is None else _load_index_sets(args.recurse)
     T = _load_tensor(args)
+    if index_sets is not None:  # before any solve
+        index_sets = _check_index_sets(args.recurse, index_sets, T.dims)
     labels = _load_labels(args, T.dims[0])
     approx = _run_approx(args, T)
     report = partition.partition_report(T, approx, labels=labels, corner_width=args.corner_width)
     if index_sets is not None:
         nested = partition.restrict_and_recurse(
             T,
-            index_sets["I"],
-            index_sets["J"],
-            index_sets.get("K", list(range(T.dims[2]))),
+            *index_sets,
             tuple(args.rank),
             _solver_config(args),
             labels=labels,
@@ -204,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", help="convert inputs to canonical .tns form")
     p.add_argument("input", type=Path)
     p.add_argument("--format", choices=["tns", "log-csv"], required=True)
-    p.add_argument("--bin-size", type=int, default=1)
+    p.add_argument("--bin-size", type=int, default=None, help="records per bin (default 1)")
     p.add_argument("--bidirectional-only", action="store_true")
     p.add_argument("--out", type=Path, required=True)
     p.set_defaults(func=cmd_ingest)

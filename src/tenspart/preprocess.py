@@ -14,25 +14,25 @@ on disk, 0-based in memory).  Lines end in LF or CRLF; no other character
 Record log: CSV with a header row and columns ``source,destination,timestamp``
 (further columns are ignored).  The timestamp column must be present but is
 not read: records are binned by their order in the file.  Ids are arbitrary
-strings, mapped to a contiguous vocabulary in first-seen order.  The file is
-read once and split into two columns of strings, sources and destinations,
-with no object per record: a plain file (no ``"``, no NUL, no CR outside a
-CRLF line end, and exactly three fields on every line after the header)
-chunk by chunk of whole lines, any other file by ``csv.reader``, the
-reference, whose errors name the line.  Either way equal ids share one
-string.
+strings, numbered as they are read through one vocabulary dict, in
+first-seen order over s0, d0, s1, d1, ...: a loaded log is that vocabulary
+and one int32 array of endpoint codes, with no object per record.  The file
+is read once: a plain file (no ``"``, no NUL, no CR outside a CRLF line end,
+and exactly three fields on every line after the header) is split chunk by
+chunk of whole lines, any other file is read by ``csv.reader``, the
+reference, whose errors name the line, one row at a time.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import math
 import os
 import re
 import warnings
-from dataclasses import dataclass, field
-from itertools import repeat
+from collections import defaultdict
+from dataclasses import dataclass
+from itertools import chain, compress, count
 
 import numpy as np
 
@@ -82,24 +82,20 @@ class LabelTable:
         return cls(tuple(f"idx{i}" for i in range(extent)))
 
 
-@dataclass
+@dataclass(eq=False)
 class RecordLog:
-    """Ordered records as two equal-length columns of strings.
+    """Ordered records as a vocabulary and one int32 array of endpoint codes.
 
-    Record r is the message ``sources[r]`` -> ``destinations[r]``; its
-    position r is all that binning reads of its time.  No tuple per record
-    is kept.
+    ``ends`` is [s0, d0, s1, d1, ...]: record r is the message
+    ``ids[ends[2r]]`` -> ``ids[ends[2r + 1]]``; its position r is all that
+    binning reads of its time.  A loaded log's ids are in first-seen order.
     """
 
-    sources: list[str] = field(default_factory=list)
-    destinations: list[str] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if len(self.sources) != len(self.destinations):
-            raise ValueError("record log columns differ in length")
+    ids: tuple[str, ...]
+    ends: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.sources)
+        return len(self.ends) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -323,48 +319,58 @@ def save_labels(table: LabelTable, path) -> None:
 
 
 def load_record_log(path) -> RecordLog:
-    """Read a ``source,destination,timestamp`` CSV log into its two id columns.
+    """Read a ``source,destination,timestamp`` CSV log, numbering its ids as it reads them.
 
-    Sources and destinations are kept in file order; the timestamp and any
-    further fields are checked for presence only.  The file is read once.
-    A plain file (see :func:`_split_plain_log`) is split chunk by chunk;
-    any other goes through ``csv.reader``, which names the offending line
-    of a malformed file.  A NUL anywhere in the file raises
-    :class:`TensorFileError` naming the line of the first one, on every
-    Python version (``csv.reader`` accepts NUL from 3.11 on).
+    Sources and destinations are kept in file order as codes in first-seen
+    order; the timestamp and any further fields are checked for presence
+    only.  The file is read once.  A plain file (see :func:`_split_plain_log`)
+    is split chunk by chunk; any other goes through ``csv.reader``, which
+    names the offending line of a malformed file.  A NUL anywhere in the
+    file raises :class:`TensorFileError` naming the line of the first one,
+    on every Python version (``csv.reader`` accepts NUL from 3.11 on).
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         text = fh.read()
-    log = _split_plain_log(text)
-    return log if log is not None else _read_log_rows(path, text)
+    try:
+        return _numbered(_split_plain_log(text))
+    except _NotPlain:
+        return _numbered(_read_log_rows(path, text))
+
+
+def _numbered(batches) -> RecordLog:
+    """The log of batches of ids s0, d0, s1, d1, ..., numbered one batch at a time."""
+    vocab = defaultdict(count().__next__)  # a new id gets the next code: first-seen order
+    ends = np.fromiter(map(vocab.__getitem__, chain.from_iterable(batches)), np.int32)
+    return RecordLog(tuple(vocab), ends)
+
+
+class _NotPlain(Exception):
+    """Raised by :func:`_split_plain_log` on a file it leaves to ``csv.reader``."""
 
 
 # characters per chunk of whole lines that the plain split checks and splits at once
 _LOG_CHUNK = 1 << 14
 
 
-def _split_plain_log(text: str) -> RecordLog | None:
-    """The log of a plain file, split chunk by chunk, or None.
+def _split_plain_log(text: str):
+    """Yield the ids s0, d0, s1, d1, ... of a plain file chunk by chunk, or raise _NotPlain.
 
     Plain: no ``"``, no NUL, no CR outside a CRLF line end, a header of at
     least three fields, and exactly three fields on every later line, none
     longer than ``csv.field_size_limit()``.  ``csv.reader`` reads such a
-    file to the same columns; every other file, the malformed ones
-    included, is left to it (None).  The body is checked and split in
-    chunks of whole lines of about ``_LOG_CHUNK`` characters, so the
-    check's arrays and the chunk's field strings are chunk-sized: only
-    sources and destinations are kept, through one dict, so equal ids
-    share one string; the timestamps go with their chunk.
+    file to the same ids; every other file, the malformed ones included,
+    is left to it (:class:`_NotPlain`, possibly after some chunks).  The
+    body is checked and split in chunks of whole lines of about
+    ``_LOG_CHUNK`` characters, so the check's arrays and the chunk's field
+    strings are chunk-sized; the timestamps go with their chunk.
     """
     if '"' in text or "\0" in text:
-        return None
+        raise _NotPlain
     limit = csv.field_size_limit()
     nl = text.find("\n")
     header = text if nl < 0 else text[: nl - (text[nl - 1 : nl] == "\r")]
     if "\r" in header or header.count(",") < 2 or len(header) > limit:
-        return None
-    log = RecordLog()
-    seen: dict[str, str] = {}
+        raise _NotPlain
     pos = len(text) if nl < 0 else nl + 1
     while pos < len(text):
         end = text.find("\n", pos + _LOG_CHUNK)
@@ -374,7 +380,7 @@ def _split_plain_log(text: str) -> RecordLog | None:
         if "\r" in chunk:
             chunk = chunk.replace("\r\n", "\n")
             if "\r" in chunk:
-                return None
+                raise _NotPlain
         if not chunk.endswith("\n"):
             chunk += "\n"
         # two commas on line t are commas 2t and 2t+1: with 2L commas in all,
@@ -384,33 +390,31 @@ def _split_plain_log(text: str) -> RecordLog | None:
         commas = np.flatnonzero(raw == ord(","))
         starts = np.concatenate(([0], ends[:-1] + 1))
         if commas.size != 2 * ends.size or np.any(commas[0::2] < starts) or np.any(commas[1::2] > ends):
-            return None
+            raise _NotPlain
         if (ends - starts).max() > limit:  # UTF-8 bytes bound a field's characters
-            return None
+            raise _NotPlain
         fields = chunk.replace("\n", ",").split(",")
         fields.pop()  # after the last line end
-        sources, destinations = fields[0::3], fields[1::3]
-        log.sources.extend(map(seen.setdefault, sources, sources))
-        log.destinations.extend(map(seen.setdefault, destinations, destinations))
-    return log
+        del fields[2::3]  # the timestamps
+        yield fields
 
 
-def _read_log_rows(path, text: str) -> RecordLog:
-    """``csv.reader`` over the log; the reference semantics of :func:`load_record_log`.
+def _read_log_rows(path, text: str):
+    """Yield each ``csv.reader`` row's source and destination; the reference semantics.
 
     A NUL is refused before ``csv.reader`` sees the text, with the line
-    ``csv.reader`` would count (line ends: LF, CRLF or a lone CR).  Every
-    source and destination goes through one dict, as in
-    :func:`_split_plain_log`, so equal ids share one string.
+    ``csv.reader`` would count (line ends: LF, CRLF or a lone CR).  The
+    reader takes the text's lines one at a time, so no copy of the text is
+    made, and no row outlives its numbering.
     """
     at = text.find("\0")
     if at >= 0:
         head = text[:at]
         line = head.count("\n") + head.count("\r") - head.count("\r\n") + 1
         raise TensorFileError(f"{path}:{line}: line contains NUL")
-    reader = csv.reader(io.StringIO(text, newline=""))
-    log = RecordLog()
-    seen: dict[str, str] = {}
+    # the lines io.StringIO(text, newline="") gives, up to LF, CRLF or a lone CR
+    lines = map(re.Match.group, re.finditer(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+", text))
+    reader = csv.reader(lines)
     try:
         header = next(reader, None)
         if header is None:
@@ -422,11 +426,9 @@ def _read_log_rows(path, text: str) -> RecordLog:
                 continue
             if len(row) < 3:
                 raise TensorFileError(f"{path}:{reader.line_num}: expected 3 fields")
-            log.sources.append(seen.setdefault(row[0], row[0]))
-            log.destinations.append(seen.setdefault(row[1], row[1]))
+            yield row[:2]
     except csv.Error as exc:
         raise TensorFileError(f"{path}:{reader.line_num}: {exc}") from None
-    return log
 
 
 # ---------------------------------------------------------------------------
@@ -511,44 +513,40 @@ def bin_and_symmetrize(
 
     Every ``bin_size`` consecutive records form one 3-slice; a_ijk = 1 when
     i and j communicated (either direction) inside bin k.  Values are
-    indicators, not counts.  With ``restrict_bidirectional`` the vocabulary
-    is limited to ids that both sent and received at least one message.
-    The sorted, distinct cell codes of both orientations are the canonical
-    order, so the tensor goes through the trusted constructor.
+    indicators, not counts.  The labels are the log's ids, with
+    ``restrict_bidirectional`` only those that both sent and received (and
+    only their records are binned).  The sorted, distinct cell codes of both
+    orientations are canonical, so the tensor goes through the trusted constructor.
     """
     if bin_size < 1:
         raise ValueError("bin_size must be >= 1")
     if not log:
         raise ValueError("record log is empty")
-
-    # the vocabulary in first-seen order over s0, d0, s1, d1, ...
-    ids = [None] * (2 * len(log))
-    ids[0::2] = log.sources
-    ids[1::2] = log.destinations
-    vocab = dict.fromkeys(ids)
-    del ids
+    ends, labels = log.ends, log.ids
+    if ends.shape != (2 * len(log),) or ends.min() < 0 or ends.max() >= len(labels):
+        raise ValueError("record log ends must be two codes into its ids per record")
+    a, b = ends[0::2], ends[1::2]
     if restrict_bidirectional:
-        both = set(log.sources).intersection(log.destinations)
-        if not both:
+        both = np.zeros((2, len(labels)), bool)
+        both[0, a] = both[1, b] = True  # sent, received
+        both = both.all(axis=0)
+        if not both.any():
             raise ValueError("no id both sent and received; nothing left after restriction")
-        vocab = dict.fromkeys(v for v in vocab if v in both)
+        labels = tuple(compress(labels, both.tolist()))
 
-    labels = LabelTable(tuple(vocab))
-    table = {ident: pos for pos, ident in enumerate(vocab)}
-    m = len(table)
+    m = len(labels)
     n = -(-len(log) // bin_size)  # ceil
     _check_cells((m, m, n))
     # the codes of both orientations, then the result's four arrays at most
     _check_size("the binned cell codes", 2 * len(log), 5 * 8)
 
-    # codes -1 mark ids left out by the restriction; such records are dropped
-    a = np.fromiter(map(table.get, log.sources, repeat(-1)), np.int64, len(log))
-    b = np.fromiter(map(table.get, log.destinations, repeat(-1)), np.int64, len(log))
     bins = np.arange(len(log)) // bin_size
     if restrict_bidirectional:
-        kept = (a >= 0) & (b >= 0)
-        a, b, bins = a[kept], b[kept], bins[kept]
-        del kept
+        # drop the left-out ids' records; a running count renumbers the kept ids in order
+        kept = both[a] & both[b]
+        code = np.cumsum(both) - 1
+        a, b, bins = code[a[kept]], code[b[kept]], bins[kept]
+        del kept, code
     # the cells (bin*m + a)*m + b and (bin*m + b)*m + a in one buffer, sorted in
     # place; a repeat (and a self-loop's two copies) is dropped, every value is 1
     bins *= m
@@ -561,4 +559,4 @@ def bin_and_symmetrize(
         codes = codes[first]
     del first
     i, j, k = _decode(codes, m, m)
-    return SparseTensor3._canonical((m, m, n), i, j, k, np.ones(j.size)), labels
+    return SparseTensor3._canonical((m, m, n), i, j, k, np.ones(j.size)), LabelTable(labels)

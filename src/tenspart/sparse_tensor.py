@@ -762,13 +762,11 @@ def permute_modes(
     return SparseTensor3._canonical(T.dims, *_decode(lin, l, m), vals)
 
 
-def subtensor(T: SparseTensor3, I, J, K) -> SparseTensor3:
-    """Extract the block T[I, J, K], densely reindexed to (|I|, |J|, |K|).
-
-    The index sets must be sorted subsets of the respective extents.
-    """
+def _index_sets(dims, I, J, K) -> list[np.ndarray]:
+    """I, J, K as int64 arrays; raises unless each is a nonempty, strictly
+    increasing subset of its extent."""
     sets = []
-    for S, extent, name in ((I, T.dims[0], "I"), (J, T.dims[1], "J"), (K, T.dims[2], "K")):
+    for S, extent, name in zip((I, J, K), dims, "IJK"):
         S = np.asarray(S, dtype=np.int64).ravel()
         if S.size == 0:
             raise ValueError(f"index set {name} is empty")
@@ -777,8 +775,15 @@ def subtensor(T: SparseTensor3, I, J, K) -> SparseTensor3:
         if np.any(np.diff(S) <= 0):
             raise ValueError(f"index set {name} must be strictly increasing")
         sets.append(S)
-    I, J, K = sets
+    return sets
 
+
+def subtensor(T: SparseTensor3, I, J, K) -> SparseTensor3:
+    """Extract the block T[I, J, K], densely reindexed to (|I|, |J|, |K|).
+
+    The index sets must be sorted subsets of the respective extents.
+    """
+    I, J, K = _index_sets(T.dims, I, J, K)
     mask = np.ones(T.nnz, dtype=bool)
     for idx, S in ((T.i, I), (T.j, J), (T.k, K)):
         pos = np.searchsorted(S, idx)

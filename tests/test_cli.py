@@ -63,7 +63,7 @@ class TestIngest:
         assert T.dims[2] == 2
 
     def test_log_dropped_before_the_writers(self, tmp_path, monkeypatch):
-        # a loaded log keeps about 17 bytes per record; once binned, nothing
+        # a loaded log keeps about 8 bytes per record; once binned, nothing
         # reads it, so it is gone before labels.txt and tensor.tns are written
         from tenspart import preprocess
 
@@ -86,6 +86,41 @@ class TestIngest:
         argv = ["ingest", str(src), "--format", "log-csv", "--out", str(tmp_path / "o")]
         assert main(argv) == EXIT_OK
         assert alive == [False]
+
+    def test_bin_size_defaults_to_one(self, tmp_path):
+        src = tmp_path / "log.csv"
+        src.write_text("source,destination,timestamp\nalice,bob,1\nbob,carol,2\n", encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["ingest", str(src), "--format", "log-csv", "--out", str(out)]) == EXIT_OK
+        assert load_coordinate_file(out / "tensor.tns").dims == (3, 3, 2)
+        assert json.loads((out / "run_config.json").read_text())["bin_size"] == 1
+
+    @pytest.mark.parametrize(
+        "fmt, flags, named",
+        [
+            ("log-csv", ["--bin-size", "0"], "--bin-size"),
+            ("log-csv", ["--bin-size", "-3"], "--bin-size"),
+            ("tns", ["--bin-size", "0"], "--bin-size"),
+            ("tns", ["--bin-size", "2"], "--bin-size"),
+            ("tns", ["--bidirectional-only"], "--bidirectional-only"),
+        ],
+    )
+    def test_flags_refused_before_reading(self, tmp_path, capsys, monkeypatch, fmt, flags, named):
+        # a bin size below 1, and the log-only flags on a .tns input, are
+        # refused before the input is read
+        from tenspart import preprocess
+
+        def no_read(path):
+            raise AssertionError("the input was read")
+
+        monkeypatch.setattr(preprocess, "load_record_log", no_read)
+        monkeypatch.setattr(preprocess, "load_coordinate_file", no_read)
+        out = tmp_path / "o"
+        argv = ["ingest", str(tmp_path / "in"), "--format", fmt, *flags, "--out", str(out)]
+        assert main(argv) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+        assert not any(out.iterdir())
 
     def test_csv_error_exits_validation(self, tmp_path, capsys):
         src = tmp_path / "log.csv"
@@ -425,6 +460,55 @@ class TestPartition:
         assert main(argv) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(sets) in err and message in err
+
+
+    @staticmethod
+    def no_solve(monkeypatch):
+        def solve(*args, **kwargs):
+            raise AssertionError("the solver ran")
+
+        monkeypatch.setattr(tenspart.lowrank, "hooi", solve)
+        monkeypatch.setattr(tenspart.lowrank, "hooi_symmetric", solve)
+
+    @pytest.mark.parametrize("width", ["0", "-2"])
+    def test_bad_corner_width_refused_before_loading(self, tmp_path, capsys, monkeypatch, width):
+        def no_load(path):
+            raise AssertionError("the tensor was loaded")
+
+        monkeypatch.setattr(tenspart.preprocess, "load_coordinate_file", no_load)
+        self.no_solve(monkeypatch)
+        out = tmp_path / "out"
+        argv = ["partition", str(tmp_path / "in.tns"), "--symmetric", "--rank", "2", "2", "1",
+                "--corner-width", width, "--out", str(out)]
+        assert main(argv) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith(f"error: --corner-width must be >= 1, got {width}")
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "sets, message",
+        [
+            ({"I": [0, 12], "J": [0, 1]}, "index set I out of range for extent 12"),
+            ({"I": [0, 1], "J": []}, "index set J is empty"),
+            ({"I": [0, 1], "J": [1, 0]}, "index set J must be strictly increasing"),
+            ({"I": [0, 1], "J": [0, 1], "K": [0, 0]}, "index set K must be strictly increasing"),
+            ({"I": [0, 1], "J": [0, 1], "K": [3]}, "index set K out of range for extent 3"),
+        ],
+        ids=["out-of-range", "empty", "decreasing", "repeated-K", "K-out-of-range"],
+    )
+    def test_recurse_sets_refused_before_solving(self, tmp_path, capsys, monkeypatch, sets, message):
+        # checked against the tensor's dims as soon as it is loaded, before
+        # the top-level solve, so nothing is written
+        src = tmp_path / "in.tns"
+        write_symmetric_tensor(src, l=12)
+        path = tmp_path / "sets.json"
+        path.write_text(json.dumps(sets))
+        self.no_solve(monkeypatch)
+        out = tmp_path / "out"
+        argv = ["partition", str(src), "--rank", "2", "2", "1", "--symmetric",
+                "--recurse", str(path), "--out", str(out)]
+        assert main(argv) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: --recurse {path}: {message}\n"
+        assert not any(out.iterdir())
 
 
 class TestExpand:

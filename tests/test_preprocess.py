@@ -1,4 +1,5 @@
 import csv
+import io
 import math
 import os
 import re
@@ -34,8 +35,29 @@ from conftest import BEYOND_SQUARE_RANGE, bipartite_embed, pow2_scaled, random_s
 
 
 def log_of(records):
-    """The RecordLog of a list of (source, destination) pairs."""
-    return RecordLog([s for s, _ in records], [d for _, d in records])
+    """The RecordLog of a list of (source, destination) pairs, ids in first-seen order."""
+    vocab = {}
+    ends = [vocab.setdefault(ident, len(vocab)) for pair in records for ident in pair]
+    return RecordLog(tuple(vocab), np.array(ends, dtype=np.int32))
+
+
+def as_tuple(log):
+    """(ids, ends as a list) of a RecordLog, whose int32 ends array compares elementwise."""
+    assert log.ends.dtype == np.int32
+    return log.ids, log.ends.tolist()
+
+
+def read_rows(path, text):
+    """The csv.reader reference's log of ``text``, as :func:`as_tuple` gives it."""
+    return as_tuple(preprocess._numbered(preprocess._read_log_rows(path, text)))
+
+
+def split_plain(text):
+    """The plain split's log of ``text`` as :func:`as_tuple` gives it, or None if it declines."""
+    try:
+        return as_tuple(preprocess._numbered(preprocess._split_plain_log(text)))
+    except preprocess._NotPlain:
+        return None
 
 
 def _save_coordinate_lines(T, path):
@@ -610,12 +632,15 @@ class TestBinAndSymmetrize:
         assert T.dims[0] == 2
 
     def test_empty_log_rejected(self):
-        with pytest.raises(ValueError):
-            bin_and_symmetrize(RecordLog(), bin_size=1)
+        with pytest.raises(ValueError, match="record log is empty"):
+            bin_and_symmetrize(log_of([]), bin_size=1)
 
     def test_unequal_columns_rejected(self):
-        with pytest.raises(ValueError, match="columns differ in length"):
-            RecordLog(["a", "b"], ["b"])
+        # a source without its destination, and codes that name no id
+        for ends in ([0, 1, 1], [0, 2], [-1, 0], [[0, 1], [1, 0]]):
+            log = RecordLog(("a", "b"), np.array(ends, dtype=np.int32))
+            with pytest.raises(ValueError, match="two codes into its ids per record"):
+                bin_and_symmetrize(log, bin_size=1)
 
     def test_too_many_cells_refused(self, monkeypatch):
         # the constructor's l*m*n refusal, with its text; 2 ids in 2 bins are 8 cells
@@ -628,7 +653,7 @@ class TestBinAndSymmetrize:
     @staticmethod
     def loop_oracle(log, bin_size, restrict_bidirectional=False):
         """The per-record set loop that bin_and_symmetrize replaced."""
-        records = list(zip(log.sources, log.destinations))
+        records = [(log.ids[s], log.ids[d]) for s, d in zip(log.ends[0::2], log.ends[1::2])]
         if bin_size < 1:
             raise ValueError("bin_size must be >= 1")
         if not records:
@@ -693,8 +718,7 @@ class TestRecordLogFile:
     def test_load(self, tmp_path):
         p = tmp_path / "log.csv"
         p.write_text("source,destination,timestamp\na,b,1\nb,c,2\n")
-        log = load_record_log(p)
-        assert log == RecordLog(["a", "b"], ["b", "c"])
+        assert as_tuple(load_record_log(p)) == (("a", "b", "c"), [0, 1, 1, 2])
 
     def test_short_row_rejected(self, tmp_path):
         p = tmp_path / "log.csv"
@@ -752,13 +776,13 @@ class TestRecordLogFile:
     def test_plain_file_takes_fast_path(self, tmp_path, monkeypatch, text):
         p = tmp_path / "log.csv"
         p.write_bytes(text.encode("utf-8"))
-        expected = preprocess._read_log_rows(p, text)
+        expected = read_rows(p, text)
 
         def no_fallback(path, text):
             raise AssertionError("csv.reader used on a plain file")
 
         monkeypatch.setattr(preprocess, "_read_log_rows", no_fallback)
-        assert load_record_log(p) == expected
+        assert as_tuple(load_record_log(p)) == expected
 
     @staticmethod
     def random_log(rng):
@@ -811,22 +835,31 @@ class TestRecordLogFile:
                 text = text[:at] + pick([",", "\n", "\r", '"', "\0"]) + text[at:]
         return text
 
-    def test_plain_split_matches_csv_reference_fuzzed(self, tmp_path):
-        self.check_fuzzed_parity(tmp_path)
+    def test_plain_split_matches_csv_reference_fuzzed(self, tmp_path, monkeypatch):
+        self.check_fuzzed_parity(tmp_path, monkeypatch)
 
     def test_plain_split_matches_csv_reference_fuzzed_small_chunks(self, tmp_path, monkeypatch):
         # chunks of a few lines: CRLF ends, multi-byte ids and a late malformed
         # line land in later chunks, and the fallback still names the line
         monkeypatch.setattr(preprocess, "_LOG_CHUNK", 24)
-        self.check_fuzzed_parity(tmp_path)
+        self.check_fuzzed_parity(tmp_path, monkeypatch)
 
-    def check_fuzzed_parity(self, tmp_path):
+    def check_fuzzed_parity(self, tmp_path, monkeypatch):
         def outcome(fn, *args):
             try:
                 return fn(*args)
             except TensorFileError as exc:
                 return str(exc)
 
+        # the reference hands csv.reader the lines io.StringIO(text, newline="") gives
+        reader = csv.reader
+
+        def stringio_lines(lines):
+            lines = list(lines)
+            assert lines == io.StringIO(text, newline="").readlines()
+            return reader(lines)
+
+        monkeypatch.setattr(preprocess.csv, "reader", stringio_lines)
         rng = np.random.default_rng(19)
         p = tmp_path / "log.csv"
         default = csv.field_size_limit()
@@ -837,12 +870,12 @@ class TestRecordLogFile:
                 p.write_bytes(text.encode("utf-8"))
                 # small field limits, so that some fields and lines pass them
                 csv.field_size_limit([default, default, 4, 12][case % 4])
-                want = outcome(preprocess._read_log_rows, p, text)
-                split = preprocess._split_plain_log(text)
+                want = outcome(read_rows, p, text)
+                split = split_plain(text)
                 if split is not None:
                     plain += 1
                     assert split == want
-                assert outcome(load_record_log, p) == want
+                assert outcome(lambda p: as_tuple(load_record_log(p)), p) == want
         finally:
             csv.field_size_limit(default)
         assert 150 <= plain <= 850  # both paths are exercised
@@ -850,10 +883,8 @@ class TestRecordLogFile:
     def test_equal_ids_share_one_object(self, tmp_path):
         p = tmp_path / "log.csv"
         p.write_text("s,d,t\nab,cd,1\ncd,ab,2\nab,ab,3\n")
-        log = load_record_log(p)
-        assert log == RecordLog(["ab", "cd", "ab"], ["cd", "ab", "ab"])
-        ids = log.sources + log.destinations
-        assert len({id(x) for x in ids}) == len(set(ids)) == 2
+        # one entry, and one code, per distinct id
+        assert as_tuple(load_record_log(p)) == (("ab", "cd"), [0, 1, 1, 0, 0, 0])
 
     def test_timestamps_and_extra_columns_not_read(self, tmp_path, rng):
         # records are binned by their order: logs that differ only in the
@@ -879,7 +910,7 @@ class TestRecordLogFile:
         results = []
         for n, text in enumerate(texts):
             p.write_text(text)
-            assert (preprocess._split_plain_log(text) is not None) == (n < plain)
+            assert (split_plain(text) is not None) == (n < plain)
             results.append(bin_and_symmetrize(load_record_log(p), bin_size=7))
         T, labels = results[0]
         assert T.dims == (len(labels), len(labels), 6) and T.nnz > 0
@@ -912,4 +943,32 @@ class TestRecordLogFile:
             assert len(log) == records and len(labels) == ids and T.dims[2] == records // bin_size
             assert retained <= 24 * records
             assert peak <= 120 * records
+            del log, T, labels
+
+    def test_codes_only_grow_with_records(self, tmp_path):
+        # 200k records between 100 ids: the loaded log keeps the vocabulary and
+        # two int32 codes per record, and binning reads the codes alone; on the
+        # plain split and, with one id quoted, on the csv.reader path, which
+        # reads the text's lines one at a time and keeps no row
+        records, ids, bin_size = 200_000, 100, 10_000
+        rng = np.random.default_rng(5)
+        src = rng.integers(0, ids, records).tolist()
+        dst = rng.integers(0, ids, records).tolist()
+        body = "s,d,t\n" + "".join(f"u{a},u{b},{t}\n" for t, (a, b) in enumerate(zip(src, dst)))
+        at = body.index("\nu1,") + 1
+        for text in (body, body[:at] + '"u1"' + body[at + 2 :]):
+            p = tmp_path / "log.csv"
+            p.write_text(text)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                log = load_record_log(p)
+                retained = tracemalloc.get_traced_memory()[0] - base
+                T, labels = bin_and_symmetrize(log, bin_size)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert len(log) == records and len(labels) == ids and T.dims[2] == records // bin_size
+            assert retained <= 10 * records  # 8 B of codes per record
+            assert peak <= 56 * records
             del log, T, labels
