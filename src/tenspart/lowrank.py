@@ -29,12 +29,18 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .sparse_tensor import SparseTensor3, _check_size, _exponent, _norm, _require_12_symmetric
+from .sparse_tensor import (
+    SparseTensor3,
+    _check_size,
+    _exponent,
+    _norm,
+    _require_12_symmetric,
+    _stacks_kept,
+)
 
 __all__ = [
     "SolverConfig",
@@ -258,28 +264,6 @@ def _check_ranks(ranks, dims) -> None:
                 f"ranks {r} need r_i <= r_j*r_k in every mode: "
                 f"r{a + 1}={r[a]} > r{b + 1}*r{c + 1}={r[b] * r[c]}"
             )
-
-
-@contextmanager
-def _stacks_kept(T):
-    """Leave a sparse ``T``'s slice stacks as they were on entry, on return or raise.
-
-    The stacks a solve or start builds for its own products repeat the
-    tensor's entries: the canonical stack's int32 copy of j and its row
-    pointers, and the transposed products' 4-byte column index.  They are
-    dropped when it ends, so the caller's later passes (a reordering, say)
-    find that memory free.  A stack ``T`` held on entry stays: one built by
-    an earlier symmetry check, or shared by a value-only map from the
-    tensor it normalized.  A second solve on the same tensor builds them
-    again.  An implicit operator's stacks are its builder's to keep.
-    """
-    held = set(T._stacks) if isinstance(T, SparseTensor3) else None
-    try:
-        yield
-    finally:
-        if held is not None:
-            for key in T._stacks.keys() - held:
-                del T._stacks[key]
 
 
 def _sketch(T, ranks, shared: bool, sketch: list | None = None):

@@ -115,6 +115,15 @@ def _block_of(bounds: list[int], perm: np.ndarray) -> np.ndarray:
     return moved
 
 
+def _entry_blocks(T: SparseTensor3, bounds1, bounds2, perm1, perm2) -> np.ndarray:
+    """Block id a * (len(bounds2) - 1) + b of every entry of T, its rows and
+    columns reordered by ``perm1`` and ``perm2`` (see :func:`_block_of`)."""
+    ids = _block_of(bounds1, perm1)[T.i]
+    ids *= len(bounds2) - 1
+    ids += _block_of(bounds2, perm2)[T.j]
+    return ids
+
+
 def block_norms(
     T: SparseTensor3,
     bounds1: list[int],
@@ -136,9 +145,8 @@ def block_norms(
     # block id of every entry, then one correctly rounded sum of squares
     # per block: the same sums as the norms of the blocks cut out one by one
     rows, cols = len(bounds1) - 1, len(bounds2) - 1
-    a = np.searchsorted(bounds1, T.i, side="right") - 1
-    b = np.searchsorted(bounds2, T.j, side="right") - 1
-    return _norm(T.vals, a * cols + b, rows * cols).reshape(rows, cols)
+    ids = _entry_blocks(T, bounds1, bounds2, np.arange(l), np.arange(m))
+    return _norm(T.vals, ids, rows * cols).reshape(rows, cols)
 
 
 def _corner_bounds(dims, width: int) -> tuple[list[int], list[int]]:
@@ -236,9 +244,7 @@ def partition_report(
     table = boundaries = None
     if corner_width < min(l, m) / 2:
         b1, b2 = boundaries = _corner_bounds(T.dims, corner_width)
-        ids = _block_of(b1, p1)[T.i]  # block id a * 3 + b of every entry
-        ids *= 3
-        ids += _block_of(b2, p2)[T.j]
+        ids = _entry_blocks(T, b1, b2, p1, p2)
         table, total_norm = _norm(T.vals, ids, 9, total=True)
         table = table.reshape(3, 3)
     else:

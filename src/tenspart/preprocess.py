@@ -17,10 +17,11 @@ not read: records are binned by their order in the file.  Ids are arbitrary
 strings, numbered as they are read through one vocabulary dict, in
 first-seen order over s0, d0, s1, d1, ...: a loaded log is that vocabulary
 and one int32 array of endpoint codes, with no object per record.  The file
-is read once: a plain file (no ``"``, no NUL, no CR outside a CRLF line end,
-and exactly three fields on every line after the header) is split chunk by
-chunk of whole lines, any other file is read by ``csv.reader``, the
-reference, whose errors name the line, one row at a time.
+is never read whole: a plain file (no ``"``, no NUL, no CR outside a CRLF
+line end, and exactly three fields on every line after the header) is read
+and split chunk by chunk of whole lines, any other file is read again from
+its start by ``csv.reader``, the reference, one line at a time, and its
+errors name the first faulty line.
 """
 
 from __future__ import annotations
@@ -323,18 +324,18 @@ def load_record_log(path) -> RecordLog:
 
     Sources and destinations are kept in file order as codes in first-seen
     order; the timestamp and any further fields are checked for presence
-    only.  The file is read once.  A plain file (see :func:`_split_plain_log`)
-    is split chunk by chunk; any other goes through ``csv.reader``, which
-    names the offending line of a malformed file.  A NUL anywhere in the
-    file raises :class:`TensorFileError` naming the line of the first one,
-    on every Python version (``csv.reader`` accepts NUL from 3.11 on).
+    only.  The file is opened once and never read whole: a plain file (see
+    :func:`_split_plain_log`) is split chunk by chunk; any other is read
+    again from its start by ``csv.reader``, which names the first faulty
+    line in file order, a line holding a NUL included, on every Python
+    version (``csv.reader`` accepts NUL from 3.11 on).
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        text = fh.read()
-    try:
-        return _numbered(_split_plain_log(text))
-    except _NotPlain:
-        return _numbered(_read_log_rows(path, text))
+        try:
+            return _numbered(_split_plain_log(fh))
+        except _NotPlain:
+            fh.seek(0)
+            return _numbered(_read_log_rows(path, fh))
 
 
 def _numbered(batches) -> RecordLog:
@@ -352,31 +353,28 @@ class _NotPlain(Exception):
 _LOG_CHUNK = 1 << 14
 
 
-def _split_plain_log(text: str):
+def _split_plain_log(fh):
     """Yield the ids s0, d0, s1, d1, ... of a plain file chunk by chunk, or raise _NotPlain.
 
     Plain: no ``"``, no NUL, no CR outside a CRLF line end, a header of at
     least three fields, and exactly three fields on every later line, none
     longer than ``csv.field_size_limit()``.  ``csv.reader`` reads such a
     file to the same ids; every other file, the malformed ones included,
-    is left to it (:class:`_NotPlain`, possibly after some chunks).  The
-    body is checked and split in chunks of whole lines of about
-    ``_LOG_CHUNK`` characters, so the check's arrays and the chunk's field
-    strings are chunk-sized; the timestamps go with their chunk.
+    is left to it (:class:`_NotPlain`, possibly after some chunks).  ``fh``
+    (opened with ``newline=""``) is read as its header line, then in chunks
+    of ``_LOG_CHUNK`` characters completed to a whole line, each checked and
+    split as it is read, so no array or string is larger than a chunk.
     """
-    if '"' in text or "\0" in text:
-        raise _NotPlain
     limit = csv.field_size_limit()
-    nl = text.find("\n")
-    header = text if nl < 0 else text[: nl - (text[nl - 1 : nl] == "\r")]
-    if "\r" in header or header.count(",") < 2 or len(header) > limit:
+    header = fh.readline().replace("\r\n", "\n").removesuffix("\n")
+    if '"' in header or "\0" in header or "\r" in header:
         raise _NotPlain
-    pos = len(text) if nl < 0 else nl + 1
-    while pos < len(text):
-        end = text.find("\n", pos + _LOG_CHUNK)
-        end = len(text) if end < 0 else end + 1
-        chunk = text[pos:end]
-        pos = end
+    if header.count(",") < 2 or len(header) > limit:
+        raise _NotPlain
+    for chunk in iter(lambda: fh.read(_LOG_CHUNK), ""):
+        chunk += fh.readline()
+        if '"' in chunk or "\0" in chunk:
+            raise _NotPlain
         if "\r" in chunk:
             chunk = chunk.replace("\r\n", "\n")
             if "\r" in chunk:
@@ -399,22 +397,21 @@ def _split_plain_log(text: str):
         yield fields
 
 
-def _read_log_rows(path, text: str):
+def _read_log_rows(path, fh):
     """Yield each ``csv.reader`` row's source and destination; the reference semantics.
 
-    A NUL is refused before ``csv.reader`` sees the text, with the line
-    ``csv.reader`` would count (line ends: LF, CRLF or a lone CR).  The
-    reader takes the text's lines one at a time, so no copy of the text is
-    made, and no row outlives its numbering.
+    ``csv.reader`` takes the lines of ``fh`` (opened with ``newline=""``, at
+    its start) one at a time, so the file is never held whole and no row
+    outlives its numbering.  A line holding a NUL is refused by its number
+    before the reader sees it; the first fault in file order is reported.
     """
-    at = text.find("\0")
-    if at >= 0:
-        head = text[:at]
-        line = head.count("\n") + head.count("\r") - head.count("\r\n") + 1
-        raise TensorFileError(f"{path}:{line}: line contains NUL")
-    # the lines io.StringIO(text, newline="") gives, up to LF, CRLF or a lone CR
-    lines = map(re.Match.group, re.finditer(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+", text))
-    reader = csv.reader(lines)
+    def lines():
+        for line_num, line in enumerate(fh, start=1):
+            if "\0" in line:
+                raise TensorFileError(f"{path}:{line_num}: line contains NUL")
+            yield line
+
+    reader = csv.reader(lines())
     try:
         header = next(reader, None)
         if header is None:

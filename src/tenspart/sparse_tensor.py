@@ -72,6 +72,7 @@ from __future__ import annotations
 
 import math
 import os
+from contextlib import contextmanager
 from typing import Sequence
 
 import numpy as np
@@ -571,6 +572,28 @@ class SparseTensor3(_Contractions):
 
     def norm(self) -> float:
         return _norm(self.vals)
+
+
+@contextmanager
+def _stacks_kept(T):
+    """Leave a sparse ``T``'s slice stacks as they were on entry, on return or raise.
+
+    The stacks a solve or start builds for its own products repeat the
+    tensor's entries: the canonical stack's int32 copy of j and its row
+    pointers, and the transposed products' 4-byte column index.  They are
+    dropped when it ends, so the caller's later passes (a reordering, say)
+    find that memory free.  A stack ``T`` held on entry stays: one built by
+    an earlier symmetry check, or shared by a value-only map from the
+    tensor it normalized.  A second solve on the same tensor builds them
+    again.  An implicit operator's stacks are its builder's to keep.
+    """
+    held = set(T._stacks) if isinstance(T, SparseTensor3) else None
+    try:
+        yield
+    finally:
+        if held is not None:
+            for key in T._stacks.keys() - held:
+                del T._stacks[key]
 
 
 # ---------------------------------------------------------------------------
